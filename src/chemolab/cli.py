@@ -5,14 +5,16 @@ parameter triple.  ``run`` integrates one configured scenario and writes
 ``timeseries.csv`` plus ``report.txt``.  ``sweep`` executes a (chi, k) grid
 of runs, optionally across a worker pool, and writes ``sweep_summary.csv``
 with one row per grid point in deterministic chi-major order regardless of
-the parallelism level (override with the CHEMOLAB_THREADS variable).
+the parallelism level (override with the CHEMOLAB_THREADS variable; the pool
+never gets more workers than grid points or CPUs).
 
 All real numbers in CSV output carry 17 significant digits, so files are
 round-trippable and byte-comparable across repeated and parallel runs.
 
 Exit codes: 0 success (run: completed with all checks passing), 1 malformed
 input or configuration, 2 exponents outside the applicable chi range,
-3 run completed but a check failed, 4 suspected blow-up, 5 dt collapse.
+3 run completed but a check failed, 4 suspected blow-up, 5 dt collapse,
+6 positivity lost (dt_safety beyond the guaranteed range).
 """
 
 from __future__ import annotations
@@ -50,7 +52,13 @@ from .runconfig import (
     point_config,
     resolve_monitors,
 )
-from .solver import STATUS_BLOWUP, STATUS_COMPLETED, RunReport
+from .solver import (
+    STATUS_BLOWUP,
+    STATUS_COMPLETED,
+    STATUS_DT_COLLAPSE,
+    STATUS_POSITIVITY_LOST,
+    RunReport,
+)
 from .solver import run as run_solver
 
 
@@ -187,7 +195,7 @@ def cmd_run(args) -> int:
 
     if report.status == STATUS_COMPLETED:
         return 0 if checks[0] else 3
-    return 4 if report.status == STATUS_BLOWUP else 5
+    return {STATUS_BLOWUP: 4, STATUS_DT_COLLAPSE: 5, STATUS_POSITIVITY_LOST: 6}[report.status]
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +249,8 @@ def _resolve_parallelism(spec: SweepSpec) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.spec)
-    parallelism = _resolve_parallelism(spec)
     tasks = [(spec, chi, k) for chi, k in spec.points]
+    parallelism = min(_resolve_parallelism(spec), len(tasks), os.cpu_count() or 1)
     if parallelism > 1:
         with multiprocessing.Pool(parallelism) as pool:
             rows = pool.map(_sweep_point, tasks)

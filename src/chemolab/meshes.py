@@ -12,12 +12,17 @@ Two mesh flavors cover the supported domains:
   the total volume is R^n / n.
 
 Fields are plain 1-D ``numpy`` arrays with one entry per cell in the mesh's
-ordering.  Both operators below are two-point flux schemes with zero flux
-through boundary faces, so volume-weighted sums of their output vanish to
-rounding: ``laplacian`` uses centered face gradients, the chemotactic
+ordering; ``laplacian`` also takes a stack of fields, one per row, so u and
+v share a call.  Both operators below are two-point flux schemes with zero
+flux through boundary faces, so volume-weighted sums of their output vanish
+to rounding: ``laplacian`` uses centered face gradients, the chemotactic
 divergence uses donor-cell upwinding with the face chemical value taken as
 the arithmetic mean of the two neighbors (v is bounded away from zero, so
-the mean keeps the stencil linear without positivity risk).
+the mean keeps the stencil linear without positivity risk).  The mesh
+methods take the chemotactic face velocities from ``face_velocities``, so a
+time step computes them once for both the divergence and the advective
+outflow rate; they do not re-check v > 0, which the solver's post-step scan
+guarantees.  The module-level ``chemotactic_divergence`` does check it.
 
 The innermost radial face has zero area, which enforces the symmetry
 condition at r = 0 without ghost values.
@@ -25,7 +30,7 @@ condition at r = 0 without ghost values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,44 +68,44 @@ class CartesianMesh2D:
         return float(self.volumes @ f)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        g = f.reshape(self.ny, self.nx)
-        out = np.zeros_like(g)
-        tx = (g[:, 1:] - g[:, :-1]) / (self.hx * self.hx)
-        out[:, :-1] += tx
-        out[:, 1:] -= tx
-        ty = (g[1:, :] - g[:-1, :]) / (self.hy * self.hy)
-        out[:-1, :] += ty
-        out[1:, :] -= ty
-        return out.ravel()
+        """Laplacian of a field, or row by row of a stack of fields."""
+        g = f.reshape(f.shape[:-1] + (self.ny, self.nx))
+        out = np.zeros(g.shape)
+        tx = (g[..., 1:] - g[..., :-1]) / (self.hx * self.hx)
+        out[..., :-1] += tx
+        out[..., 1:] -= tx
+        ty = (g[..., 1:, :] - g[..., :-1, :]) / (self.hy * self.hy)
+        out[..., :-1, :] += ty
+        out[..., 1:, :] -= ty
+        return out.reshape(f.shape)
 
-    def _face_velocities(self, v: np.ndarray, chi: float):
-        """Chemotactic face velocity chi * dv / (h * v_face) per direction."""
+    def face_velocities(self, v: np.ndarray, chi: float):
+        """Chemotactic face velocity chi * dv / (h * v_face), as (x faces, y faces)."""
         g = v.reshape(self.ny, self.nx)
         wx = chi * (g[:, 1:] - g[:, :-1]) / (self.hx * 0.5 * (g[:, 1:] + g[:, :-1]))
         wy = chi * (g[1:, :] - g[:-1, :]) / (self.hy * 0.5 * (g[1:, :] + g[:-1, :]))
         return wx, wy
 
-    def chemotactic_divergence(self, u: np.ndarray, v: np.ndarray, chi: float) -> np.ndarray:
-        if not (v > 0.0).all():
-            raise PositivityViolation("chemical field must be strictly positive")
+    def chemotactic_divergence(self, u: np.ndarray, w) -> np.ndarray:
+        """Donor-cell divergence of the taxis flux for face velocities ``w``."""
         gu = u.reshape(self.ny, self.nx)
-        wx, wy = self._face_velocities(v, chi)
-        out = np.zeros_like(gu)
-        fx = wx * np.where(wx > 0.0, gu[:, :-1], gu[:, 1:])
-        out[:, :-1] += fx / self.hx
-        out[:, 1:] -= fx / self.hx
-        fy = wy * np.where(wy > 0.0, gu[:-1, :], gu[1:, :])
-        out[:-1, :] += fy / self.hy
-        out[1:, :] -= fy / self.hy
+        wx, wy = w
+        out = np.zeros(gu.shape)
+        fx = wx * np.where(wx > 0.0, gu[:, :-1], gu[:, 1:]) / self.hx
+        out[:, :-1] += fx
+        out[:, 1:] -= fx
+        fy = wy * np.where(wy > 0.0, gu[:-1, :], gu[1:, :]) / self.hy
+        out[:-1, :] += fy
+        out[1:, :] -= fy
         return out.ravel()
 
     def diffusion_outflow_max(self) -> float:
         """max over cells of sum_faces area / (h * volume), unit diffusivity."""
         return 2.0 / (self.hx * self.hx) + 2.0 / (self.hy * self.hy)
 
-    def advective_outflow_max(self, v: np.ndarray, chi: float) -> float:
+    def advective_outflow_max(self, w) -> float:
         """max over cells of the donor-cell outflow rate sum_f A_f w_out,f / vol."""
-        wx, wy = self._face_velocities(v, chi)
+        wx, wy = w
         acc = np.zeros((self.ny, self.nx))
         acc[:, :-1] += np.maximum(wx, 0.0) / self.hx
         acc[:, 1:] += np.maximum(-wx, 0.0) / self.hx
@@ -131,6 +136,9 @@ class RadialShellMesh:
         self.volumes = (self.face_r[1:] ** self.n_dim - self.face_r[:-1] ** self.n_dim) / self.n_dim
         self.domain_volume = float(self.volumes.sum())
         self._inner_area = self.face_area[1:-1]  # interior faces 1..m-1
+        self._vol_in, self._vol_out = self.volumes[:-1], self.volumes[1:]  # cells beside them
+        per_cell = (self.face_area[:-1] + self.face_area[1:]) / (self.h * self.volumes)
+        self._diffusion_outflow_max = float(per_cell.max())
 
     def cell_centers(self) -> np.ndarray:
         return (np.arange(self.m) + 0.5) * self.h
@@ -139,34 +147,34 @@ class RadialShellMesh:
         return float(self.volumes @ f)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        t = self._inner_area * (f[1:] - f[:-1]) / self.h
-        out = np.zeros_like(f)
-        out[:-1] += t / self.volumes[:-1]
-        out[1:] -= t / self.volumes[1:]
+        """Laplacian of a field, or row by row of a stack of fields."""
+        t = self._inner_area * (f[..., 1:] - f[..., :-1]) / self.h
+        out = np.zeros(f.shape)
+        out[..., :-1] += t / self._vol_in
+        out[..., 1:] -= t / self._vol_out
         return out
 
-    def _face_velocities(self, v: np.ndarray, chi: float) -> np.ndarray:
+    def face_velocities(self, v: np.ndarray, chi: float) -> np.ndarray:
+        """Chemotactic velocity chi * dv / (h * v_face) on the interior faces."""
         return chi * (v[1:] - v[:-1]) / (self.h * 0.5 * (v[1:] + v[:-1]))
 
-    def chemotactic_divergence(self, u: np.ndarray, v: np.ndarray, chi: float) -> np.ndarray:
-        if not (v > 0.0).all():
-            raise PositivityViolation("chemical field must be strictly positive")
-        w = self._face_velocities(v, chi)
+    def chemotactic_divergence(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Donor-cell divergence of the taxis flux for face velocities ``w``."""
         flux = self._inner_area * w * np.where(w > 0.0, u[:-1], u[1:])
-        out = np.zeros_like(u)
-        out[:-1] += flux / self.volumes[:-1]
-        out[1:] -= flux / self.volumes[1:]
+        out = np.zeros(self.m)
+        out[:-1] += flux / self._vol_in
+        out[1:] -= flux / self._vol_out
         return out
 
     def diffusion_outflow_max(self) -> float:
-        per_cell = (self.face_area[:-1] + self.face_area[1:]) / (self.h * self.volumes)
-        return float(per_cell.max())
+        """max over shells of sum_faces area / (h * volume), unit diffusivity."""
+        return self._diffusion_outflow_max
 
-    def advective_outflow_max(self, v: np.ndarray, chi: float) -> float:
-        w = self._face_velocities(v, chi)
+    def advective_outflow_max(self, w: np.ndarray) -> float:
+        """max over shells of the donor-cell outflow rate sum_f A_f w_out,f / vol."""
         acc = np.zeros(self.m)
-        acc[:-1] += self._inner_area * np.maximum(w, 0.0) / self.volumes[:-1]
-        acc[1:] += self._inner_area * np.maximum(-w, 0.0) / self.volumes[1:]
+        acc[:-1] += self._inner_area * np.maximum(w, 0.0) / self._vol_in
+        acc[1:] += self._inner_area * np.maximum(-w, 0.0) / self._vol_out
         return float(acc.max())
 
 
@@ -185,6 +193,7 @@ class State:
     u: np.ndarray
     v: np.ndarray
     t: float = 0.0
+    _uv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self, mesh: Mesh | None = None) -> "State":
         if mesh is not None and (self.u.shape != (mesh.cell_count,) or self.v.shape != (mesh.cell_count,)):
@@ -202,8 +211,16 @@ class State:
             raise DomainError(f"time must be nonnegative, got {self.t}")
         return self
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.u).all() and np.isfinite(self.v).all())
+    @classmethod
+    def stacked(cls, uv: np.ndarray, t: float) -> "State":
+        """State whose u and v are the rows of the (2, N) array ``uv``."""
+        state = cls(uv[0], uv[1], t)
+        state._uv = uv
+        return state
+
+    def uv(self) -> np.ndarray:
+        """u and v as the rows of one (2, N) array; a copy unless built by ``stacked``."""
+        return self._uv if self._uv is not None else np.stack((self.u, self.v))
 
 
 def laplacian_neumann(f: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -213,4 +230,6 @@ def laplacian_neumann(f: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 def chemotactic_divergence(u: np.ndarray, v: np.ndarray, chi: float, mesh: Mesh) -> np.ndarray:
     """Donor-cell upwind divergence of the taxis flux chi * u * grad(v) / v."""
-    return mesh.chemotactic_divergence(u, v, chi)
+    if not (v > 0.0).all():
+        raise PositivityViolation("chemical field must be strictly positive")
+    return mesh.chemotactic_divergence(u, mesh.face_velocities(v, chi))

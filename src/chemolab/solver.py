@@ -17,9 +17,18 @@ Stability bookkeeping (``stable_dt``) takes the safety-scaled minimum of
 * the reaction cap 1/2, which keeps the (1 - dt) factor of the v-update
   away from zero.
 
-For dt_safety <= 2/3 these jointly guarantee u >= 0 and v > 0 at every
-accepted step; a ``PositivityViolation`` from ``step`` therefore indicates a
-configuration pushed beyond that envelope, not physics.
+Each limit is taken separately, so in one step a cell can lose the share
+dt * (D_i + A_i) <= 2 * dt_safety of its u (D_i, A_i its diffusive and
+advective outflow rates) and dt * (k D_i + 1) <= 1.5 * dt_safety of its v.
+For dt_safety <= 1/2 these jointly guarantee u >= 0 and v > 0 at every
+accepted step.  Beyond that, a cell where both limits bind can go negative;
+``run`` reports this as status "positivity_lost", a scheme fault, not physics.
+
+One step of ``run`` does each piece of work once: the chemotactic face
+velocities are computed once from v and shared by ``stable_dt`` and
+``step``; u and v go through one stacked ``laplacian`` call; and one min and
+one max per row of the new state decide finiteness, u >= 0, v > 0, the
+running extremes and the blow-up proxy.
 
 Finite-time blow-up of the continuous system is unobservable discretely;
 ``run`` reports a blow-up *proxy* instead (density growth past a factor, a
@@ -34,13 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import MonitorConfig, TimeSeriesRow, compute_row
-from .errors import DomainError, PositivityViolation
+from .errors import DomainError
 from .exponents import ModelParams
 from .meshes import CartesianMesh2D, Mesh, RadialShellMesh, State
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "suspected_blowup"
 STATUS_DT_COLLAPSE = "dt_collapse"
+STATUS_POSITIVITY_LOST = "positivity_lost"
 
 _TREL = 1e-12  # relative band for time-target snapping
 
@@ -128,45 +138,58 @@ def initial_state(
     return State(u, v, 0.0).validate(mesh)
 
 
-def stable_dt(state: State, params: ModelParams, mesh: Mesh, cfg: SchemeConfig) -> float:
+def stable_dt(
+    state: State, params: ModelParams, mesh: Mesh, cfg: SchemeConfig, w=None
+) -> float:
     """Safety-scaled minimum of the diffusive, advective, and reaction limits.
 
+    ``w`` are the face velocities of ``state.v`` (computed when omitted).
     The caller additionally caps the result so output times are hit exactly.
     """
     limit = 1.0 / (max(1.0, params.k) * mesh.diffusion_outflow_max())
     if params.chi != 0.0:
-        adv = mesh.advective_outflow_max(state.v, params.chi)
+        if w is None:
+            w = mesh.face_velocities(state.v, params.chi)
+        adv = mesh.advective_outflow_max(w)
         if adv > 0.0:
             limit = min(limit, 1.0 / adv)
     return cfg.dt_safety * min(limit, 0.5)
 
 
 def step(
-    state: State, params: ModelParams, mesh: Mesh, cfg: SchemeConfig, dt: float | None = None
+    state: State,
+    params: ModelParams,
+    mesh: Mesh,
+    cfg: SchemeConfig,
+    dt: float | None = None,
+    w=None,
 ) -> State:
     """One forward-Euler step; dt defaults to ``stable_dt``.
 
+    ``w`` are the face velocities of ``state.v`` (computed when omitted).
     Both u-terms are conservative with zero boundary flux, so the volume-
     weighted sum of u is preserved to rounding.  Flux differences vanish
     identically on constant fields, so the constant steady state u = v = c
-    is reproduced bit-exactly.  Raises ``PositivityViolation`` if the new
-    state leaves the positivity envelope (see module docstring); non-finite
-    values are returned untouched for the caller to classify.
+    is reproduced bit-exactly.  The new state is not checked: ``run``
+    classifies non-finite values and positivity loss (see module docstring).
+    The new u and v are the rows of one array (``State.stacked``).
     """
+    if params.chi != 0.0 and w is None:
+        w = mesh.face_velocities(state.v, params.chi)
     if dt is None:
-        dt = stable_dt(state, params, mesh, cfg)
-    u, v = state.u, state.v
-    du = mesh.laplacian(u)
+        dt = stable_dt(state, params, mesh, cfg, w)
+    uv = state.uv()
+    u, v = uv
+    d = mesh.laplacian(uv)
+    du, dv = d
     if params.chi != 0.0:
-        du = du - mesh.chemotactic_divergence(u, v, params.chi)
-    dv = params.k * mesh.laplacian(v) - v + u
-    new = State(u + dt * du, v + dt * dv, state.t + dt)
-    if new.is_finite() and ((new.u < 0.0).any() or (new.v <= 0.0).any()):
-        raise PositivityViolation(
-            f"positivity lost at t={new.t:.6g} with dt={dt:.3e}; "
-            "dt_safety beyond the guaranteed range?"
-        )
-    return new
+        du -= mesh.chemotactic_divergence(u, w)
+    dv *= params.k
+    dv -= v
+    dv += u
+    d *= dt
+    d += uv
+    return State.stacked(d, state.t + dt)
 
 
 def run(
@@ -180,9 +203,11 @@ def run(
 
     Emits one diagnostics row at t = 0, one per output interval, and one at
     the final time.  Never raises on dynamical failures: non-finite values
-    and positivity loss surface as status "suspected_blowup", a time step
-    below dt_min as "dt_collapse".  Identical inputs produce bit-identical
-    reports.
+    and density growth past ``blowup_factor`` surface as status
+    "suspected_blowup", a finite new state with u < 0 or v <= 0 as
+    "positivity_lost" (the state before that step is the final one), and a
+    time step below dt_min as "dt_collapse".  Identical inputs produce
+    bit-identical reports.
     """
     monitors = monitors if monitors is not None else MonitorConfig()
     initial.validate(mesh)
@@ -191,7 +216,7 @@ def run(
     rows = [compute_row(initial, mesh, monitors)]
 
     def emit(state: State) -> None:
-        if state.is_finite() and state.t > rows[-1].t:
+        if state.t > rows[-1].t:
             rows.append(compute_row(state, mesh, monitors))
 
     max_u0 = float(initial.u.max())
@@ -203,29 +228,33 @@ def run(
         if state.t >= cfg.t_end * (1.0 - _TREL):
             status = STATUS_COMPLETED
             break
-        dt0 = stable_dt(state, params, mesh, cfg)
+        w = mesh.face_velocities(state.v, params.chi) if params.chi != 0.0 else None
+        dt0 = stable_dt(state, params, mesh, cfg, w)
         if dt0 < cfg.dt_min:
             emit(state)
             status = STATUS_DT_COLLAPSE
             break
         t_target = min(next_j * cfg.output_interval, cfg.t_end)
         dt = min(dt0, t_target - state.t)
-        try:
-            state = step(state, params, mesh, cfg, dt)
-        except PositivityViolation:
+        new = step(state, params, mesh, cfg, dt, w)
+        uv = new.uv()
+        (min_u, min_v), (max_u, max_v) = uv.min(axis=1).tolist(), uv.max(axis=1).tolist()
+        if not all(map(math.isfinite, (min_u, min_v, max_u, max_v))):
+            state = new
             status = STATUS_BLOWUP
             break
-        if not state.is_finite():
-            status = STATUS_BLOWUP
+        if min_u < 0.0 or min_v <= 0.0:
+            status = STATUS_POSITIVITY_LOST
             break
-        max_u_over_run = max(max_u_over_run, float(state.u.max()))
-        min_v_over_run = min(min_v_over_run, float(state.v.min()))
-        if state.u.max() > cfg.blowup_factor * max_u0:
+        state = new
+        max_u_over_run = max(max_u_over_run, max_u)
+        min_v_over_run = min(min_v_over_run, min_v)
+        if max_u > cfg.blowup_factor * max_u0:
             emit(state)
             status = STATUS_BLOWUP
             break
         if abs(state.t - t_target) <= _TREL * max(1.0, t_target):
-            state = State(state.u, state.v, t_target)
+            state = State.stacked(uv, t_target)
             emit(state)
             if t_target == next_j * cfg.output_interval:
                 next_j += 1

@@ -1,0 +1,214 @@
+"""The fused explicit step against a replay of the plain one, and the run's
+classification of positivity loss, sweep worker clamping included."""
+
+import numpy as np
+import pytest
+
+import chemolab.cli as cli
+from chemolab.cli import main
+from chemolab.diagnostics import MonitorConfig, compute_row
+from chemolab.exponents import ModelParams
+from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State, chemotactic_divergence
+from chemolab.solver import RunReport, SchemeConfig, initial_state, run, stable_dt, step
+
+from test_config_cli import CART_CONFIG, SWEEP_SMALL, write_config
+
+
+def plain_dt(state, params, mesh, cfg):
+    """The separate diffusive, advective and reaction limits."""
+    limit = 1.0 / (max(1.0, params.k) * mesh.diffusion_outflow_max())
+    if params.chi != 0.0:
+        adv = mesh.advective_outflow_max(mesh.face_velocities(state.v, params.chi))
+        if adv > 0.0:
+            limit = min(limit, 1.0 / adv)
+    return cfg.dt_safety * min(limit, 0.5)
+
+
+def plain_step(state, params, mesh, dt):
+    """One operator call per field and term, then ``u + dt*du``."""
+    u, v = state.u, state.v
+    du = mesh.laplacian(u)
+    if params.chi != 0.0:
+        du = du - chemotactic_divergence(u, v, params.chi, mesh)
+    dv = params.k * mesh.laplacian(v) - v + u
+    return State(u + dt * du, v + dt * dv, state.t + dt)
+
+
+def plain_run(initial, params, mesh, cfg, monitors):
+    """The unfused explicit loop with output-time snapping.
+
+    Returns (series, t_final, max_u_over_run, min_v_over_run) for a run that
+    completes.
+    """
+    rows = [compute_row(initial, mesh, monitors)]
+    max_u, min_v = float(initial.u.max()), float(initial.v.min())
+    state, next_j = initial, 1
+    while state.t < cfg.t_end * (1.0 - 1e-12):
+        t_target = min(next_j * cfg.output_interval, cfg.t_end)
+        dt = min(plain_dt(state, params, mesh, cfg), t_target - state.t)
+        state = plain_step(state, params, mesh, dt)
+        assert (state.u >= 0.0).all() and (state.v > 0.0).all()
+        max_u = max(max_u, float(state.u.max()))
+        min_v = min(min_v, float(state.v.min()))
+        if abs(state.t - t_target) <= 1e-12 * max(1.0, t_target):
+            state = State(state.u, state.v, t_target)
+            if state.t > rows[-1].t:
+                rows.append(compute_row(state, mesh, monitors))
+            if t_target == next_j * cfg.output_interval:
+                next_j += 1
+    return rows, state.t, max_u, min_v
+
+
+def steep_state(mesh):
+    """Narrow bumps over many decades, so last-bit differences in the
+    increments reach the rounding of the update somewhere; the chemical jumps
+    by large factors between neighbouring cells."""
+    if mesh.geometry == "radial":
+        d2 = mesh.cell_centers() ** 2
+    else:
+        x, y = mesh.cell_centers()
+        d2 = (x - 0.3) ** 2 + (y - 0.5) ** 2
+    return State(2.0 * np.exp(-d2 / 0.02), 0.01 + 5.0 * np.exp(-d2 / 0.002))
+
+
+# odd cell counts put the second row of a stacked (2, N) state off the
+# alignment of a fresh array, which would expose alignment-dependent sums
+ODD_MESHES = [
+    ("radial3_m37", lambda: RadialShellMesh(3, 1.0, 37)),
+    ("cart_9x7", lambda: CartesianMesh2D(1.0, 0.8, 9, 7)),
+]
+
+
+@pytest.mark.parametrize("chi", [0.5, 0.0])
+@pytest.mark.parametrize("make_mesh", [m for _, m in ODD_MESHES], ids=[n for n, _ in ODD_MESHES])
+def test_fused_run_is_bit_identical_to_plain_loop(make_mesh, chi):
+    mesh = make_mesh()
+    n = mesh.n_dim if mesh.geometry == "radial" else 2
+    params = ModelParams(chi=chi, k=1.3, n=n)
+    pairs = ((2.5, 0.75),) if chi != 0.0 else ()
+    monitors = MonitorConfig(q_list=(1.0, 2.0, 3.0), pr_pairs=pairs)
+    cfg = SchemeConfig(t_end=0.03, output_interval=0.007)
+    init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
+    report = run(init, params, mesh, cfg, monitors)
+    series, t_final, max_u, min_v = plain_run(init, params, mesh, cfg, monitors)
+    assert report.status == "completed"
+    assert len(report.series) == 6
+    assert report.series == series
+    assert report.t_final == t_final
+    assert report.max_u_over_run == max_u
+    assert report.min_v_over_run == min_v
+
+
+@pytest.mark.parametrize("chi", [4.0, 0.0])
+@pytest.mark.parametrize("make_mesh", [m for _, m in ODD_MESHES], ids=[n for n, _ in ODD_MESHES])
+def test_fused_step_is_bit_identical_to_plain_step(make_mesh, chi):
+    # chi = 4 > k lets the advective limit set dt on the steep chemical
+    mesh = make_mesh()
+    params = ModelParams(chi=chi, k=1.3, n=mesh.n_dim if mesh.geometry == "radial" else 2)
+    cfg = SchemeConfig(t_end=1.0, output_interval=1.0)
+    dt_diffusive = cfg.dt_safety / (1.3 * mesh.diffusion_outflow_max())
+    fused = plain = steep_state(mesh)
+    advective_steps = 0
+    for _ in range(300):
+        w = mesh.face_velocities(fused.v, chi) if chi != 0.0 else None
+        dt = stable_dt(fused, params, mesh, cfg, w)
+        assert dt == plain_dt(plain, params, mesh, cfg)
+        advective_steps += dt < dt_diffusive
+        fused = step(fused, params, mesh, cfg, dt, w)
+        plain = plain_step(plain, params, mesh, dt)
+        assert np.array_equal(fused.u, plain.u) and np.array_equal(fused.v, plain.v)
+        assert fused.t == plain.t
+    assert (advective_steps > 0) == (chi != 0.0)
+
+
+@pytest.mark.parametrize("make_mesh", [m for _, m in ODD_MESHES], ids=[n for n, _ in ODD_MESHES])
+def test_stacked_laplacian_matches_rows(make_mesh, rng):
+    mesh = make_mesh()
+    uv = rng.uniform(0.1, 3.0, (2, mesh.cell_count))
+    stacked = mesh.laplacian(uv)
+    assert stacked.shape == uv.shape
+    for row in range(2):
+        assert np.array_equal(stacked[row], mesh.laplacian(uv[row].copy()))
+
+
+def spike_case():
+    """u and v concentrated in one cell of an 8x8 mesh: where diffusion and
+    taxis both drain that cell, the separate dt limits allow an outflow of
+    dt*(D_i + A_i) = 2*dt_safety of its u."""
+    mesh = CartesianMesh2D(1.0, 1.0, 8, 8)
+    u = np.zeros(64)
+    u[27] = 1.0
+    v = np.full(64, 3.0)
+    v[27] = 1.0
+    return mesh, State(u, v), ModelParams(chi=1.0, k=1.0, n=2)
+
+
+def test_positivity_envelope_holds_at_one_half():
+    mesh, init, params = spike_case()
+    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=0.5)
+    report = run(init, params, mesh, cfg)
+    assert report.status == "completed"
+    assert report.min_v_over_run > 0.0
+
+
+@pytest.mark.parametrize("dt_safety", [0.55, 0.6])
+def test_positivity_loss_has_its_own_status(dt_safety):
+    mesh, init, params = spike_case()
+    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=dt_safety)
+    report = run(init, params, mesh, cfg)
+    assert report.status == "positivity_lost"
+    assert report.t_final == 0.0  # the last accepted step
+    assert len(report.series) == 1
+
+
+def fake_report(status):
+    def fake_run(init, params, mesh, cfg, monitors):
+        row = compute_row(init, mesh, monitors)
+        return RunReport(status, 0.0, row.max_u, row.min_v, [row])
+
+    return fake_run
+
+
+def test_positivity_lost_exit_code_and_sweep_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_solver", fake_report("positivity_lost"))
+    cfg = write_config(tmp_path, CART_CONFIG)
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 6
+    assert "status: positivity_lost" in (tmp_path / "out" / "report.txt").read_text()
+    spec = write_config(tmp_path, SWEEP_SMALL, "sweep.cfg")
+    assert main(["sweep", str(spec), "--outdir", str(tmp_path / "sw")]) == 0
+    lines = (tmp_path / "sw" / "sweep_summary.csv").read_text().strip().splitlines()
+    assert all(line.split(",")[4] == "positivity_lost" for line in lines[1:])
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+@pytest.mark.parametrize(
+    "threads,cpus,expected",
+    [("10000", 2, [2]), ("10000", 64, [4]), ("3", 64, [3]), ("10000", None, [])],
+)
+def test_sweep_workers_are_clamped(tmp_path, monkeypatch, threads, cpus, expected):
+    monkeypatch.setattr(cli, "run_solver", fake_report("completed"))
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setenv("CHEMOLAB_THREADS", threads)
+    spec = write_config(tmp_path, SWEEP_SMALL, "sweep.cfg")  # 4 points
+    assert main(["sweep", str(spec), "--outdir", str(tmp_path / "out")]) == 0
+    assert RecordingPool.sizes == expected
+    assert len((tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()) == 5

@@ -111,7 +111,8 @@ class TestStableDt:
         dt_adv = stable_dt(st, params, mesh, small_cfg())
         dt_flat = stable_dt(State(np.ones(64), np.ones(64)), params, mesh, small_cfg())
         assert dt_adv < dt_flat
-        assert dt_adv == pytest.approx(0.4 / mesh.advective_outflow_max(v, 3.0), rel=1e-14)
+        w = mesh.face_velocities(v, 3.0)
+        assert dt_adv == pytest.approx(0.4 / mesh.advective_outflow_max(w), rel=1e-14)
 
 
 class TestStep:
