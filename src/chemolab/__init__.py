@@ -57,7 +57,6 @@ from .meshes import (
     RadialShellMesh,
     State,
     chemotactic_divergence,
-    laplacian_neumann,
 )
 from .runconfig import (
     RunConfig,

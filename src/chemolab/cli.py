@@ -138,16 +138,23 @@ def timeseries_csv(series, monitors: MonitorConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate_checks(report: RunReport, monitors: MonitorConfig):
-    """(all_passed, worst_gronwall, gronwall, dissipation, floor) verdict strings."""
-    worst_gronwall = math.nan
-    gronwall_ok = True
-    dissipation_state = "pass"
+def _gronwall_over_pairs(report: RunReport, monitors: MonitorConfig):
+    """(all passed, worst ratio) of the Gronwall check over the (p, r) pairs; nan without pairs."""
+    passed = True
+    worst = math.nan
     for pair in monitors.pr_pairs:
         verdict = gronwall_check(report.series, pair, monitors.tolerance_rel)
-        gronwall_ok = gronwall_ok and verdict.passed
-        if math.isnan(worst_gronwall) or verdict.worst > worst_gronwall:
-            worst_gronwall = verdict.worst
+        passed = passed and verdict.passed
+        if math.isnan(worst) or verdict.worst > worst:
+            worst = verdict.worst
+    return passed, worst
+
+
+def evaluate_checks(report: RunReport, monitors: MonitorConfig):
+    """(all_passed, worst_gronwall, gronwall, dissipation, floor) verdict strings."""
+    gronwall_ok, worst = _gronwall_over_pairs(report, monitors)
+    dissipation_state = "pass"
+    for pair in monitors.pr_pairs:
         try:
             if not dissipation_check(report.series, pair, monitors.tolerance_rel).passed:
                 dissipation_state = "fail"
@@ -158,7 +165,7 @@ def evaluate_checks(report: RunReport, monitors: MonitorConfig):
     all_passed = gronwall_ok and dissipation_state != "fail" and floor.passed
     return (
         all_passed,
-        worst_gronwall,
+        worst,
         "pass" if gronwall_ok else "fail",
         dissipation_state,
         "pass" if floor.passed else "fail",
@@ -216,11 +223,7 @@ def _sweep_point(task) -> str:
         monitors = resolve_monitors(cfg, params, missing_ok=True)
         init = build_initial(cfg, mesh)
         report = run_solver(init, params, mesh, build_scheme(cfg), monitors)
-        worst = math.nan
-        for pair in monitors.pr_pairs:
-            verdict = gronwall_check(report.series, pair, monitors.tolerance_rel)
-            if math.isnan(worst) or verdict.worst > worst:
-                worst = verdict.worst
+        _, worst = _gronwall_over_pairs(report, monitors)
         status = report.status
         max_u = report.max_u_over_run
     except Exception as exc:  # per-point failures stay in-row

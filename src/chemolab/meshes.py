@@ -4,7 +4,12 @@ Two mesh flavors cover the supported domains:
 
 * ``CartesianMesh2D`` -- an Lx x Ly rectangle split into nx x ny uniform
   cells.  Cells are ordered row-major with x fastest: cell (ix, iy) lives at
-  flat index iy*nx + ix.
+  flat index iy*nx + ix.  Its operators work on the flat, contiguous cell
+  array: y face i joins cells (i, i+nx), and x face i joins cells (i, i+1)
+  for i < N - 1.  Among those x pairs, the ny - 1 at i = iy*nx + nx - 1 join
+  the end of one row to the start of the next and are not faces; their
+  entries are set to exactly 0, so they add or subtract exactly 0 and every
+  cell gets the same bits, in the same order, as on a 2-D view.
 * ``RadialShellMesh`` -- a ball of radius R in n_dim dimensions under radial
   symmetry, split into m uniform shells indexed from the center outward.
   Face "areas" are r^(n-1) and shell volumes (r_out^n - r_in^n)/n; the
@@ -56,6 +61,9 @@ class CartesianMesh2D:
         self.cell_count = self.nx * self.ny
         self.volumes = np.full(self.cell_count, self.hx * self.hy)
         self.domain_volume = float(self.volumes.sum())
+        # the ny - 1 flat x-face entries (i, i+1) that join a row's last cell
+        # to the next row's first; every x-face array zeroes them
+        self._wrap = slice(self.nx - 1, None, self.nx)
 
     def cell_centers(self):
         """(x, y) coordinates per cell, each a flat array in cell order."""
@@ -69,35 +77,42 @@ class CartesianMesh2D:
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Laplacian of a field, or row by row of a stack of fields."""
-        g = f.reshape(f.shape[:-1] + (self.ny, self.nx))
-        out = np.zeros(g.shape)
-        tx = (g[..., 1:] - g[..., :-1]) / (self.hx * self.hx)
+        nx = self.nx
+        out = np.zeros(f.shape)
+        tx = (f[..., 1:] - f[..., :-1]) / (self.hx * self.hx)
+        tx[..., self._wrap] = 0.0
         out[..., :-1] += tx
         out[..., 1:] -= tx
-        ty = (g[..., 1:, :] - g[..., :-1, :]) / (self.hy * self.hy)
-        out[..., :-1, :] += ty
-        out[..., 1:, :] -= ty
-        return out.reshape(f.shape)
+        ty = (f[..., nx:] - f[..., :-nx]) / (self.hy * self.hy)
+        out[..., :-nx] += ty
+        out[..., nx:] -= ty
+        return out
 
     def face_velocities(self, v: np.ndarray, chi: float):
-        """Chemotactic face velocity chi * dv / (h * v_face), as (x faces, y faces)."""
-        g = v.reshape(self.ny, self.nx)
-        wx = chi * (g[:, 1:] - g[:, :-1]) / (self.hx * 0.5 * (g[:, 1:] + g[:, :-1]))
-        wy = chi * (g[1:, :] - g[:-1, :]) / (self.hy * 0.5 * (g[1:, :] + g[:-1, :]))
+        """Chemotactic face velocity chi * dv / (h * v_face), as (x faces, y faces).
+
+        Both are flat: x face i joins cells (i, i+1), y face i joins (i, i+nx);
+        the x entries that join the end of a row to the start of the next are 0.
+        """
+        nx = self.nx
+        wx = chi * (v[1:] - v[:-1]) / (self.hx * 0.5 * (v[1:] + v[:-1]))
+        wx[self._wrap] = 0.0
+        wy = chi * (v[nx:] - v[:-nx]) / (self.hy * 0.5 * (v[nx:] + v[:-nx]))
         return wx, wy
 
     def chemotactic_divergence(self, u: np.ndarray, w) -> np.ndarray:
         """Donor-cell divergence of the taxis flux for face velocities ``w``."""
-        gu = u.reshape(self.ny, self.nx)
+        nx = self.nx
         wx, wy = w
-        out = np.zeros(gu.shape)
-        fx = wx * np.where(wx > 0.0, gu[:, :-1], gu[:, 1:]) / self.hx
-        out[:, :-1] += fx
-        out[:, 1:] -= fx
-        fy = wy * np.where(wy > 0.0, gu[:-1, :], gu[1:, :]) / self.hy
-        out[:-1, :] += fy
-        out[1:, :] -= fy
-        return out.ravel()
+        out = np.zeros(self.cell_count)
+        fx = wx * np.where(wx > 0.0, u[:-1], u[1:]) / self.hx
+        fx[self._wrap] = 0.0
+        out[:-1] += fx
+        out[1:] -= fx
+        fy = wy * np.where(wy > 0.0, u[:-nx], u[nx:]) / self.hy
+        out[:-nx] += fy
+        out[nx:] -= fy
+        return out
 
     def diffusion_outflow_max(self) -> float:
         """max over cells of sum_faces area / (h * volume), unit diffusivity."""
@@ -105,12 +120,13 @@ class CartesianMesh2D:
 
     def advective_outflow_max(self, w) -> float:
         """max over cells of the donor-cell outflow rate sum_f A_f w_out,f / vol."""
+        nx = self.nx
         wx, wy = w
-        acc = np.zeros((self.ny, self.nx))
-        acc[:, :-1] += np.maximum(wx, 0.0) / self.hx
-        acc[:, 1:] += np.maximum(-wx, 0.0) / self.hx
-        acc[:-1, :] += np.maximum(wy, 0.0) / self.hy
-        acc[1:, :] += np.maximum(-wy, 0.0) / self.hy
+        acc = np.zeros(self.cell_count)
+        acc[:-1] += np.maximum(wx, 0.0) / self.hx
+        acc[1:] += np.maximum(-wx, 0.0) / self.hx
+        acc[:-nx] += np.maximum(wy, 0.0) / self.hy
+        acc[nx:] += np.maximum(-wy, 0.0) / self.hy
         return float(acc.max())
 
 
@@ -221,11 +237,6 @@ class State:
     def uv(self) -> np.ndarray:
         """u and v as the rows of one (2, N) array; a copy unless built by ``stacked``."""
         return self._uv if self._uv is not None else np.stack((self.u, self.v))
-
-
-def laplacian_neumann(f: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Conservative two-point-flux Laplacian with zero-flux boundary faces."""
-    return mesh.laplacian(f)
 
 
 def chemotactic_divergence(u: np.ndarray, v: np.ndarray, chi: float, mesh: Mesh) -> np.ndarray:

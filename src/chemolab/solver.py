@@ -13,9 +13,21 @@ Stability bookkeeping (``stable_dt``) takes the safety-scaled minimum of
 * the diffusive limit 1 / (max(1, k) * max_i sum_f A_f / (h vol_i)), which is
   h^2 / (2 d max(1, k)) on a uniform d-direction Cartesian grid,
 * the donor-cell advective limit 1 / max_i sum_f A_f [w_f]_out / vol_i
-  (skipped while all face velocities vanish), and
+  (skipped while all face velocities vanish, or when the screen below
+  shows that it cannot bind), and
 * the reaction cap 1/2, which keeps the (1 - dt) factor of the v-update
   away from zero.
+
+The advective screen needs only the range of v.  Every face velocity obeys
+|w_f| <= chi (vmax - vmin) / (h_f vmin), so each cell's advective outflow
+rate is at most rho = chi (vmax - vmin) / vmin times its unit-diffusivity
+outflow rate, and the advective limit is at least 1 / (rho D_max).  When
+rho <= max(1, k) / 2 it is therefore at least twice the diffusive limit.
+Rounding moves either limit by a few ulps, far less than that factor 2, so
+the minimum of the two is the diffusive limit to the bit, and skipping the
+advective computation leaves dt unchanged to the bit.  ``run`` passes
+min v and max v from its post-step scan, so the screen costs no array pass;
+when it fails, the exact advective limit is computed as before.
 
 Each limit is taken separately, so in one step a cell can lose the share
 dt * (D_i + A_i) <= 2 * dt_safety of its u (D_i, A_i its diffusive and
@@ -139,20 +151,29 @@ def initial_state(
 
 
 def stable_dt(
-    state: State, params: ModelParams, mesh: Mesh, cfg: SchemeConfig, w=None
+    state: State, params: ModelParams, mesh: Mesh, cfg: SchemeConfig, w=None, v_range=None
 ) -> float:
     """Safety-scaled minimum of the diffusive, advective, and reaction limits.
 
-    ``w`` are the face velocities of ``state.v`` (computed when omitted).
-    The caller additionally caps the result so output times are hit exactly.
+    ``w`` are the face velocities of ``state.v`` (computed when needed and
+    omitted); ``v_range`` is ``(min v, max v)`` (computed when omitted).
+    The advective limit is skipped when the screen in the module docstring
+    shows that it cannot bind.  The caller additionally caps the result so
+    output times are hit exactly.
     """
-    limit = 1.0 / (max(1.0, params.k) * mesh.diffusion_outflow_max())
+    k_scale = max(1.0, params.k)
+    limit = 1.0 / (k_scale * mesh.diffusion_outflow_max())
     if params.chi != 0.0:
-        if w is None:
-            w = mesh.face_velocities(state.v, params.chi)
-        adv = mesh.advective_outflow_max(w)
-        if adv > 0.0:
-            limit = min(limit, 1.0 / adv)
+        if v_range is None:
+            v_range = float(state.v.min()), float(state.v.max())
+        v_min, v_max = v_range
+        # written as `not <=` so that a NaN range takes the exact path
+        if not params.chi * (v_max - v_min) <= 0.5 * k_scale * v_min:
+            if w is None:
+                w = mesh.face_velocities(state.v, params.chi)
+            adv = mesh.advective_outflow_max(w)
+            if adv > 0.0:
+                limit = min(limit, 1.0 / adv)
     return cfg.dt_safety * min(limit, 0.5)
 
 
@@ -222,6 +243,7 @@ def run(
     max_u0 = float(initial.u.max())
     max_u_over_run = max_u0
     min_v_over_run = float(initial.v.min())
+    v_range = min_v_over_run, float(initial.v.max())
     state = initial
     next_j = 1
     while True:
@@ -229,7 +251,7 @@ def run(
             status = STATUS_COMPLETED
             break
         w = mesh.face_velocities(state.v, params.chi) if params.chi != 0.0 else None
-        dt0 = stable_dt(state, params, mesh, cfg, w)
+        dt0 = stable_dt(state, params, mesh, cfg, w, v_range)
         if dt0 < cfg.dt_min:
             emit(state)
             status = STATUS_DT_COLLAPSE
@@ -247,6 +269,7 @@ def run(
             status = STATUS_POSITIVITY_LOST
             break
         state = new
+        v_range = min_v, max_v
         max_u_over_run = max(max_u_over_run, max_u)
         min_v_over_run = min(min_v_over_run, min_v)
         if max_u > cfg.blowup_factor * max_u0:

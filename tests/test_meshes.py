@@ -11,7 +11,6 @@ from chemolab.meshes import (
     RadialShellMesh,
     State,
     chemotactic_divergence,
-    laplacian_neumann,
 )
 
 
@@ -133,23 +132,23 @@ class TestLaplacian:
     def test_constant_maps_to_exact_zero(self):
         for mesh in (CartesianMesh2D(1.0, 2.0, 8, 6), RadialShellMesh(4, 1.0, 12)):
             f = np.full(mesh.cell_count, 3.7)
-            assert (laplacian_neumann(f, mesh) == 0.0).all()
+            assert (mesh.laplacian(f) == 0.0).all()
 
     def test_conservation(self, rng):
         for mesh in (CartesianMesh2D(1.3, 0.7, 16, 12), RadialShellMesh(3, 2.0, 32)):
             f = rng.uniform(0.1, 5.0, mesh.cell_count)
-            total = mesh.integrate(laplacian_neumann(f, mesh))
+            total = mesh.integrate(mesh.laplacian(f))
             assert abs(total) <= 1e-12 * mesh.integrate(np.abs(f))
 
     def test_matches_loop_oracle_cartesian(self, rng):
         mesh = CartesianMesh2D(1.1, 0.8, 6, 5)
         f = rng.uniform(-1.0, 4.0, mesh.cell_count)
-        assert laplacian_neumann(f, mesh) == pytest.approx(cart_laplacian_oracle(f, mesh), rel=1e-12, abs=1e-12)
+        assert mesh.laplacian(f) == pytest.approx(cart_laplacian_oracle(f, mesh), rel=1e-12, abs=1e-12)
 
     def test_matches_loop_oracle_radial(self, rng):
         mesh = RadialShellMesh(5, 1.6, 9)
         f = rng.uniform(-1.0, 4.0, mesh.cell_count)
-        assert laplacian_neumann(f, mesh) == pytest.approx(radial_laplacian_oracle(f, mesh), rel=1e-12, abs=1e-12)
+        assert mesh.laplacian(f) == pytest.approx(radial_laplacian_oracle(f, mesh), rel=1e-12, abs=1e-12)
 
     def test_cartesian_eigenfunction_second_order(self):
         # cos(pi x / Lx) is a Neumann eigenfunction with eigenvalue -(pi/Lx)^2
@@ -160,7 +159,7 @@ class TestLaplacian:
             x, _ = mesh.cell_centers()
             f = np.cos(math.pi * x / lx)
             exact = -((math.pi / lx) ** 2) * f
-            errors[nx] = np.max(np.abs(laplacian_neumann(f, mesh) - exact))
+            errors[nx] = np.max(np.abs(mesh.laplacian(f) - exact))
         order = math.log2(errors[32] / errors[64])
         assert order >= 1.9
 
@@ -174,7 +173,7 @@ class TestLaplacian:
             a = math.pi / radius
             exact = -(a**2) * np.cos(a * r) - (n_dim - 1) * a * np.sin(a * r) / r
             f = np.cos(a * r)
-            errors[m] = np.max(np.abs(laplacian_neumann(f, mesh) - exact))
+            errors[m] = np.max(np.abs(mesh.laplacian(f) - exact))
         order = math.log2(errors[64] / errors[128])
         assert order >= 0.9
 
