@@ -7,7 +7,7 @@ exploratory only: the theory proves nothing there, and the run may or may
 not trip the blow-up proxy at desk scale.
 """
 
-from chemolab.cli import _sweep_point
+from chemolab.cli import _plan_sweep, _sweep_point
 from chemolab.runconfig import parse_sweep_spec
 
 SPEC = """\
@@ -42,10 +42,16 @@ k_values = 0.5, 1, 2
 spec = parse_sweep_spec(SPEC)
 print(f"sweeping {len(spec.points)} points; chi_star(k, 2) = 1 for every k")
 print()
+# one task per batch of points that share their first time step (one per k
+# above 1, one for every k <= 1); rows come back in batch order
+rows, tasks = _plan_sweep(spec, workers=1)
+for task in tasks:
+    points = task[3]
+    rows.update(zip((point.index for point in points), _sweep_point(task)))
 header = ("chi", "k", "below", "status", "max u", "worst gronwall")
 print("{:>6} {:>5} {:>6} {:>12} {:>10} {:>15}".format(*header))
-for chi, k in spec.points:
-    row = _sweep_point((spec, chi, k)).split(",")
+for index in range(len(spec.points)):
+    row = rows[index].split(",")
     print(
         "{:>6.3g} {:>5.3g} {:>6} {:>12} {:>10.4g} {:>15}".format(
             float(row[0]), float(row[1]), row[3], row[4], float(row[5]),

@@ -56,7 +56,6 @@ from .meshes import (
     CartesianMesh2D,
     RadialShellMesh,
     State,
-    chemotactic_divergence,
 )
 from .runconfig import (
     RunConfig,
@@ -77,6 +76,7 @@ from .solver import (
     SchemeConfig,
     initial_state,
     run,
+    run_batch,
     stable_dt,
     step,
 )

@@ -6,7 +6,11 @@ parameter triple.  ``run`` integrates one configured scenario and writes
 of runs, optionally across a worker pool, and writes ``sweep_summary.csv``
 with one row per grid point in deterministic chi-major order regardless of
 the parallelism level (override with the CHEMOLAB_THREADS variable; the pool
-never gets more workers than grid points or CPUs).
+never gets more workers than grid points or CPUs).  A sweep task is a batch:
+grid points that share their first time step advance together as one
+``solver.run_batch`` stack of at most ``solver.BATCH_CELLS`` cells, and each
+point's row is bit-identical to a run of that point alone, so the summary
+depends neither on the batching nor on the parallelism.
 
 All real numbers in CSV output carry 17 significant digits, so files are
 round-trippable and byte-comparable across repeated and parallel runs.
@@ -53,13 +57,15 @@ from .runconfig import (
     resolve_monitors,
 )
 from .solver import (
+    BATCH_CELLS,
     STATUS_BLOWUP,
     STATUS_COMPLETED,
     STATUS_DT_COLLAPSE,
     STATUS_POSITIVITY_LOST,
     RunReport,
+    stable_dt,
 )
-from .solver import run as run_solver
+from .solver import run_batch as run_solver
 
 
 def _fmt(x: float) -> str:
@@ -192,7 +198,7 @@ def cmd_run(args) -> int:
     mesh = build_mesh(cfg)
     monitors = resolve_monitors(cfg, params)
     init = build_initial(cfg, mesh)
-    report = run_solver(init, params, mesh, build_scheme(cfg), monitors)
+    report = run_solver(init, [params], mesh, build_scheme(cfg), [monitors])[0]
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -210,31 +216,117 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_point(task) -> str:
-    """One grid point -> one CSV row; failures are recorded, never raised."""
-    spec, chi, k = task
-    n = spec.base.n
+class _SweepPoint:
+    """One grid point of a sweep, built once in the parent process; ``index``
+    is its position in the chi-major grid."""
+
+    __slots__ = ("index", "chi", "k", "params", "monitors")
+
+    def __init__(self, index: int, chi: float, k: float, params: ModelParams, monitors: MonitorConfig):
+        self.index, self.chi, self.k, self.params, self.monitors = index, chi, k, params, monitors
+
+
+def _sweep_row(chi: float, k: float, n: int, status: str, max_u: float, worst: float) -> str:
     threshold = chi_star(k, n)
-    below = chi < threshold * (1.0 - 1e-12)
+    below = "true" if chi < threshold * (1.0 - 1e-12) else "false"
+    return f"{_fmt(chi)},{_fmt(k)},{_fmt(threshold)},{below},{status},{_fmt(max_u)},{_fmt(worst)}"
+
+
+def _error_row(chi: float, k: float, n: int, exc: Exception) -> str:
+    return _sweep_row(chi, k, n, f"error:{type(exc).__name__}", math.nan, math.nan)
+
+
+def _sweep_point(task) -> list[str]:
+    """One batch of grid points -> their CSV rows, in batch order.
+
+    ``task`` is ``(mesh, scheme, initial, points)``: the points (``_SweepPoint``)
+    share the mesh, scheme and initial state and advance as one
+    ``run_solver`` batch.  Failures are recorded in their point's row, never
+    raised; a batch whose run raises is run again point by point, so the
+    error lands in the row of the point that raised it.
+    """
+    mesh, scheme, initial, points = task
     try:
-        cfg = point_config(spec, chi, k)
-        params = build_params(cfg)
-        mesh = build_mesh(cfg)
-        monitors = resolve_monitors(cfg, params, missing_ok=True)
-        init = build_initial(cfg, mesh)
-        report = run_solver(init, params, mesh, build_scheme(cfg), monitors)
-        _, worst = _gronwall_over_pairs(report, monitors)
-        status = report.status
-        max_u = report.max_u_over_run
+        reports = run_solver(initial, [p.params for p in points], mesh, scheme, [p.monitors for p in points])
     except Exception as exc:  # per-point failures stay in-row
-        status = f"error:{type(exc).__name__}"
-        max_u = math.nan
-        worst = math.nan
-    below_text = "true" if below else "false"
-    return (
-        f"{_fmt(chi)},{_fmt(k)},{_fmt(threshold)},{below_text},"
-        f"{status},{_fmt(max_u)},{_fmt(worst)}"
-    )
+        if len(points) == 1:
+            point = points[0]
+            return [_error_row(point.chi, point.k, point.params.n, exc)]
+        return [row for point in points for row in _sweep_point((mesh, scheme, initial, [point]))]
+    rows = []
+    for point, report in zip(points, reports):
+        try:
+            _, worst = _gronwall_over_pairs(report, point.monitors)
+        except Exception as exc:  # per-point failures stay in-row
+            rows.append(_error_row(point.chi, point.k, point.params.n, exc))
+        else:
+            n = point.params.n
+            rows.append(_sweep_row(point.chi, point.k, n, report.status, report.max_u_over_run, worst))
+    return rows
+
+
+def _split(seq: list, parts: int) -> list[list]:
+    """``seq`` cut into ``parts`` contiguous pieces whose lengths differ by at most one."""
+    size, extra = divmod(len(seq), parts)
+    pieces, start = [], 0
+    for i in range(parts):
+        end = start + size + (i < extra)
+        pieces.append(seq[start:end])
+        start = end
+    return pieces
+
+
+def _plan_sweep(spec: SweepSpec, workers: int):
+    """Build every input of a sweep once and cut its points into batch tasks.
+
+    The mesh, scheme and initial state come from ``spec.base`` (no grid point
+    changes them); each point's params and monitors are built in its own
+    ``try``.  Points are grouped by their first-step ``stable_dt``, each group
+    is cut into batches of at most ``BATCH_CELLS`` cells, and the batches
+    with the most work (points / dt) are halved until there are
+    ``min(points, workers)`` tasks.
+
+    Returns ``(rows, tasks)``: the CSV rows of the points that failed to
+    build, by grid index, and the ``_sweep_point`` tasks, largest work first.
+    """
+    base = spec.base
+    shared_error = None
+    try:
+        mesh = build_mesh(base)
+        scheme = build_scheme(base)
+        initial = build_initial(base, mesh)
+    except Exception as exc:  # every point reports it, in its own row
+        shared_error = exc
+    rows: dict[int, str] = {}
+    groups: dict[float, list[_SweepPoint]] = {}
+    for index, (chi, k) in enumerate(spec.points):
+        try:
+            cfg = point_config(spec, chi, k)
+            params = build_params(cfg)
+            monitors = resolve_monitors(cfg, params, missing_ok=True)
+            if shared_error is not None:
+                raise shared_error
+            dt = stable_dt(initial, params, mesh, scheme)
+        except Exception as exc:  # per-point failures stay in-row
+            rows[index] = _error_row(chi, k, base.n, exc)
+            continue
+        groups.setdefault(dt, []).append(_SweepPoint(index, chi, k, params, monitors))
+    if not groups:
+        return rows, []
+
+    cap = max(1, BATCH_CELLS // mesh.cell_count)
+    batches = []  # (work, dt, points)
+    for dt, members in groups.items():
+        for piece in _split(members, -(-len(members) // cap)):
+            batches.append((len(piece) / dt, dt, piece))
+    wanted = min(sum(len(members) for members in groups.values()), workers)
+    while len(batches) < wanted:
+        largest = max((b for b in batches if len(b[2]) > 1), key=lambda b: b[0])
+        batches.remove(largest)
+        _, dt, members = largest
+        batches += [(len(piece) / dt, dt, piece) for piece in _split(members, 2)]
+    batches.sort(key=lambda b: -b[0])
+    return rows, [(mesh, scheme, initial, members) for _, _, members in batches]
 
 
 def _resolve_parallelism(spec: SweepSpec) -> int:
@@ -252,17 +344,21 @@ def _resolve_parallelism(spec: SweepSpec) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.spec)
-    tasks = [(spec, chi, k) for chi, k in spec.points]
-    parallelism = min(_resolve_parallelism(spec), len(tasks), os.cpu_count() or 1)
-    if parallelism > 1:
-        with multiprocessing.Pool(parallelism) as pool:
-            rows = pool.map(_sweep_point, tasks)
+    workers = min(_resolve_parallelism(spec), len(spec.points), os.cpu_count() or 1)
+    rows, tasks = _plan_sweep(spec, workers)
+    processes = min(workers, len(tasks))
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
+            results = pool.map(_sweep_point, tasks)
     else:
-        rows = [_sweep_point(t) for t in tasks]
+        results = [_sweep_point(t) for t in tasks]
+    for (_, _, _, points), batch_rows in zip(tasks, results):
+        rows.update(zip((point.index for point in points), batch_rows))
     header = "chi,k,chi_star,below_threshold,status,max_u_over_run,worst_gronwall_ratio"
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sweep_summary.csv").write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    lines = [header] + [rows[index] for index in range(len(spec.points))]
+    (outdir / "sweep_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

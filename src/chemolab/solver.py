@@ -25,9 +25,9 @@ outflow rate, and the advective limit is at least 1 / (rho D_max).  When
 rho <= max(1, k) / 2 it is therefore at least twice the diffusive limit.
 Rounding moves either limit by a few ulps, far less than that factor 2, so
 the minimum of the two is the diffusive limit to the bit, and skipping the
-advective computation leaves dt unchanged to the bit.  ``run`` passes
-min v and max v from its post-step scan, so the screen costs no array pass;
-when it fails, the exact advective limit is computed as before.
+advective computation leaves dt unchanged to the bit.  The stepping loop
+passes min v and max v from its post-step scan, so the screen costs no array
+pass; when it fails, the exact advective limit is computed as before.
 
 Each limit is taken separately, so in one step a cell can lose the share
 dt * (D_i + A_i) <= 2 * dt_safety of its u (D_i, A_i its diffusive and
@@ -36,11 +36,29 @@ For dt_safety <= 1/2 these jointly guarantee u >= 0 and v > 0 at every
 accepted step.  Beyond that, a cell where both limits bind can go negative;
 ``run`` reports this as status "positivity_lost", a scheme fault, not physics.
 
-One step of ``run`` does each piece of work once: the chemotactic face
-velocities are computed once from v and shared by ``stable_dt`` and
-``step``; u and v go through one stacked ``laplacian`` call; and one min and
-one max per row of the new state decide finiteness, u >= 0, v > 0, the
-running extremes and the blow-up proxy.
+Batches.  ``run_batch`` advances P runs that share a mesh, a scheme and an
+initial state, as one (2, P, N) stack (u rows, then v rows); ``run`` is a
+batch of one, so there is one stepping loop.  One step does each piece of
+work once for the whole batch: the chemotactic face velocities are computed
+once from v, with chi broadcast as a (P, 1) column (a float when all points
+share it), and each point's slice is handed to its own ``stable_dt``; u and
+v go through one ``mesh.transport_rates`` call, which scatters the face
+fluxes of lap u, lap v and the taxis term into cell rates at once; and one
+min and one max per row of the new stack decide, point by point,
+finiteness, u >= 0, v > 0, the running extremes and the blow-up proxy.  A
+point that stops leaves the batch; the others carry on.
+
+Split rule.  A batch steps with one dt, so every point's ``stable_dt`` is
+taken before each step, and when they differ (points with different k, or
+an advective limit that binds for one chi only) the batch is split into
+sub-batches of equal dt, each continuing from the current state, time and
+output index.  Each point therefore takes exactly the dt sequence of its
+own run.  All arithmetic is elementwise or along a point's own row: a cell
+gets the same terms in the same order whatever the batch, and a float
+broadcast as a column gives the bits of a scalar product, so every state,
+row and status of a batched point is bit-identical to its run alone (only
+the sign of an exact-zero rate can differ, and adding it to u >= 0 or
+v > 0 gives the same value).
 
 Finite-time blow-up of the continuous system is unobservable discretely;
 ``run`` reports a blow-up *proxy* instead (density growth past a factor, a
@@ -65,6 +83,14 @@ STATUS_DT_COLLAPSE = "dt_collapse"
 STATUS_POSITIVITY_LOST = "positivity_lost"
 
 _TREL = 1e-12  # relative band for time-target snapping
+
+# Cap on P * N, the cells of one run_batch stack, for callers that batch
+# runs.  Per cell, a batch step cost (2-core x86_64, Python 3.11, numpy 2.4)
+# 85 ns at 2^12 cells of 16x16 points, 56-64 ns from 2^13 to 2^16 and 88 at
+# 2^18; with 64x64 points, 45 ns for one point (2^12), 38 at 2^15 and 53 at
+# 2^18.  2^15 is near the minimum of both and keeps a batch's arrays to a
+# few MB.
+BATCH_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -184,27 +210,36 @@ def step(
     cfg: SchemeConfig,
     dt: float | None = None,
     w=None,
+    faces=None,
 ) -> State:
     """One forward-Euler step; dt defaults to ``stable_dt``.
 
-    ``w`` are the face velocities of ``state.v`` (computed when omitted).
-    Both u-terms are conservative with zero boundary flux, so the volume-
-    weighted sum of u is preserved to rounding.  Flux differences vanish
-    identically on constant fields, so the constant steady state u = v = c
-    is reproduced bit-exactly.  The new state is not checked: ``run``
-    classifies non-finite values and positivity loss (see module docstring).
-    The new u and v are the rows of one array (``State.stacked``).
+    ``w`` are the face velocities of ``state.v`` (computed when omitted and
+    chi != 0); the taxis term is taken whenever they are present.  Both
+    u-terms are conservative with zero boundary flux, so the volume-weighted
+    sum of u is preserved to rounding.  Flux differences vanish identically
+    on constant fields, so the constant steady state u = v = c is reproduced
+    bit-exactly.  The new state is not checked: ``run_batch`` classifies
+    non-finite values and positivity loss (see module docstring).  The new u
+    and v are the rows of one array (``State.stacked``).
+
+    ``state`` may also be a batch (``State.stacked`` of a (2, P, N) stack)
+    advancing by one shared ``dt``, which must be given; ``params`` then
+    carries chi and k as floats or as (P, 1) columns, and ``w`` must be given
+    when any chi is nonzero.  ``faces`` is the mesh's reusable scratch for
+    ``transport_rates``.
     """
-    if params.chi != 0.0 and w is None:
+    if w is None and params.chi != 0.0:
         w = mesh.face_velocities(state.v, params.chi)
     if dt is None:
         dt = stable_dt(state, params, mesh, cfg, w)
     uv = state.uv()
-    u, v = uv
-    d = mesh.laplacian(uv)
-    du, dv = d
-    if params.chi != 0.0:
-        du -= mesh.chemotactic_divergence(u, w)
+    u, v = uv[0], uv[1]
+    rates = mesh.transport_rates(uv, w, faces)
+    d = rates[:2]
+    du, dv = d[0], d[1]
+    if w is not None:
+        du -= rates[2]
     dv *= params.k
     dv -= v
     dv += u
@@ -228,63 +263,160 @@ def run(
     "suspected_blowup", a finite new state with u < 0 or v <= 0 as
     "positivity_lost" (the state before that step is the final one), and a
     time step below dt_min as "dt_collapse".  Identical inputs produce
-    bit-identical reports.
+    bit-identical reports.  This is ``run_batch`` with a batch of one.
     """
-    monitors = monitors if monitors is not None else MonitorConfig()
+    return run_batch(initial, [params], mesh, cfg, [monitors])[0]
+
+
+class _Coefficients:
+    """chi and k of a batch: floats when every point shares them, else (P, 1) columns."""
+
+    __slots__ = ("chi", "k")
+
+    def __init__(self, params_seq):
+        self.chi = _shared_or_column([p.chi for p in params_seq])
+        self.k = _shared_or_column([p.k for p in params_seq])
+
+
+def _shared_or_column(values):
+    first = values[0]
+    if all(x == first for x in values):
+        return first
+    return np.array(values)[:, None]
+
+
+class _Point:
+    """One run of a batch: its inputs, its rows so far, and how it ended.
+
+    A plain class: creating a dataclass at import cost about 0.7 ms (2-core
+    x86_64, Python 3.11), which every CLI invocation pays before its first
+    step.
+    """
+
+    __slots__ = ("params", "monitors", "rows", "max_u_over_run", "min_v_over_run", "v_range", "status", "t_final")
+
+    def __init__(self, params, monitors, first_row, max_u0, v_range):
+        self.params, self.monitors, self.rows = params, monitors, [first_row]
+        self.max_u_over_run, self.min_v_over_run, self.v_range = max_u0, v_range[0], v_range
+        self.status, self.t_final = None, 0.0
+
+    def emit(self, state: State, mesh: Mesh) -> None:
+        if state.t > self.rows[-1].t:
+            self.rows.append(compute_row(state, mesh, self.monitors))
+
+    def stop(self, status: str, t: float) -> None:
+        self.status, self.t_final = status, t
+
+    def report(self) -> RunReport:
+        return RunReport(self.status, self.t_final, self.max_u_over_run, self.min_v_over_run, self.rows)
+
+
+def _point_faces(w, j):
+    """Point j's face velocities out of a batch's ``face_velocities``."""
+    if w is None:
+        return None
+    return tuple([a[j] for a in w]) if isinstance(w, tuple) else w[j]
+
+
+def run_batch(
+    initial: State,
+    params_seq,
+    mesh: Mesh,
+    cfg: SchemeConfig,
+    monitors_seq=None,
+) -> list[RunReport]:
+    """``run`` for each of ``params_seq`` (with ``monitors_seq``, None for
+    default monitors) from one initial state, mesh and scheme.
+
+    The runs advance together as one (2, P, N) stack; report i is
+    bit-identical to ``run(initial, params_seq[i], mesh, cfg,
+    monitors_seq[i])`` (see the module docstring).  The caller bounds P * N,
+    e.g. by ``BATCH_CELLS``.
+    """
+    if monitors_seq is None:
+        monitors_seq = [None] * len(params_seq)
+    monitors_seq = [m if m is not None else MonitorConfig() for m in monitors_seq]
     initial.validate(mesh)
-    monitors.validate(params.chi, params.k)
-
-    rows = [compute_row(initial, mesh, monitors)]
-
-    def emit(state: State) -> None:
-        if state.t > rows[-1].t:
-            rows.append(compute_row(state, mesh, monitors))
+    for params, monitors in zip(params_seq, monitors_seq):
+        monitors.validate(params.chi, params.k)
 
     max_u0 = float(initial.u.max())
-    max_u_over_run = max_u0
-    min_v_over_run = float(initial.v.min())
-    v_range = min_v_over_run, float(initial.v.max())
-    state = initial
-    next_j = 1
+    v_range = float(initial.v.min()), float(initial.v.max())
+    points = [
+        _Point(params, monitors, compute_row(initial, mesh, monitors), max_u0, v_range)
+        for params, monitors in zip(params_seq, monitors_seq)
+    ]
+    uv = np.stack([initial.uv()] * len(points), axis=1)
+    pending = [(points, uv, initial.t, 1)]
+    while pending:
+        _advance(*pending.pop(), mesh, cfg, max_u0, pending)
+    return [point.report() for point in points]
+
+
+def _advance(batch, uv, t, next_j, mesh, cfg, max_u0, pending) -> None:
+    """Step the points ``batch``, held in the (2, P, N) stack ``uv`` at time
+    t, until each has stopped or their time steps differ; then push one
+    sub-batch per distinct dt onto ``pending``."""
+    coef = None
     while True:
-        if state.t >= cfg.t_end * (1.0 - _TREL):
-            status = STATUS_COMPLETED
-            break
-        w = mesh.face_velocities(state.v, params.chi) if params.chi != 0.0 else None
-        dt0 = stable_dt(state, params, mesh, cfg, w, v_range)
+        if coef is None:  # a new batch, or points left it
+            size = len(batch)
+            coef = _Coefficients([point.params for point in batch])
+            taxis = any(point.params.chi != 0.0 for point in batch)
+            faces = mesh.face_arrays((3 if taxis else 2, size))
+        if t >= cfg.t_end * (1.0 - _TREL):
+            for point in batch:
+                point.stop(STATUS_COMPLETED, t)
+            return
+        u, v = uv[0], uv[1]
+        w = mesh.face_velocities(v, coef.chi) if taxis else None
+        dts = [
+            stable_dt(State(u[j], v[j], t), point.params, mesh, cfg, _point_faces(w, j), point.v_range)
+            for j, point in enumerate(batch)
+        ]
+        dt0 = dts[0]
+        if dts.count(dt0) != size:
+            groups: dict[float, list[int]] = {}
+            for j, dt in enumerate(dts):
+                groups.setdefault(dt, []).append(j)
+            for rows in groups.values():
+                pending.append(([batch[j] for j in rows], uv[:, rows], t, next_j))
+            return
         if dt0 < cfg.dt_min:
-            emit(state)
-            status = STATUS_DT_COLLAPSE
-            break
+            for j, point in enumerate(batch):
+                point.emit(State(u[j], v[j], t), mesh)
+                point.stop(STATUS_DT_COLLAPSE, t)
+            return
         t_target = min(next_j * cfg.output_interval, cfg.t_end)
-        dt = min(dt0, t_target - state.t)
-        new = step(state, params, mesh, cfg, dt, w)
+        dt = min(dt0, t_target - t)
+        new = step(State.stacked(uv, t), coef, mesh, cfg, dt, w, faces)
         uv = new.uv()
-        (min_u, min_v), (max_u, max_v) = uv.min(axis=1).tolist(), uv.max(axis=1).tolist()
-        if not all(map(math.isfinite, (min_u, min_v, max_u, max_v))):
-            state = new
-            status = STATUS_BLOWUP
-            break
-        if min_u < 0.0 or min_v <= 0.0:
-            status = STATUS_POSITIVITY_LOST
-            break
-        state = new
-        v_range = min_v, max_v
-        max_u_over_run = max(max_u_over_run, max_u)
-        min_v_over_run = min(min_v_over_run, min_v)
-        if max_u > cfg.blowup_factor * max_u0:
-            emit(state)
-            status = STATUS_BLOWUP
-            break
-        if abs(state.t - t_target) <= _TREL * max(1.0, t_target):
-            state = State.stacked(uv, t_target)
-            emit(state)
+        (min_us, min_vs), (max_us, max_vs) = uv.min(axis=-1).tolist(), uv.max(axis=-1).tolist()
+        keep = []
+        scan = zip(batch, min_us, min_vs, max_us, max_vs)
+        for j, (point, min_u, min_v, max_u, max_v) in enumerate(scan):
+            if not all(map(math.isfinite, (min_u, min_v, max_u, max_v))):
+                point.stop(STATUS_BLOWUP, new.t)
+                continue
+            if min_u < 0.0 or min_v <= 0.0:
+                point.stop(STATUS_POSITIVITY_LOST, t)
+                continue
+            point.v_range = min_v, max_v
+            point.max_u_over_run = max(point.max_u_over_run, max_u)
+            point.min_v_over_run = min(point.min_v_over_run, min_v)
+            if max_u > cfg.blowup_factor * max_u0:
+                point.emit(State(new.u[j], new.v[j], new.t), mesh)
+                point.stop(STATUS_BLOWUP, new.t)
+                continue
+            keep.append(j)
+        t = new.t
+        if len(keep) < size:
+            if not keep:
+                return
+            batch, uv, coef = [batch[j] for j in keep], uv[:, keep], None
+        if abs(t - t_target) <= _TREL * max(1.0, t_target):
+            t = t_target
+            for j, point in enumerate(batch):
+                point.emit(State(uv[0, j], uv[1, j], t), mesh)
             if t_target == next_j * cfg.output_interval:
                 next_j += 1
-    return RunReport(
-        status=status,
-        t_final=state.t,
-        max_u_over_run=max_u_over_run,
-        min_v_over_run=min_v_over_run,
-        series=rows,
-    )

@@ -1,0 +1,425 @@
+"""Batched stepping against single runs, the padded one-scatter kernels
+against the separate-accumulation kernels they replace, and the sweep's
+partition of grid points into batch tasks.
+
+Everything is compared by bytes (``tobytes`` or packed floats), so a
+different NaN payload or, where the claim is bit-identity, a different sign
+of zero counts as a difference."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+
+import chemolab.cli as cli
+import chemolab.solver as solver
+from chemolab.cli import main
+from chemolab.diagnostics import MonitorConfig
+from chemolab.exponents import ModelParams
+from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State
+from chemolab.runconfig import parse_sweep_spec
+from chemolab.solver import BATCH_CELLS, SchemeConfig, initial_state, run, run_batch
+
+from test_config_cli import CART_CONFIG, SWEEP_SMALL, write_config
+from test_fused_step import RecordingPool, fake_report
+
+# ---------------------------------------------------------------------------
+# oracle: the kernels that accumulate each operator separately into zeros
+# ---------------------------------------------------------------------------
+
+
+def sep_cart_laplacian(mesh, f):
+    nx = mesh.nx
+    out = np.zeros(f.shape)
+    tx = (f[..., 1:] - f[..., :-1]) / (mesh.hx * mesh.hx)
+    tx[..., mesh.nx - 1 :: mesh.nx] = 0.0
+    out[..., :-1] += tx
+    out[..., 1:] -= tx
+    ty = (f[..., nx:] - f[..., :-nx]) / (mesh.hy * mesh.hy)
+    out[..., :-nx] += ty
+    out[..., nx:] -= ty
+    return out
+
+
+def sep_cart_chemotactic_divergence(mesh, u, w):
+    nx = mesh.nx
+    wx, wy = w
+    out = np.zeros(mesh.cell_count)
+    fx = wx * np.where(wx > 0.0, u[:-1], u[1:]) / mesh.hx
+    fx[mesh.nx - 1 :: mesh.nx] = 0.0
+    out[:-1] += fx
+    out[1:] -= fx
+    fy = wy * np.where(wy > 0.0, u[:-nx], u[nx:]) / mesh.hy
+    out[:-nx] += fy
+    out[nx:] -= fy
+    return out
+
+
+def sep_radial_laplacian(mesh, f):
+    t = mesh.face_area[1:-1] * (f[..., 1:] - f[..., :-1]) / mesh.h
+    out = np.zeros(f.shape)
+    out[..., :-1] += t / mesh.volumes[:-1]
+    out[..., 1:] -= t / mesh.volumes[1:]
+    return out
+
+
+def sep_radial_chemotactic_divergence(mesh, u, w):
+    flux = mesh.face_area[1:-1] * w * np.where(w > 0.0, u[:-1], u[1:])
+    out = np.zeros(mesh.m)
+    out[:-1] += flux / mesh.volumes[:-1]
+    out[1:] -= flux / mesh.volumes[1:]
+    return out
+
+
+def sep_kernels(mesh):
+    if mesh.geometry == "radial":
+        return sep_radial_laplacian, sep_radial_chemotactic_divergence
+    return sep_cart_laplacian, sep_cart_chemotactic_divergence
+
+
+MESHES = [
+    ("cart_9x7", lambda: CartesianMesh2D(1.0, 0.8, 9, 7)),
+    ("cart_5x4", lambda: CartesianMesh2D(0.7, 1.3, 5, 4)),
+    ("cart_4x11", lambda: CartesianMesh2D(1.1, 0.9, 4, 11)),
+    ("radial3_m37", lambda: RadialShellMesh(3, 1.0, 37)),
+]
+mesh_params = pytest.mark.parametrize(
+    "make_mesh", [m for _, m in MESHES], ids=[n for n, _ in MESHES]
+)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def fields(mesh, rng, rows=None):
+    shape = (mesh.cell_count,) if rows is None else rows + (mesh.cell_count,)
+    return rng.uniform(0.1, 3.0, shape)
+
+
+@mesh_params
+def test_laplacian_of_one_field(make_mesh, rng):
+    mesh = make_mesh()
+    lap, _ = sep_kernels(mesh)
+    f = fields(mesh, rng)
+    assert same_bytes(mesh.laplacian(f), lap(mesh, f))
+
+
+@mesh_params
+def test_laplacian_of_a_stacked_pair_and_a_batch(make_mesh, rng):
+    mesh = make_mesh()
+    lap, _ = sep_kernels(mesh)
+    for rows in ((2,), (2, 3)):
+        f = fields(mesh, rng, rows)
+        assert same_bytes(mesh.laplacian(f), lap(mesh, f))
+
+
+@mesh_params
+def test_chemotactic_divergence(make_mesh, rng):
+    mesh = make_mesh()
+    _, div = sep_kernels(mesh)
+    u, v = fields(mesh, rng), fields(mesh, rng)
+    w = mesh.face_velocities(v, 0.7)
+    assert same_bytes(mesh.chemotactic_divergence(u, w), div(mesh, u, w))
+
+
+@mesh_params
+def test_transport_rates_rows_and_reused_faces(make_mesh, rng):
+    mesh = make_mesh()
+    lap, div = sep_kernels(mesh)
+    chi = np.array([[0.7], [0.2], [2.5]])
+    faces = mesh.face_arrays((3, 3))
+    for _ in range(2):  # the second call reuses the face arrays
+        uv = fields(mesh, rng, (2, 3))
+        w = mesh.face_velocities(uv[1], chi)
+        rates = mesh.transport_rates(uv, w, faces)
+        assert rates.shape == (3, 3, mesh.cell_count)
+        assert same_bytes(rates[:2], lap(mesh, uv))
+        for j in range(3):
+            wj = tuple(a[j] for a in w) if isinstance(w, tuple) else w[j]
+            assert same_bytes(rates[2, j], div(mesh, uv[0, j], wj))
+    assert same_bytes(mesh.transport_rates(uv[:, 0]), lap(mesh, uv[:, 0]))
+
+
+@mesh_params
+def test_batched_face_velocities_match_rows(make_mesh, rng):
+    mesh = make_mesh()
+    v = fields(mesh, rng, (3,))
+    chi = np.array([[0.4], [0.0], [3.0]])
+    w = mesh.face_velocities(v, chi)
+    for j, c in enumerate((0.4, 0.0, 3.0)):
+        one = mesh.face_velocities(v[j].copy(), c)
+        pairs = zip(w, one) if isinstance(w, tuple) else [(w, one)]
+        for batch, row in pairs:
+            assert same_bytes(batch[j], row)
+
+
+@mesh_params
+def test_kernels_on_exact_zeros_differ_at_most_in_zero_signs(make_mesh, rng):
+    # a density with exact zeros and a chemical falling in +x gives -0 fluxes
+    mesh = make_mesh()
+    lap, div = sep_kernels(mesh)
+    u = np.where(rng.uniform(size=mesh.cell_count) < 0.5, 0.0, 1.0)
+    v = np.linspace(3.0, 1.0, mesh.cell_count)
+    w = mesh.face_velocities(v, 1.0)
+    for got, want in ((mesh.chemotactic_divergence(u, w), div(mesh, u, w)), (mesh.laplacian(u), lap(mesh, u))):
+        assert np.array_equal(got, want)
+        differ = np.frombuffer(got.tobytes(), np.uint64) != np.frombuffer(want.tobytes(), np.uint64)
+        assert (got[differ] == 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# run_batch against run, by bytes
+# ---------------------------------------------------------------------------
+
+
+def report_bytes(report):
+    """status, then every float of the report in a fixed order, packed."""
+    floats = [report.t_final, report.max_u_over_run, report.min_v_over_run]
+    for row in report.series:
+        floats += [row.t, row.mass, row.min_v, row.max_u]
+        for table in (row.lq_norms, row.energies, row.dissipations, row.v_norms):
+            floats += [x for key in table for x in (*np.ravel(key), table[key])]
+    return report.status.encode() + struct.pack(f"<{len(floats)}d", *floats)
+
+
+def assert_batch_matches_runs(init, params_seq, mesh, cfg, monitors_seq, batch_sizes=()):
+    """The batch's reports, after checking each against its own run, and the
+    batch sizes of the batch's steps alone."""
+    reports = run_batch(init, params_seq, mesh, cfg, monitors_seq)
+    sizes = list(batch_sizes)
+    assert len(reports) == len(params_seq)
+    for report, params, monitors in zip(reports, params_seq, monitors_seq):
+        assert report_bytes(report) == report_bytes(run(init, params, mesh, cfg, monitors))
+    return reports, sizes
+
+
+def dim(mesh):
+    return mesh.n_dim if mesh.geometry == "radial" else 2
+
+
+def monitors_for(params):
+    pairs = ((2.5, 0.75),) if 0.0 < params.chi < 0.6 and params.k == 1.0 else ()
+    return MonitorConfig(q_list=(1.0, 2.0), pr_pairs=pairs)
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The number of points in every ``solver.step`` call."""
+    sizes = []
+    real_step = solver.step
+
+    def step(state, *args, **kwargs):
+        sizes.append(state.u.shape[0])
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", step)
+    return sizes
+
+
+@mesh_params
+def test_batch_of_mixed_chi_and_k_matches_runs(make_mesh, batch_sizes):
+    # chi = 0 next to chi > 0, and k = 0.5, 1 (one dt) next to k = 2.5 (another):
+    # the batch splits at the first step
+    mesh = make_mesh()
+    params_seq = [
+        ModelParams(chi=chi, k=k, n=dim(mesh)) for chi in (0.0, 0.5, 0.9) for k in (0.5, 1.0, 2.5)
+    ]
+    monitors_seq = [monitors_for(p) for p in params_seq]
+    init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
+    cfg = SchemeConfig(t_end=0.02, output_interval=0.007)
+    reports, sizes = assert_batch_matches_runs(init, params_seq, mesh, cfg, monitors_seq, batch_sizes)
+    assert all(r.status == "completed" and len(r.series) == 4 for r in reports)
+    assert set(sizes) == {3, 6}
+
+
+def spike_state(mesh):
+    u = np.full(mesh.cell_count, 0.5)
+    u[mesh.cell_count // 2] = 50.0
+    return State(u, np.ones(mesh.cell_count))
+
+
+@pytest.mark.parametrize(
+    "make_mesh,big_chi,t_end",
+    [(MESHES[0][1], 60.0, 0.1), (MESHES[3][1], 100.0, 0.08)],
+    ids=["cart_9x7", "radial3_m37"],
+)
+def test_mid_run_split_when_the_advective_limit_binds_for_one_chi(make_mesh, big_chi, t_end, batch_sizes):
+    # the spike builds a steep v that only the large chi's advective limit feels
+    mesh = make_mesh()
+    params_seq = [ModelParams(chi=chi, k=1.0, n=dim(mesh)) for chi in (0.3, big_chi)]
+    cfg = SchemeConfig(t_end=t_end, output_interval=0.02)
+    monitors_seq = [MonitorConfig(q_list=(1.0,))] * 2
+    reports, sizes = assert_batch_matches_runs(spike_state(mesh), params_seq, mesh, cfg, monitors_seq, batch_sizes)
+    assert [r.status for r in reports] == ["completed", "completed"]
+    joint = sizes.index(1)
+    assert joint > 10 and set(sizes[:joint]) == {2} and set(sizes[joint:]) == {1}
+
+
+@pytest.mark.parametrize("make_mesh", [MESHES[0][1], MESHES[3][1]], ids=["cart_9x7", "radial3_m37"])
+def test_point_that_stops_early_leaves_the_batch(make_mesh, batch_sizes):
+    mesh = make_mesh()
+    if mesh.geometry == "radial":
+        d2 = mesh.cell_centers() ** 2
+    else:
+        x, y = mesh.cell_centers()
+        d2 = (x - 0.5) ** 2 + (y - 0.4) ** 2
+    bump = np.exp(-d2 / 0.05)
+    init = State(bump + 0.5, 1.0 + bump)
+    params_seq = [ModelParams(chi=chi, k=1.0, n=dim(mesh)) for chi in (0.0, 1.0, 2.0, 4.0)]
+    cfg = SchemeConfig(t_end=0.1, output_interval=0.02, blowup_factor=1.2)
+    monitors_seq = [MonitorConfig(q_list=(1.0, 2.0))] * 4
+    reports, sizes = assert_batch_matches_runs(init, params_seq, mesh, cfg, monitors_seq, batch_sizes)
+    assert [r.status for r in reports] == ["completed"] * 3 + ["suspected_blowup"]
+    assert reports[3].t_final < 0.01
+    assert sizes[0] == 4 and set(sizes) == {3, 4} and sizes[-1] == 3
+
+
+def test_positivity_loss_inside_a_batch_matches_run():
+    # the one-cell spike of test_fused_step loses positivity at dt_safety 0.6
+    mesh = CartesianMesh2D(1.0, 1.0, 8, 8)
+    u = np.zeros(64)
+    u[27] = 1.0
+    v = np.full(64, 3.0)
+    v[27] = 1.0
+    params_seq = [ModelParams(chi=chi, k=1.0, n=2) for chi in (1.0, 0.0)]
+    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=0.6)
+    reports, _ = assert_batch_matches_runs(State(u, v), params_seq, mesh, cfg, [None, None])
+    assert [r.status for r in reports] == ["positivity_lost", "completed"]
+
+
+# ---------------------------------------------------------------------------
+# the sweep's batch tasks
+# ---------------------------------------------------------------------------
+
+SWEEP_MIXED = CART_CONFIG.replace("t_end = 0.5", "t_end = 0.05") + """\
+
+[sweep]
+chi_values = 0.3, 0.6, 1.2
+k_values = 0.5, 1, 2, 3
+parallelism = 2
+"""
+
+
+def planned(text, workers):
+    spec = parse_sweep_spec(text)
+    rows, tasks = cli._plan_sweep(spec, workers)
+    return spec, rows, tasks
+
+
+def test_points_are_grouped_by_first_time_step():
+    spec, rows, tasks = planned(SWEEP_MIXED, workers=1)
+    assert rows == {}
+    batches = [[(p.chi, p.k) for p in task[3]] for task in tasks]
+    # k <= 1 share the diffusive limit; each k > 1 has its own; k = 3 is
+    # the most work (smallest dt), then k = 2 and k <= 1 (equal work) in grid order
+    assert batches == [
+        [(0.3, 3.0), (0.6, 3.0), (1.2, 3.0)],
+        [(0.3, 0.5), (0.3, 1.0), (0.6, 0.5), (0.6, 1.0), (1.2, 0.5), (1.2, 1.0)],
+        [(0.3, 2.0), (0.6, 2.0), (1.2, 2.0)],
+    ]
+    for task in tasks:
+        mesh, scheme, init, points = task
+        dts = {solver.stable_dt(init, p.params, mesh, scheme) for p in points}
+        assert len(dts) == 1
+
+
+@pytest.mark.parametrize("workers", [2, 4, 7, 12, 16])
+def test_largest_batches_are_halved_until_every_worker_has_a_task(workers):
+    spec, _, tasks = planned(SWEEP_MIXED, workers)
+    assert len(tasks) >= min(len(spec.points), workers)
+    indices = sorted(p.index for task in tasks for p in task[3])
+    assert indices == list(range(len(spec.points)))
+
+
+def test_batches_stay_within_the_cell_budget():
+    text = CART_CONFIG.replace("nx = 16", "nx = 64").replace("ny = 16", "ny = 64")
+    spec, _, tasks = planned(text + "\n[sweep]\nchi_range = 0:0.99:0.01\nk_values = 0.5, 1\n", workers=2)
+    cells = 64 * 64
+    assert len(spec.points) == 200
+    assert all(len(task[3]) * cells <= BATCH_CELLS for task in tasks)
+    assert sum(len(task[3]) for task in tasks) == 200
+
+
+def test_ten_thousand_point_sweep_is_partitioned_within_the_budget():
+    text = CART_CONFIG + "\n[sweep]\nchi_range = 0:0.99:0.01\nk_range = 0.01:1.0:0.01\n"
+    spec, rows, tasks = planned(text, workers=2)
+    assert len(spec.points) == 10_000
+    assert max(len(task[3]) for task in tasks) * 256 <= BATCH_CELLS
+    assert len(rows) + sum(len(task[3]) for task in tasks) == 10_000
+
+
+def sweep_lines(tmp_path, name, text):
+    spec = write_config(tmp_path, text, f"{name}.cfg")
+    assert main(["sweep", str(spec), "--outdir", str(tmp_path / name)]) == 0
+    return (tmp_path / name / "sweep_summary.csv").read_bytes().splitlines()
+
+
+def test_rows_are_chi_major_whatever_the_task_order(tmp_path, monkeypatch):
+    monkeypatch.delenv("CHEMOLAB_THREADS", raising=False)
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    lines = sweep_lines(tmp_path, "out", SWEEP_MIXED)
+    assert RecordingPool.sizes == [2]
+    spec = parse_sweep_spec(SWEEP_MIXED)
+    got = [(float(line.split(b",")[0]), float(line.split(b",")[1])) for line in lines[1:]]
+    assert got == spec.points
+
+
+def test_failing_gronwall_check_stays_in_its_row(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHEMOLAB_THREADS", "1")
+    clean = sweep_lines(tmp_path, "clean", SWEEP_MIXED)
+    real_check = cli.gronwall_check
+    calls = []
+
+    def check(series, pair, tol):
+        calls.append(pair)
+        if len(calls) == 1:
+            raise ZeroDivisionError("injected")
+        return real_check(series, pair, tol)
+
+    monkeypatch.setattr(cli, "gronwall_check", check)
+    broken = sweep_lines(tmp_path, "broken", SWEEP_MIXED)
+    differ = [i for i, (a, b) in enumerate(zip(clean, broken)) if a != b]
+    assert len(differ) == 1 and len(broken) == len(clean)
+    fields_ = broken[differ[0]].split(b",")
+    assert fields_[4] == b"error:ZeroDivisionError" and fields_[5:] == [b"nan", b"nan"]
+
+
+def test_batch_that_raises_is_rerun_point_by_point(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHEMOLAB_THREADS", "1")
+    clean = sweep_lines(tmp_path, "clean", SWEEP_MIXED)
+    real_run = cli.run_solver
+
+    def run_solver(init, params_seq, mesh, cfg, monitors_seq):
+        if any(p.chi == 0.6 and p.k == 2.0 for p in params_seq):
+            raise FloatingPointError("injected")
+        return real_run(init, params_seq, mesh, cfg, monitors_seq)
+
+    monkeypatch.setattr(cli, "run_solver", run_solver)
+    broken = sweep_lines(tmp_path, "broken", SWEEP_MIXED)
+    for a, b in zip(clean, broken):
+        if b.startswith(b"0.59999999999999998,2,"):
+            assert b.split(b",")[4:] == [b"error:FloatingPointError", b"nan", b"nan"]
+        else:
+            assert a == b
+
+
+def test_points_that_fail_to_build_keep_their_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_solver", fake_report("completed"))
+    text = CART_CONFIG.replace("pr_source = bootstrap", "pr_source = explicit\npr_pairs = 2.5:0.75")
+    spec = parse_sweep_spec(text + "\n[sweep]\nchi_values = 0.5, 0.9, 0.4\n")
+    rows, tasks = cli._plan_sweep(spec, workers=1)
+    assert list(rows) == [1] and "error:ConfigError" in rows[1]
+    assert [p.index for task in tasks for p in task[3]] == [0, 2]
+    assert all(math.isfinite(p.chi) for task in tasks for p in task[3])
+
+
+def test_shared_inputs_that_fail_to_build_fail_every_row(tmp_path):
+    # constant_cosine needs amplitude <= 1; the config reader does not check it
+    text = SWEEP_SMALL.replace("kind = gaussian", "kind = constant_cosine")
+    lines = sweep_lines(tmp_path, "out", text)
+    assert len(lines) == 5
+    assert all(line.split(b",")[4:] == [b"error:DomainError", b"nan", b"nan"] for line in lines[1:])

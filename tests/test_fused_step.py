@@ -8,7 +8,7 @@ import chemolab.cli as cli
 from chemolab.cli import main
 from chemolab.diagnostics import MonitorConfig, compute_row
 from chemolab.exponents import ModelParams
-from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State, chemotactic_divergence
+from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State
 from chemolab.solver import RunReport, SchemeConfig, initial_state, run, stable_dt, step
 
 from test_config_cli import CART_CONFIG, SWEEP_SMALL, write_config
@@ -29,7 +29,7 @@ def plain_step(state, params, mesh, dt):
     u, v = state.u, state.v
     du = mesh.laplacian(u)
     if params.chi != 0.0:
-        du = du - chemotactic_divergence(u, v, params.chi, mesh)
+        du = du - mesh.chemotactic_divergence(u, mesh.face_velocities(v, params.chi))
     dv = params.k * mesh.laplacian(v) - v + u
     return State(u + dt * du, v + dt * dv, state.t + dt)
 
@@ -162,9 +162,9 @@ def test_positivity_loss_has_its_own_status(dt_safety):
 
 
 def fake_report(status):
-    def fake_run(init, params, mesh, cfg, monitors):
-        row = compute_row(init, mesh, monitors)
-        return RunReport(status, 0.0, row.max_u, row.min_v, [row])
+    def fake_run(init, params_seq, mesh, cfg, monitors_seq):
+        rows = [compute_row(init, mesh, monitors) for monitors in monitors_seq]
+        return [RunReport(status, 0.0, row.max_u, row.min_v, [row]) for row in rows]
 
     return fake_run
 

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from chemolab.errors import DomainError, PositivityViolation
-from chemolab.meshes import (
-    CartesianMesh2D,
-    RadialShellMesh,
-    State,
-    chemotactic_divergence,
-)
+from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +183,13 @@ class TestChemotacticDivergence:
         for mesh in (CartesianMesh2D(1.0, 1.0, 8, 8), RadialShellMesh(3, 1.0, 16)):
             u = rng.uniform(0.0, 3.0, mesh.cell_count)
             v = np.full(mesh.cell_count, 0.8)
-            assert (chemotactic_divergence(u, v, 0.7, mesh) == 0.0).all()
+            assert (mesh.chemotactic_divergence(u, mesh.face_velocities(v, 0.7)) == 0.0).all()
 
     def test_conservation(self, rng):
         for mesh in (CartesianMesh2D(1.0, 0.6, 12, 10), RadialShellMesh(4, 1.5, 24)):
             u = rng.uniform(0.0, 3.0, mesh.cell_count)
             v = rng.uniform(0.2, 2.0, mesh.cell_count)
-            total = mesh.integrate(chemotactic_divergence(u, v, 0.9, mesh))
+            total = mesh.integrate(mesh.chemotactic_divergence(u, mesh.face_velocities(v, 0.9)))
             assert abs(total) <= 1e-12 * mesh.integrate(u + 1.0)
 
     def test_hand_computed_four_shell_case(self):
@@ -217,7 +212,7 @@ class TestChemotacticDivergence:
                 -flux[2] / vols[3],
             ]
         )
-        got = chemotactic_divergence(u, v, chi, mesh)
+        got = mesh.chemotactic_divergence(u, mesh.face_velocities(v, chi))
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_upwind_picks_donor_cell(self):
@@ -225,7 +220,7 @@ class TestChemotacticDivergence:
         mesh = RadialShellMesh(2, 1.0, 4)
         u = np.array([1.0, 5.0, 1.0, 1.0])
         v = np.array([4.0, 3.0, 2.0, 1.0])
-        out = chemotactic_divergence(u, v, 1.0, mesh)
+        out = mesh.chemotactic_divergence(u, mesh.face_velocities(v, 1.0))
         # face between cells 0 and 1 carries u[1] = 5 inward: cell 0 gains mass
         assert out[0] < 0.0  # divergence negative = net inflow
         assert out[1] > 0.0
@@ -234,23 +229,15 @@ class TestChemotacticDivergence:
         cart = CartesianMesh2D(0.9, 1.2, 5, 6)
         u = rng.uniform(0.0, 2.0, cart.cell_count)
         v = rng.uniform(0.3, 3.0, cart.cell_count)
-        assert chemotactic_divergence(u, v, 0.8, cart) == pytest.approx(
+        assert cart.chemotactic_divergence(u, cart.face_velocities(v, 0.8)) == pytest.approx(
             cart_chemdiv_oracle(u, v, 0.8, cart), rel=1e-12, abs=1e-12
         )
         rad = RadialShellMesh(6, 1.1, 9)
         u = rng.uniform(0.0, 2.0, rad.cell_count)
         v = rng.uniform(0.3, 3.0, rad.cell_count)
-        assert chemotactic_divergence(u, v, 0.8, rad) == pytest.approx(
+        assert rad.chemotactic_divergence(u, rad.face_velocities(v, 0.8)) == pytest.approx(
             radial_chemdiv_oracle(u, v, 0.8, rad), rel=1e-12, abs=1e-12
         )
-
-    def test_rejects_nonpositive_chemical(self):
-        mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
-        u = np.ones(16)
-        v = np.ones(16)
-        v[3] = 0.0
-        with pytest.raises(PositivityViolation):
-            chemotactic_divergence(u, v, 0.5, mesh)
 
 
 class TestState:
