@@ -346,17 +346,17 @@ def run_batch(
         _Point(params, monitors, compute_row(initial, mesh, monitors), max_u0, v_range)
         for params, monitors in zip(params_seq, monitors_seq)
     ]
-    uv = np.stack([initial.uv()] * len(points), axis=1)
-    pending = [(points, uv, initial.t, 1)]
+    stack = State.stacked(np.stack([initial.uv()] * len(points), axis=1), initial.t)
+    pending = [(points, stack, 1)]
     while pending:
         _advance(*pending.pop(), mesh, cfg, max_u0, pending)
     return [point.report() for point in points]
 
 
-def _advance(batch, uv, t, next_j, mesh, cfg, max_u0, pending) -> None:
-    """Step the points ``batch``, held in the (2, P, N) stack ``uv`` at time
-    t, until each has stopped or their time steps differ; then push one
-    sub-batch per distinct dt onto ``pending``."""
+def _advance(batch, state, next_j, mesh, cfg, max_u0, pending) -> None:
+    """Step the points ``batch``, held in the batch state ``state`` (a
+    (2, P, N) stack), until each has stopped or their time steps differ;
+    then push one sub-batch per distinct dt onto ``pending``."""
     coef = None
     while True:
         if coef is None:  # a new batch, or points left it
@@ -364,11 +364,11 @@ def _advance(batch, uv, t, next_j, mesh, cfg, max_u0, pending) -> None:
             coef = _Coefficients([point.params for point in batch])
             taxis = any(point.params.chi != 0.0 for point in batch)
             faces = mesh.face_arrays((3 if taxis else 2, size))
+        u, v, t = state.u, state.v, state.t
         if t >= cfg.t_end * (1.0 - _TREL):
             for point in batch:
                 point.stop(STATUS_COMPLETED, t)
             return
-        u, v = uv[0], uv[1]
         w = mesh.face_velocities(v, coef.chi) if taxis else None
         dts = [
             stable_dt(State(u[j], v[j], t), point.params, mesh, cfg, _point_faces(w, j), point.v_range)
@@ -380,7 +380,8 @@ def _advance(batch, uv, t, next_j, mesh, cfg, max_u0, pending) -> None:
             for j, dt in enumerate(dts):
                 groups.setdefault(dt, []).append(j)
             for rows in groups.values():
-                pending.append(([batch[j] for j in rows], uv[:, rows], t, next_j))
+                part = State.stacked(state.uv()[:, rows], t)
+                pending.append(([batch[j] for j in rows], part, next_j))
             return
         if dt0 < cfg.dt_min:
             for j, point in enumerate(batch):
@@ -389,9 +390,8 @@ def _advance(batch, uv, t, next_j, mesh, cfg, max_u0, pending) -> None:
             return
         t_target = min(next_j * cfg.output_interval, cfg.t_end)
         dt = min(dt0, t_target - t)
-        new = step(State.stacked(uv, t), coef, mesh, cfg, dt, w, faces)
-        uv = new.uv()
-        (min_us, min_vs), (max_us, max_vs) = uv.min(axis=-1).tolist(), uv.max(axis=-1).tolist()
+        new = step(state, coef, mesh, cfg, dt, w, faces)
+        (min_us, min_vs), (max_us, max_vs) = new.uv().min(axis=-1).tolist(), new.uv().max(axis=-1).tolist()
         keep = []
         scan = zip(batch, min_us, min_vs, max_us, max_vs)
         for j, (point, min_u, min_v, max_u, max_v) in enumerate(scan):
@@ -409,14 +409,15 @@ def _advance(batch, uv, t, next_j, mesh, cfg, max_u0, pending) -> None:
                 point.stop(STATUS_BLOWUP, new.t)
                 continue
             keep.append(j)
-        t = new.t
+        state = new
         if len(keep) < size:
             if not keep:
                 return
-            batch, uv, coef = [batch[j] for j in keep], uv[:, keep], None
-        if abs(t - t_target) <= _TREL * max(1.0, t_target):
-            t = t_target
+            batch, coef = [batch[j] for j in keep], None
+            state = State.stacked(new.uv()[:, keep], new.t)
+        if abs(state.t - t_target) <= _TREL * max(1.0, t_target):
+            state = State.stacked(state.uv(), t_target)
             for j, point in enumerate(batch):
-                point.emit(State(uv[0, j], uv[1, j], t), mesh)
+                point.emit(State(state.u[j], state.v[j], t_target), mesh)
             if t_target == next_j * cfg.output_interval:
                 next_j += 1
