@@ -177,15 +177,17 @@ def initial_state(
 
 
 def stable_dt(
-    state: State, params: ModelParams, mesh: Mesh, cfg: SchemeConfig, w=None, v_range=None
+    state: State | None, params: ModelParams, mesh: Mesh, cfg: SchemeConfig, w=None, v_range=None
 ) -> float:
     """Safety-scaled minimum of the diffusive, advective, and reaction limits.
 
     ``w`` are the face velocities of ``state.v`` (computed when needed and
     omitted); ``v_range`` is ``(min v, max v)`` (computed when omitted).
-    The advective limit is skipped when the screen in the module docstring
-    shows that it cannot bind.  The caller additionally caps the result so
-    output times are hit exactly.
+    ``state`` is read only to compute those two, so a caller that passes
+    ``v_range``, and ``w`` when chi != 0, may pass None.  The advective limit
+    is skipped when the screen in the module docstring shows that it cannot
+    bind.  The caller additionally caps the result so output times are hit
+    exactly.
     """
     k_scale = max(1.0, params.k)
     limit = 1.0 / (k_scale * mesh.diffusion_outflow_max())
@@ -371,7 +373,7 @@ def _advance(batch, state, next_j, mesh, cfg, max_u0, pending) -> None:
             return
         w = mesh.face_velocities(v, coef.chi) if taxis else None
         dts = [
-            stable_dt(State(u[j], v[j], t), point.params, mesh, cfg, _point_faces(w, j), point.v_range)
+            stable_dt(None, point.params, mesh, cfg, _point_faces(w, j), point.v_range)
             for j, point in enumerate(batch)
         ]
         dt0 = dts[0]
