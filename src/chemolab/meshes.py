@@ -5,11 +5,11 @@ Two mesh flavors cover the supported domains:
 * ``CartesianMesh2D`` -- an Lx x Ly rectangle split into nx x ny uniform
   cells.  Cells are ordered row-major with x fastest: cell (ix, iy) lives at
   flat index iy*nx + ix.  Its operators work on the flat, contiguous cell
-  array: y face i joins cells (i, i+nx), and x face i joins cells (i, i+1)
-  for i < N - 1.  Among those x pairs, the ny - 1 at i = iy*nx + nx - 1 join
-  the end of one row to the start of the next and are not faces; their
-  entries are set to exactly 0, so they add or subtract exactly 0 and every
-  cell gets the same bits, in the same order, as on a 2-D view.
+  array (the flat stack below): y face i joins cells (i, i+nx), and x face i
+  joins cells (i, i+1) for i < N - 1, except the ny - 1 pairs at
+  i = iy*nx + nx - 1, which join the end of one row to the start of the next
+  and carry exactly 0, so every cell gets the same bits, in the same order,
+  as on a 2-D view.
 * ``RadialShellMesh`` -- a ball of radius R in n_dim dimensions under radial
   symmetry, split into m uniform shells indexed from the center outward.
   Face "areas" are r^(n-1) and shell volumes (r_out^n - r_in^n)/n; the
@@ -29,16 +29,38 @@ chemotactic face velocities from ``face_velocities``, so a time step computes
 them once for both the divergence and the advective outflow rate; they do not
 re-check v > 0, which the solver's post-step scan guarantees.
 
+The flat stack.  Every operator lays its R rows of N cells (one field, u and
+v of a run, or the u, v and taxis rows of a batch) end to end as one
+contiguous array of R*N cells, a view of a contiguous input, and works on it
+with 1-D slices only.  The faces are pairs of flat cells: radial faces and
+Cartesian x faces are the pairs (j, j+1), Cartesian y faces the pairs
+(j, j+nx).  The pairs that are not faces get an entry of exactly 0 after
+every write:
+
+* radial: the pair joining the last shell of one row to the first of the
+  next, ``T[m::m]`` in the padded faces below;
+* Cartesian x: the pair joining the end of a mesh row to the start of the
+  next, ``Tx[nx::nx]``; N is a multiple of nx, so these include every pair
+  joining two rows of the stack;
+* Cartesian y: the nx pairs joining the last mesh row of one stack row to the
+  first mesh row of the next, one strided assignment.
+
+A zeroed pair adds or subtracts exactly 0, as the zero-flux boundary face of
+a row on its own does, so every cell gets the same terms in the same order as
+on its own row and the rates keep its bits; a non-finite value in one row
+cannot reach another.  ``face_velocities`` of a (P, N) stack is flat as well
+(x or radial entries P*N - 1, y entries P*N - nx), and ``point_faces(w, j)``
+gives point j's faces as contiguous slices, the arrays it gets alone.
+
 Padded faces, one scatter.  Every operator writes its face fluxes into face
-arrays padded with zero entries beyond both ends of the cell range and turns
+arrays padded with zero entries beyond both ends of the flat stack and turns
 them into cell rates with one scatter: cell i gets ``T[i+1] - T[i]`` (x
 faces, and radial faces divided by the shell volume), plus ``Ty[i+nx] -
 Ty[i]`` on a rectangle.  The pads, zeroed when the face arrays are allocated
-and never written, stand for the zero boundary fluxes; on a rectangle the
-row-wrap entries ``T[j*nx]``, 0 < j < ny, are set to 0 after every row is
-written.  ``transport_rates`` fills one padded array with the rows (lap u,
-lap v, taxis divergence of u), so one explicit step does one scatter.  Each
-cell keeps its terms and their order, so the rates have the bits of separate
+and never written, stand for the zero boundary fluxes of the first and last
+rows.  ``transport_rates`` fills one padded array with the rows (lap u, lap
+v, taxis divergence of u), so one explicit step does one scatter.  Each cell
+keeps its terms and their order, so the rates have the bits of separate
 per-operator accumulation except, at most, the sign of an exact zero.
 
 The innermost radial face has zero area, which enforces the symmetry
@@ -47,6 +69,7 @@ condition at r = 0 without ghost values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,26 +78,28 @@ from .errors import DomainError, PositivityViolation
 
 
 class _PaddedFluxMesh:
-    """The operators shared by both meshes, on the subclass's padded face arrays.
+    """The operators shared by both meshes, on the flat stack.
 
-    A subclass supplies ``face_arrays(shape)`` (a tuple of zeroed padded face
-    arrays with leading shape ``shape``), ``_diffusive_faces(f, faces)`` and
-    ``_taxis_faces(u, w, faces)`` (write a field's interior face fluxes into
-    them) and ``_scatter(faces)`` (return the cell rates).  The writes never
-    touch the pads, so face arrays reused across calls keep their zero pads.
+    A subclass supplies ``face_arrays(shape)`` (the zeroed padded face scratch
+    of a stack of ``shape`` rows, with whatever else its scatter needs),
+    ``_diffusive_faces(f, faces)`` and ``_taxis_faces(u, w, faces, start)``
+    (write the fluxes of the flat pairs of f, or of u from flat cell
+    ``start`` on, into that scratch) and ``_scatter(faces)`` (zero the pairs
+    that are not faces, return the flat cell rates).  The writes never touch
+    the pads, so face scratch reused across calls keeps its zero pads.
     """
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Laplacian of a field, or row by row of a stack of fields."""
         faces = self.face_arrays(f.shape[:-1])
-        self._diffusive_faces(f, faces)
-        return self._scatter(faces)
+        self._diffusive_faces(f.reshape(-1), faces)
+        return self._scatter(faces).reshape(f.shape)
 
     def chemotactic_divergence(self, u: np.ndarray, w) -> np.ndarray:
         """Donor-cell divergence of the taxis flux for face velocities ``w``."""
         faces = self.face_arrays(u.shape[:-1])
-        self._taxis_faces(u, w, faces)
-        return self._scatter(faces)
+        self._taxis_faces(u.reshape(-1), w, faces, 0)
+        return self._scatter(faces).reshape(u.shape)
 
     def transport_rates(self, uv: np.ndarray, w=None, faces=None) -> np.ndarray:
         """Rates of the state ``uv = (u, v)``, u and v of shape (..., N):
@@ -89,10 +114,11 @@ class _PaddedFluxMesh:
         """
         if faces is None:
             faces = self.face_arrays((2 if w is None else 3,) + uv.shape[1:-1])
-        self._diffusive_faces(uv, [a[:2] for a in faces])
+        flat = uv.reshape(-1)
+        self._diffusive_faces(flat, faces)
         if w is not None:
-            self._taxis_faces(uv[0], w, [a[2] for a in faces])
-        return self._scatter(faces)
+            self._taxis_faces(flat[: flat.size // 2], w, faces, flat.size)
+        return self._scatter(faces).reshape((-1,) + uv.shape[1:])
 
 
 class CartesianMesh2D(_PaddedFluxMesh):
@@ -114,9 +140,6 @@ class CartesianMesh2D(_PaddedFluxMesh):
         self.cell_count = self.nx * self.ny
         self.volumes = np.full(self.cell_count, self.hx * self.hy)
         self.domain_volume = float(self.volumes.sum())
-        # the ny - 1 flat x-face entries (i, i+1) that join a row's last cell
-        # to the next row's first; face_velocities zeroes them
-        self._wrap = slice(self.nx - 1, None, self.nx)
 
     def cell_centers(self):
         """(x, y) coordinates per cell, each a flat array in cell order."""
@@ -129,34 +152,39 @@ class CartesianMesh2D(_PaddedFluxMesh):
         return float(self.volumes @ f)
 
     def face_arrays(self, shape):
-        """Zeroed x faces (..., N+1), x face i at i+1, and y faces (..., N+nx), y face i at i+nx."""
-        n = self.cell_count
-        return np.zeros(shape + (n + 1,)), np.zeros(shape + (n + self.nx,))
+        """Zeroed faces of a stack of L = prod(shape) * N cells: x faces (L+1,),
+        pair (i, i+1) at i+1; y faces (L+nx,), pair (i, i+nx) at i+nx; and the
+        view of the y entries of the pairs that join two stack rows."""
+        n, nx = self.cell_count, self.nx
+        rows = math.prod(shape)
+        tx, ty = np.zeros(rows * n + 1), np.zeros(rows * n + nx)
+        return tx, ty, ty[: rows * n].reshape(rows, n)[1:, :nx]
 
     def _diffusive_faces(self, f, faces):
-        nx, n = self.nx, self.cell_count
-        fx, fy = faces[0][..., 1:n], faces[1][..., nx:n]
-        np.subtract(f[..., 1:], f[..., :-1], out=fx)
+        nx, size = self.nx, f.size
+        fx, fy = faces[0][1:size], faces[1][nx:size]
+        np.subtract(f[1:], f[:-1], out=fx)
         fx /= self.hx * self.hx
-        np.subtract(f[..., nx:], f[..., :-nx], out=fy)
+        np.subtract(f[nx:], f[:-nx], out=fy)
         fy /= self.hy * self.hy
 
-    def _taxis_faces(self, u, w, faces):
-        nx, n = self.nx, self.cell_count
+    def _taxis_faces(self, u, w, faces, start):
+        nx, end = self.nx, start + u.size
         wx, wy = w
-        fx, fy = faces[0][..., 1:n], faces[1][..., nx:n]
-        np.multiply(wx, np.where(wx > 0.0, u[..., :-1], u[..., 1:]), out=fx)
+        fx, fy = faces[0][start + 1 : end], faces[1][start + nx : end]
+        np.multiply(wx, np.where(wx > 0.0, u[:-1], u[1:]), out=fx)
         fx /= self.hx
-        np.multiply(wy, np.where(wy > 0.0, u[..., :-nx], u[..., nx:]), out=fy)
+        np.multiply(wy, np.where(wy > 0.0, u[:-nx], u[nx:]), out=fy)
         fy /= self.hy
 
     def _scatter(self, faces):
-        nx, n = self.nx, self.cell_count
-        tx, ty = faces
-        tx[..., nx:n:nx] = 0.0  # the row-wrap pairs
-        out = tx[..., 1:] - tx[..., :-1]
-        out += ty[..., nx:]
-        out -= ty[..., :-nx]
+        nx = self.nx
+        tx, ty, ty_cross = faces
+        tx[nx::nx] = 0.0  # the row-wrap pairs, joins of two stack rows included
+        ty_cross.fill(0.0)
+        out = tx[1:] - tx[:-1]
+        out += ty[nx:]
+        out -= ty[:-nx]
         return out
 
     def face_velocities(self, v: np.ndarray, chi):
@@ -164,14 +192,27 @@ class CartesianMesh2D(_PaddedFluxMesh):
 
         Both are flat: x face i joins cells (i, i+1), y face i joins (i, i+nx);
         the x entries that join the end of a row to the start of the next are 0.
-        ``v`` may have leading dimensions, with ``chi`` broadcast against them
-        (a float, or a (P, 1) column for a (P, N) stack).
+        ``v`` may have leading dimensions (the faces are then those of the
+        flat stack, ``point_faces`` slices out one row's), with ``chi`` a
+        number or an array of v's shape.
         """
         nx = self.nx
-        wx = chi * (v[..., 1:] - v[..., :-1]) / (self.hx * 0.5 * (v[..., 1:] + v[..., :-1]))
-        wx[..., self._wrap] = 0.0
-        wy = chi * (v[..., nx:] - v[..., :-nx]) / (self.hy * 0.5 * (v[..., nx:] + v[..., :-nx]))
+        v = v.reshape(-1)
+        if isinstance(chi, np.ndarray):
+            chi = chi.reshape(-1)
+            cx, cy = chi[:-1], chi[:-nx]
+        else:
+            cx = cy = chi
+        wx = cx * (v[1:] - v[:-1]) / (self.hx * 0.5 * (v[1:] + v[:-1]))
+        wx[nx - 1 :: nx] = 0.0
+        wy = cy * (v[nx:] - v[:-nx]) / (self.hy * 0.5 * (v[nx:] + v[:-nx]))
         return wx, wy
+
+    def point_faces(self, w, j):
+        """Row j's face velocities out of ``face_velocities`` of a stack."""
+        n = self.cell_count
+        wx, wy = w
+        return wx[j * n : (j + 1) * n - 1], wy[j * n : (j + 1) * n - self.nx]
 
     def diffusion_outflow_max(self) -> float:
         """max over cells of sum_faces area / (h * volume), unit diffusivity."""
@@ -222,32 +263,49 @@ class RadialShellMesh(_PaddedFluxMesh):
         return float(self.volumes @ f)
 
     def face_arrays(self, shape):
-        """Zeroed faces (..., m+1): face j at radius j*h, the interior ones at 1..m-1."""
-        return (np.zeros(shape + (self.m + 1,)),)
+        """Zeroed faces of a stack of L = prod(shape) * m shells, (L+1,) with
+        pair (i, i+1) at i+1; the area of each pair's face (L-1,) and the
+        volume of each shell (L,), tiled over the rows."""
+        rows = math.prod(shape)
+        area = np.tile(self.face_area[1:], rows)[:-1]
+        return np.zeros(rows * self.m + 1), area, np.tile(self.volumes, rows)
 
     def _diffusive_faces(self, f, faces):
-        t = faces[0][..., 1:self.m]
-        np.subtract(f[..., 1:], f[..., :-1], out=t)
-        t *= self._inner_area
+        size = f.size
+        t = faces[0][1:size]
+        np.subtract(f[1:], f[:-1], out=t)
+        t *= faces[1][: size - 1]
         t /= self.h
 
-    def _taxis_faces(self, u, w, faces):
-        t = faces[0][..., 1:self.m]
-        np.multiply(self._inner_area, w, out=t)
-        t *= np.where(w > 0.0, u[..., :-1], u[..., 1:])
+    def _taxis_faces(self, u, w, faces, start):
+        size = u.size
+        t = faces[0][start + 1 : start + size]
+        np.multiply(faces[1][: size - 1], w, out=t)
+        t *= np.where(w > 0.0, u[:-1], u[1:])
 
     def _scatter(self, faces):
-        t = faces[0]
-        out = t[..., 1:] / self.volumes
-        out -= t[..., :-1] / self.volumes
+        t, _, vol = faces
+        t[self.m :: self.m] = 0.0  # the pairs that join two rows
+        out = t[1:] / vol
+        out -= t[:-1] / vol
         return out
 
     def face_velocities(self, v: np.ndarray, chi):
         """Chemotactic velocity chi * dv / (h * v_face) on the interior faces.
 
-        ``v`` may have leading dimensions, with ``chi`` broadcast against them.
+        ``v`` may have leading dimensions (the faces are then those of the
+        flat stack, ``point_faces`` slices out one row's), with ``chi`` a
+        number or an array of v's shape.
         """
-        return chi * (v[..., 1:] - v[..., :-1]) / (self.h * 0.5 * (v[..., 1:] + v[..., :-1]))
+        v = v.reshape(-1)
+        if isinstance(chi, np.ndarray):
+            chi = chi.reshape(-1)[:-1]
+        return chi * (v[1:] - v[:-1]) / (self.h * 0.5 * (v[1:] + v[:-1]))
+
+    def point_faces(self, w, j):
+        """Row j's face velocities out of ``face_velocities`` of a stack."""
+        m = self.m
+        return w[j * m : (j + 1) * m - 1]
 
     def diffusion_outflow_max(self) -> float:
         """max over shells of sum_faces area / (h * volume), unit diffusivity."""

@@ -37,27 +37,30 @@ accepted step.  Beyond that, a cell where both limits bind can go negative;
 ``run`` reports this as status "positivity_lost", a scheme fault, not physics.
 
 Batches.  ``run_batch`` advances P runs that share a mesh, a scheme and an
-initial state, as one (2, P, N) stack (u rows, then v rows); ``run`` is a
-batch of one, so there is one stepping loop.  One step does each piece of
-work once for the whole batch: the chemotactic face velocities are computed
-once from v, with chi broadcast as a (P, 1) column (a float when all points
-share it), and each point's slice is handed to its own ``stable_dt``; u and
-v go through one ``mesh.transport_rates`` call, which scatters the face
-fluxes of lap u, lap v and the taxis term into cell rates at once; and one
-min and one max per row of the new stack decide, point by point,
-finiteness, u >= 0, v > 0, the running extremes and the blow-up proxy.  A
-point that stops leaves the batch; the others carry on.
+initial state, as one contiguous (2, P, N) stack (u rows, then v rows);
+``run`` is a batch of one, so there is one stepping loop.  One step does
+each piece of work once for the whole batch: the chemotactic face
+velocities are computed once from v on the mesh's flat stack (see
+``meshes``), with chi given per cell (a float when all points share it),
+and each point's contiguous slice (``mesh.point_faces``) is handed to its
+own ``stable_dt``; u and v go through one ``mesh.transport_rates`` call,
+which scatters the face fluxes of lap u, lap v and the taxis term into cell
+rates at once, all on one flat array; and one min and one max per row of
+the new stack decide, point by point, finiteness, u >= 0, v > 0, the
+running extremes and the blow-up proxy.  A point that stops leaves the
+batch; the others carry on.
 
 Split rule.  A batch steps with one dt, so every point's ``stable_dt`` is
 taken before each step, and when they differ (points with different k, or
 an advective limit that binds for one chi only) the batch is split into
 sub-batches of equal dt, each continuing from the current state, time and
 output index.  Each point therefore takes exactly the dt sequence of its
-own run.  All arithmetic is elementwise or along a point's own row: a cell
-gets the same terms in the same order whatever the batch, and a float
-broadcast as a column gives the bits of a scalar product, so every state,
-row and status of a batched point is bit-identical to its run alone (only
-the sign of an exact-zero rate can differ, and adding it to u >= 0 or
+own run.  All arithmetic is elementwise or along a point's own row (the
+flat pairs joining two rows carry exactly zero flux): a cell gets the same
+terms in the same order whatever the batch, and a float repeated per cell
+or broadcast as a column gives the bits of a scalar product, so every
+state, row and status of a batched point is bit-identical to its run alone
+(only the sign of an exact-zero rate can differ, and adding it to u >= 0 or
 v > 0 gives the same value).
 
 Finite-time blow-up of the continuous system is unobservable discretely;
@@ -85,11 +88,12 @@ STATUS_POSITIVITY_LOST = "positivity_lost"
 _TREL = 1e-12  # relative band for time-target snapping
 
 # Cap on P * N, the cells of one run_batch stack, for callers that batch
-# runs.  Per cell, a batch step cost (2-core x86_64, Python 3.11, numpy 2.4)
-# 85 ns at 2^12 cells of 16x16 points, 56-64 ns from 2^13 to 2^16 and 88 at
-# 2^18; with 64x64 points, 45 ns for one point (2^12), 38 at 2^15 and 53 at
-# 2^18.  2^15 is near the minimum of both and keeps a batch's arrays to a
-# few MB.
+# runs.  Per cell, a batch step on the flat stack cost (2-core x86_64,
+# Python 3.11, numpy 2.4, best of 3 runs, three sessions) 63-67 ns at 2^12
+# cells of 16x16 points, 56-60 at 2^14, 46-56 at 2^15, 49-58 at 2^16 and
+# 64-70 at 2^18; with 64x64 points, 37-44 ns for one point (2^12), 28-33 at
+# 2^13, 34-37 at 2^15 and 45-51 at 2^18.  2^15 is near the minimum of both
+# and keeps a batch's arrays to a few MB.
 BATCH_CELLS = 1 << 15
 
 
@@ -227,9 +231,9 @@ def step(
 
     ``state`` may also be a batch (``State.stacked`` of a (2, P, N) stack)
     advancing by one shared ``dt``, which must be given; ``params`` then
-    carries chi and k as floats or as (P, 1) columns, and ``w`` must be given
-    when any chi is nonzero.  ``faces`` is the mesh's reusable scratch for
-    ``transport_rates``.
+    carries chi as a float or per cell of the flat stack and k as a float or
+    a (P, 1) column, and ``w`` must be given when any chi is nonzero.
+    ``faces`` is the mesh's reusable scratch for ``transport_rates``.
     """
     if w is None and params.chi != 0.0:
         w = mesh.face_velocities(state.v, params.chi)
@@ -271,12 +275,15 @@ def run(
 
 
 class _Coefficients:
-    """chi and k of a batch: floats when every point shares them, else (P, 1) columns."""
+    """chi and k of a batch of points on N cells: floats when every point
+    shares them, else chi per cell of the flat (P * N,) stack and k a (P, 1)
+    column."""
 
     __slots__ = ("chi", "k")
 
-    def __init__(self, params_seq):
-        self.chi = _shared_or_column([p.chi for p in params_seq])
+    def __init__(self, params_seq, cells):
+        chi = _shared_or_column([p.chi for p in params_seq])
+        self.chi = np.repeat(chi, cells) if isinstance(chi, np.ndarray) else chi
         self.k = _shared_or_column([p.k for p in params_seq])
 
 
@@ -311,13 +318,6 @@ class _Point:
 
     def report(self) -> RunReport:
         return RunReport(self.status, self.t_final, self.max_u_over_run, self.min_v_over_run, self.rows)
-
-
-def _point_faces(w, j):
-    """Point j's face velocities out of a batch's ``face_velocities``."""
-    if w is None:
-        return None
-    return tuple([a[j] for a in w]) if isinstance(w, tuple) else w[j]
 
 
 def run_batch(
@@ -363,7 +363,7 @@ def _advance(batch, state, next_j, mesh, cfg, max_u0, pending) -> None:
     while True:
         if coef is None:  # a new batch, or points left it
             size = len(batch)
-            coef = _Coefficients([point.params for point in batch])
+            coef = _Coefficients([point.params for point in batch], mesh.cell_count)
             taxis = any(point.params.chi != 0.0 for point in batch)
             faces = mesh.face_arrays((3 if taxis else 2, size))
         u, v, t = state.u, state.v, state.t
@@ -373,7 +373,7 @@ def _advance(batch, state, next_j, mesh, cfg, max_u0, pending) -> None:
             return
         w = mesh.face_velocities(v, coef.chi) if taxis else None
         dts = [
-            stable_dt(None, point.params, mesh, cfg, _point_faces(w, j), point.v_range)
+            stable_dt(None, point.params, mesh, cfg, mesh.point_faces(w, j) if taxis else None, point.v_range)
             for j, point in enumerate(batch)
         ]
         dt0 = dts[0]

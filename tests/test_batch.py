@@ -128,7 +128,7 @@ def test_chemotactic_divergence(make_mesh, rng):
 def test_transport_rates_rows_and_reused_faces(make_mesh, rng):
     mesh = make_mesh()
     lap, div = sep_kernels(mesh)
-    chi = np.array([[0.7], [0.2], [2.5]])
+    chi = np.repeat([[0.7], [0.2], [2.5]], mesh.cell_count, axis=1)  # per cell
     faces = mesh.face_arrays((3, 3))
     for _ in range(2):  # the second call reuses the face arrays
         uv = fields(mesh, rng, (2, 3))
@@ -137,8 +137,7 @@ def test_transport_rates_rows_and_reused_faces(make_mesh, rng):
         assert rates.shape == (3, 3, mesh.cell_count)
         assert same_bytes(rates[:2], lap(mesh, uv))
         for j in range(3):
-            wj = tuple(a[j] for a in w) if isinstance(w, tuple) else w[j]
-            assert same_bytes(rates[2, j], div(mesh, uv[0, j], wj))
+            assert same_bytes(rates[2, j], div(mesh, uv[0, j], mesh.point_faces(w, j)))
     assert same_bytes(mesh.transport_rates(uv[:, 0]), lap(mesh, uv[:, 0]))
 
 
@@ -146,13 +145,50 @@ def test_transport_rates_rows_and_reused_faces(make_mesh, rng):
 def test_batched_face_velocities_match_rows(make_mesh, rng):
     mesh = make_mesh()
     v = fields(mesh, rng, (3,))
-    chi = np.array([[0.4], [0.0], [3.0]])
+    chi = np.repeat([[0.4], [0.0], [3.0]], mesh.cell_count, axis=1)  # per cell
     w = mesh.face_velocities(v, chi)
     for j, c in enumerate((0.4, 0.0, 3.0)):
         one = mesh.face_velocities(v[j].copy(), c)
-        pairs = zip(w, one) if isinstance(w, tuple) else [(w, one)]
+        wj = mesh.point_faces(w, j)
+        pairs = zip(wj, one) if isinstance(one, tuple) else [(wj, one)]
         for batch, row in pairs:
-            assert same_bytes(batch[j], row)
+            assert same_bytes(batch, row)
+
+
+ISOLATION_MESHES = [
+    ("radial3_m4", lambda: RadialShellMesh(3, 1.0, 4)),
+    ("radial3_m37", lambda: RadialShellMesh(3, 1.0, 37)),
+    ("cart_4x4", lambda: CartesianMesh2D(1.0, 1.0, 4, 4)),
+    ("cart_9x7", lambda: CartesianMesh2D(1.0, 0.8, 9, 7)),
+    ("cart_4x11", lambda: CartesianMesh2D(1.1, 0.9, 4, 11)),
+]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "make_mesh", [m for _, m in ISOLATION_MESHES], ids=[n for n, _ in ISOLATION_MESHES]
+)
+def test_rows_of_the_flat_stack_are_isolated(make_mesh, bad, rng):
+    # the flat pairs that join two rows of the stack must carry no flux: a
+    # non-finite value where points 0 and 1 meet reaches no other row, and
+    # every point's rates and faces, those of points 0 and 1 included, are
+    # the ones it gets alone
+    mesh = make_mesh()
+    chis = (0.7, 0.2, 2.5, 1.1)
+    uv = fields(mesh, rng, (2, 4))
+    uv[:, 0, -1] = bad
+    uv[:, 1, 0] = bad
+    chi = np.repeat(np.array(chis)[:, None], mesh.cell_count, axis=1)
+    with np.errstate(invalid="ignore"):
+        w = mesh.face_velocities(uv[1], chi)
+        rates = mesh.transport_rates(uv, w, mesh.face_arrays((3, 4)))
+        for j in range(4):
+            alone = uv[:, j].copy()
+            w_alone = mesh.face_velocities(alone[1], chis[j])
+            assert same_bytes(rates[:, j], mesh.transport_rates(alone, w_alone))
+            wj = mesh.point_faces(w, j)
+            pairs = zip(wj, w_alone) if isinstance(w_alone, tuple) else [(wj, w_alone)]
+            assert all(same_bytes(a, b) for a, b in pairs)
 
 
 @mesh_params
