@@ -1,6 +1,7 @@
 """Norm/functional reductions vs brute force, and the trajectory checks."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +130,32 @@ class TestHolderAndInterpolation:
             assert lhs <= rhs * (1.0 + 1e-10)
 
 
+def separate_compute_row(state, mesh, monitors):
+    """compute_row as one lq_norm, energy or dissipation call per quantity."""
+    row = TimeSeriesRow(
+        t=state.t,
+        mass=mesh.integrate(state.u),
+        min_v=float(state.v.min()),
+        max_u=float(state.u.max()),
+    )
+    for q in monitors.q_list:
+        row.lq_norms[q] = lq_norm(state.u, q, mesh)
+    for p, r in monitors.pr_pairs:
+        row.energies[(p, r)] = energy(state, p, r, mesh)
+        row.dissipations[(p, r)] = dissipation(state, p, r, mesh)
+    for s in monitors.v_orders:
+        row.v_norms[s] = lq_norm(state.v, s, mesh)
+    return row
+
+
+def row_bytes(row):
+    """Every key and value of a row in a fixed order, packed."""
+    floats = [row.t, row.mass, row.min_v, row.max_u]
+    for table in (row.lq_norms, row.energies, row.dissipations, row.v_norms):
+        floats += [x for key in table for x in (*np.ravel(key), table[key])]
+    return struct.pack(f"<{len(floats)}d", *floats)
+
+
 class TestComputeRow:
     def test_row_contents(self, rng):
         mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
@@ -140,6 +167,30 @@ class TestComputeRow:
         assert set(row.lq_norms) == {1.0, 2.0}
         assert set(row.energies) == {(2.0, 0.4), (3.0, 0.9)}
         assert set(row.v_norms) == {1.6, 2.1}  # p - r per pair
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [CartesianMesh2D(2.0, 2.0, 32, 32), RadialShellMesh(3, 2.0, 37)],
+        ids=["cart_32x32", "radial3_m37"],
+    )
+    def test_matches_one_call_per_quantity(self, mesh, rng):
+        # the monitors of the benchmark's monitor_dense workload: u^2.5, u^3
+        # and u^4 are each asked for two or three times per row
+        mon = MonitorConfig(
+            q_list=(1.0, 2.0, 3.0, 4.0), pr_pairs=((1.5, 0.25), (2.0, 0.5), (2.5, 0.75), (3.0, 1.0))
+        )
+        for _ in range(5):
+            st = State(rng.uniform(0.0, 3.0, mesh.cell_count), rng.uniform(0.05, 2.5, mesh.cell_count), 0.3)
+            assert row_bytes(compute_row(st, mesh, mon)) == row_bytes(separate_compute_row(st, mesh, mon))
+
+    def test_rejects_nonpositive_chemical_once(self, rng):
+        mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
+        st = random_state(rng, mesh)
+        st.v[5] = 0.0
+        mon = MonitorConfig(q_list=(2.0,), pr_pairs=((2.0, 0.4), (3.0, 0.9)))
+        with pytest.raises(PositivityViolation, match="strictly positive"):
+            compute_row(st, mesh, mon)
+        assert compute_row(st, mesh, MonitorConfig(q_list=(2.0,))).min_v == 0.0  # no pairs, no check
 
     def test_monitor_validation(self):
         with pytest.raises(DomainError):
