@@ -183,6 +183,7 @@ def report_text(report: RunReport, checks) -> str:
     return (
         f"status: {report.status}\n"
         f"t_final: {_fmt(report.t_final)}\n"
+        f"steps: {report.steps}\n"
         f"max_u_over_run: {_fmt(report.max_u_over_run)}\n"
         f"min_v_over_run: {_fmt(report.min_v_over_run)}\n"
         f"worst_gronwall_ratio: {_fmt(worst_gronwall)}\n"

@@ -38,17 +38,24 @@ accepted step.  Beyond that, a cell where both limits bind can go negative;
 
 Batches.  ``run_batch`` advances P runs that share a mesh, a scheme and an
 initial state, as one contiguous (2, P, N) stack (u rows, then v rows);
-``run`` is a batch of one, so there is one stepping loop.  One step does
-each piece of work once for the whole batch: the chemotactic face
-velocities are computed once from v on the mesh's flat stack (see
-``meshes``), with chi given per cell (a float when all points share it),
-and each point's contiguous slice (``mesh.point_faces``) is handed to its
-own ``stable_dt``; u and v go through one ``mesh.transport_rates`` call,
-which scatters the face fluxes of lap u, lap v and the taxis term into cell
-rates at once, all on one flat array; and one min and one max per row of
-the new stack decide, point by point, finiteness, u >= 0, v > 0, the
-running extremes and the blow-up proxy.  A point that stops leaves the
-batch; the others carry on.
+``run`` is a batch of one, so there is one stepping loop.  Each batch gets
+a ``meshes.StepPlan``, which holds the stack in one of two ping-pong
+buffers, with chi per cell of the flat stack (a float when all points share
+it) and k as a float or a (P, 1) column, and binds every operand of a step
+once.  One step does each piece of work once for the whole batch: the plan
+computes the chemotactic face velocities from v on the mesh's flat stack
+(see ``meshes``), and each point's contiguous slice of them is handed to
+its own ``stable_dt``; ``step``, given the plan, writes the face fluxes of
+lap u, lap v and the taxis term, scatters them into the rates in the other
+buffer and turns those into the new state in place, all on one flat array;
+and one ``np.minimum.reduce`` and one ``np.maximum.reduce`` per row of the
+new stack decide, point by point, finiteness, u >= 0, v > 0, the running
+extremes and the blow-up proxy.  Rows are copied out of the buffers only
+when the batch splits or a point stops and leaves it; the others carry on
+in a new plan.  Besides the one-point states that rows are computed from,
+a step builds one ``State``, the one ``step`` returns.  A point's accepted
+steps (``RunReport.steps``) come from the batch's step counter, credited
+when the point leaves the batch.
 
 Split rule.  A batch steps with one dt, so every point's ``stable_dt`` is
 taken before each step, and when they differ (points with different k, or
@@ -78,7 +85,7 @@ import numpy as np
 from .diagnostics import MonitorConfig, TimeSeriesRow, compute_row
 from .errors import DomainError
 from .exponents import ModelParams
-from .meshes import CartesianMesh2D, Mesh, RadialShellMesh, State
+from .meshes import CartesianMesh2D, Mesh, RadialShellMesh, State, StepPlan, euler_update
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "suspected_blowup"
@@ -125,6 +132,7 @@ class RunReport:
     max_u_over_run: float
     min_v_over_run: float
     series: list[TimeSeriesRow]
+    steps: int = 0  # the accepted steps, the last of which reached t_final
 
 
 def initial_state(
@@ -216,7 +224,6 @@ def step(
     cfg: SchemeConfig,
     dt: float | None = None,
     w=None,
-    faces=None,
 ) -> State:
     """One forward-Euler step; dt defaults to ``stable_dt``.
 
@@ -227,31 +234,24 @@ def step(
     on constant fields, so the constant steady state u = v = c is reproduced
     bit-exactly.  The new state is not checked: ``run_batch`` classifies
     non-finite values and positivity loss (see module docstring).  The new u
-    and v are the rows of one array (``State.stacked``).
+    and v are the rows of one fresh array (``State.stacked``).
 
-    ``state`` may also be a batch (``State.stacked`` of a (2, P, N) stack)
-    advancing by one shared ``dt``, which must be given; ``params`` then
-    carries chi as a float or per cell of the flat stack and k as a float or
-    a (P, 1) column, and ``w`` must be given when any chi is nonzero.
-    ``faces`` is the mesh's reusable scratch for ``transport_rates``.
+    ``run_batch`` passes its batch's ``StepPlan`` as ``params``, the batch
+    state ``state`` (its ``uv``), and the shared ``dt``; the step then runs
+    on the plan's buffers, with the face velocities of its last
+    ``face_velocities`` call, and ``w`` is not used.
     """
+    if isinstance(params, StepPlan):
+        return State.stacked(params.advance(dt), state.t + dt)
     if w is None and params.chi != 0.0:
         w = mesh.face_velocities(state.v, params.chi)
     if dt is None:
         dt = stable_dt(state, params, mesh, cfg, w)
     uv = state.uv()
-    u, v = uv[0], uv[1]
-    rates = mesh.transport_rates(uv, w, faces)
-    d = rates[:2]
-    du, dv = d[0], d[1]
-    if w is not None:
-        du -= rates[2]
-    dv *= params.k
-    dv -= v
-    dv += u
-    d *= dt
-    d += uv
-    return State.stacked(d, state.t + dt)
+    rates = mesh.transport_rates(uv, w)
+    taxis = rates[2] if w is not None else None
+    euler_update(rates[:2], rates[0], rates[1], taxis, uv[0], uv[1], uv, params.k, dt)
+    return State.stacked(rates[:2], state.t + dt)
 
 
 def run(
@@ -274,26 +274,6 @@ def run(
     return run_batch(initial, [params], mesh, cfg, [monitors])[0]
 
 
-class _Coefficients:
-    """chi and k of a batch of points on N cells: floats when every point
-    shares them, else chi per cell of the flat (P * N,) stack and k a (P, 1)
-    column."""
-
-    __slots__ = ("chi", "k")
-
-    def __init__(self, params_seq, cells):
-        chi = _shared_or_column([p.chi for p in params_seq])
-        self.chi = np.repeat(chi, cells) if isinstance(chi, np.ndarray) else chi
-        self.k = _shared_or_column([p.k for p in params_seq])
-
-
-def _shared_or_column(values):
-    first = values[0]
-    if all(x == first for x in values):
-        return first
-    return np.array(values)[:, None]
-
-
 class _Point:
     """One run of a batch: its inputs, its rows so far, and how it ended.
 
@@ -302,22 +282,30 @@ class _Point:
     step.
     """
 
-    __slots__ = ("params", "monitors", "rows", "max_u_over_run", "min_v_over_run", "v_range", "status", "t_final")
+    __slots__ = (
+        "params", "monitors", "rows", "max_u_over_run", "min_v_over_run", "v_range", "status", "t_final",
+        "steps",
+    )
 
     def __init__(self, params, monitors, first_row, max_u0, v_range):
         self.params, self.monitors, self.rows = params, monitors, [first_row]
         self.max_u_over_run, self.min_v_over_run, self.v_range = max_u0, v_range[0], v_range
-        self.status, self.t_final = None, 0.0
+        self.status, self.t_final, self.steps = None, 0.0, 0
 
     def emit(self, state: State, mesh: Mesh) -> None:
         if state.t > self.rows[-1].t:
             self.rows.append(compute_row(state, mesh, self.monitors))
 
-    def stop(self, status: str, t: float) -> None:
+    def stop(self, status: str, t: float, steps: int) -> None:
+        """End the run at time t, ``steps`` accepted steps after it joined
+        its last batch."""
         self.status, self.t_final = status, t
+        self.steps += steps
 
     def report(self) -> RunReport:
-        return RunReport(self.status, self.t_final, self.max_u_over_run, self.min_v_over_run, self.rows)
+        return RunReport(
+            self.status, self.t_final, self.max_u_over_run, self.min_v_over_run, self.rows, self.steps
+        )
 
 
 def run_batch(
@@ -358,23 +346,25 @@ def run_batch(
 def _advance(batch, state, next_j, mesh, cfg, max_u0, pending) -> None:
     """Step the points ``batch``, held in the batch state ``state`` (a
     (2, P, N) stack), until each has stopped or their time steps differ;
-    then push one sub-batch per distinct dt onto ``pending``."""
-    coef = None
+    then push one sub-batch per distinct dt onto ``pending``.
+
+    ``taken`` counts the steps of this call, once per step for all points; a
+    point adds it to its ``steps`` when it stops or goes on in a sub-batch."""
+    plan, taken = None, 0
     while True:
-        if coef is None:  # a new batch, or points left it
+        if plan is None:  # a new batch, or points left it
             size = len(batch)
-            coef = _Coefficients([point.params for point in batch], mesh.cell_count)
-            taxis = any(point.params.chi != 0.0 for point in batch)
-            faces = mesh.face_arrays((3 if taxis else 2, size))
-        u, v, t = state.u, state.v, state.t
+            plan = StepPlan(mesh, state.uv(), [p.params.chi for p in batch], [p.params.k for p in batch])
+            state = State.stacked(plan.uv, state.t)
+        t = state.t
         if t >= cfg.t_end * (1.0 - _TREL):
             for point in batch:
-                point.stop(STATUS_COMPLETED, t)
+                point.stop(STATUS_COMPLETED, t, taken)
             return
-        w = mesh.face_velocities(v, coef.chi) if taxis else None
+        plan.face_velocities()
         dts = [
-            stable_dt(None, point.params, mesh, cfg, mesh.point_faces(w, j) if taxis else None, point.v_range)
-            for j, point in enumerate(batch)
+            stable_dt(None, point.params, mesh, cfg, w, point.v_range)
+            for point, w in zip(batch, plan.point_faces)
         ]
         dt0 = dts[0]
         if dts.count(dt0) != size:
@@ -382,44 +372,50 @@ def _advance(batch, state, next_j, mesh, cfg, max_u0, pending) -> None:
             for j, dt in enumerate(dts):
                 groups.setdefault(dt, []).append(j)
             for rows in groups.values():
-                part = State.stacked(state.uv()[:, rows], t)
-                pending.append(([batch[j] for j in rows], part, next_j))
+                pending.append(([batch[j] for j in rows], State.stacked(plan.uv[:, rows], t), next_j))
+            for point in batch:
+                point.steps += taken
             return
         if dt0 < cfg.dt_min:
+            u, v = state.u, state.v
             for j, point in enumerate(batch):
                 point.emit(State(u[j], v[j], t), mesh)
-                point.stop(STATUS_DT_COLLAPSE, t)
+                point.stop(STATUS_DT_COLLAPSE, t, taken)
             return
         t_target = min(next_j * cfg.output_interval, cfg.t_end)
         dt = min(dt0, t_target - t)
-        new = step(state, coef, mesh, cfg, dt, w, faces)
-        (min_us, min_vs), (max_us, max_vs) = new.uv().min(axis=-1).tolist(), new.uv().max(axis=-1).tolist()
+        state = step(state, plan, mesh, cfg, dt)
+        taken += 1
+        uv = state.uv()
+        (min_us, min_vs), (max_us, max_vs) = (
+            np.minimum.reduce(uv, axis=-1).tolist(), np.maximum.reduce(uv, axis=-1).tolist()
+        )
         keep = []
         scan = zip(batch, min_us, min_vs, max_us, max_vs)
         for j, (point, min_u, min_v, max_u, max_v) in enumerate(scan):
             if not all(map(math.isfinite, (min_u, min_v, max_u, max_v))):
-                point.stop(STATUS_BLOWUP, new.t)
+                point.stop(STATUS_BLOWUP, state.t, taken)
                 continue
             if min_u < 0.0 or min_v <= 0.0:
-                point.stop(STATUS_POSITIVITY_LOST, t)
+                point.stop(STATUS_POSITIVITY_LOST, t, taken - 1)
                 continue
             point.v_range = min_v, max_v
             point.max_u_over_run = max(point.max_u_over_run, max_u)
             point.min_v_over_run = min(point.min_v_over_run, min_v)
             if max_u > cfg.blowup_factor * max_u0:
-                point.emit(State(new.u[j], new.v[j], new.t), mesh)
-                point.stop(STATUS_BLOWUP, new.t)
+                point.emit(State(uv[0, j], uv[1, j], state.t), mesh)
+                point.stop(STATUS_BLOWUP, state.t, taken)
                 continue
             keep.append(j)
-        state = new
         if len(keep) < size:
             if not keep:
                 return
-            batch, coef = [batch[j] for j in keep], None
-            state = State.stacked(new.uv()[:, keep], new.t)
+            batch, plan = [batch[j] for j in keep], None
+            state = State.stacked(uv[:, keep], state.t)
         if abs(state.t - t_target) <= _TREL * max(1.0, t_target):
-            state = State.stacked(state.uv(), t_target)
+            state.t = t_target
+            u, v = state.u, state.v
             for j, point in enumerate(batch):
-                point.emit(State(state.u[j], state.v[j], t_target), mesh)
+                point.emit(State(u[j], v[j], t_target), mesh)
             if t_target == next_j * cfg.output_interval:
                 next_j += 1

@@ -211,13 +211,14 @@ def test_kernels_on_exact_zeros_differ_at_most_in_zero_signs(make_mesh, rng):
 
 
 def report_bytes(report):
-    """status, then every float of the report in a fixed order, packed."""
+    """status and step count, then every float of the report in a fixed
+    order, packed."""
     floats = [report.t_final, report.max_u_over_run, report.min_v_over_run]
     for row in report.series:
         floats += [row.t, row.mass, row.min_v, row.max_u]
         for table in (row.lq_norms, row.energies, row.dissipations, row.v_norms):
             floats += [x for key in table for x in (*np.ravel(key), table[key])]
-    return report.status.encode() + struct.pack(f"<{len(floats)}d", *floats)
+    return report.status.encode() + struct.pack(f"<q{len(floats)}d", report.steps, *floats)
 
 
 def assert_batch_matches_runs(init, params_seq, mesh, cfg, monitors_seq, batch_sizes=()):
@@ -304,12 +305,20 @@ def test_point_that_stops_early_leaves_the_batch(make_mesh, batch_sizes):
     bump = np.exp(-d2 / 0.05)
     init = State(bump + 0.5, 1.0 + bump)
     params_seq = [ModelParams(chi=chi, k=1.0, n=dim(mesh)) for chi in (0.0, 1.0, 2.0, 4.0)]
-    cfg = SchemeConfig(t_end=0.1, output_interval=0.02, blowup_factor=1.2)
     monitors_seq = [MonitorConfig(q_list=(1.0, 2.0))] * 4
-    reports, sizes = assert_batch_matches_runs(init, params_seq, mesh, cfg, monitors_seq, batch_sizes)
-    assert [r.status for r in reports] == ["completed"] * 3 + ["suspected_blowup"]
-    assert reports[3].t_final < 0.01
-    assert sizes[0] == 4 and set(sizes) == {3, 4} and sizes[-1] == 3
+    # the second scheme ends every step on an output time, so the blown-up
+    # point leaves on a step that emits the others' rows
+    for cfg in (
+        SchemeConfig(t_end=0.1, output_interval=0.02, blowup_factor=1.2),
+        SchemeConfig(t_end=0.01, output_interval=1e-5, blowup_factor=1.2),
+    ):
+        batch_sizes.clear()
+        reports, sizes = assert_batch_matches_runs(init, params_seq, mesh, cfg, monitors_seq, batch_sizes)
+        assert [r.status for r in reports] == ["completed"] * 3 + ["suspected_blowup"]
+        assert reports[3].t_final < 0.01
+        assert sizes[0] == 4 and set(sizes) == {3, 4} and sizes[-1] == 3
+        assert len(sizes) == max(r.steps for r in reports)
+    assert [r.steps for r in reports[:3]] == [1000] * 3 and len(reports[0].series) == 1001
 
 
 def test_positivity_loss_inside_a_batch_matches_run():

@@ -3,8 +3,12 @@
 ``perfbench/layers.py`` replaces chemolab functions and mesh methods by
 name with span-recording wrappers, and ``perfbench/launch.py`` wraps
 ``chemolab.cli.run_solver``.  A renamed function would make the traced
-benchmark fail, or a per-layer metric read 0; this test fails instead."""
+benchmark fail, or a per-layer metric read 0; this test fails instead.
+The stepping loop must also call the wrapped ``solver.step`` and
+``solver.stable_dt`` once per step, so that the traced ``solver.steps`` is
+the step count that ``report.txt`` gives."""
 
+import collections
 import importlib
 from pathlib import Path
 
@@ -15,7 +19,23 @@ import chemolab.meshes as meshes
 import chemolab.runconfig as runconfig
 import chemolab.solver as solver
 
+from test_config_cli import RADIAL_CONFIG, write_config
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class Counting:
+    """A tracer whose wrappers count their calls by span name."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def wrap(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
 
 
 class PassThrough:
@@ -54,3 +74,17 @@ def test_every_traced_name_exists(layers):
 
 def test_launch_wraps_run_solver():
     assert callable(cli.run_solver)
+
+
+def test_traced_step_calls_are_the_reported_steps(layers, tmp_path):
+    tracer = Counting()
+    layers.install(tracer)
+    cfg = write_config(tmp_path, RADIAL_CONFIG)
+    assert cli.main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+    report = dict(
+        line.split(": ", 1) for line in (tmp_path / "out" / "report.txt").read_text().splitlines()
+    )
+    steps = int(report["steps"])
+    assert steps > 0
+    assert tracer.calls["solver.step"] == steps
+    assert tracer.calls["solver.stable_dt"] == steps

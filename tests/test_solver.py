@@ -153,6 +153,24 @@ class TestStep:
         assert got.u == pytest.approx(exp_u, rel=1e-13)
         assert got.v == pytest.approx(exp_v, rel=1e-13)
 
+    @pytest.mark.parametrize("chi", [0.6, 0.0])
+    @pytest.mark.parametrize(
+        "mesh", [CartesianMesh2D(1.0, 1.0, 5, 4), RadialShellMesh(3, 1.0, 7)], ids=["cart", "radial"]
+    )
+    def test_new_state_shares_no_memory_with_the_old(self, mesh, chi):
+        # a caller that keeps old states must never see them overwritten
+        params = ModelParams(chi=chi, k=1.0, n=3 if mesh.geometry == "radial" else 2)
+        states = [initial_state(mesh, "gaussian", 2.0, v0_base=0.5)]
+        kept = [(states[0].u.copy(), states[0].v.copy())]
+        for _ in range(3):
+            states.append(step(states[-1], params, mesh, small_cfg()))
+            kept.append((states[-1].u.copy(), states[-1].v.copy()))
+        for i, old in enumerate(states):
+            for new in states[i + 1 :]:
+                assert not any(np.shares_memory(a, b) for a in (old.u, old.v) for b in (new.u, new.v))
+        for s, (u, v) in zip(states, kept):
+            assert np.array_equal(s.u, u) and np.array_equal(s.v, v)
+
     def test_zero_chi_heat_decay(self):
         mesh = CartesianMesh2D(1.0, 1.0, 16, 16)
         state = initial_state(mesh, "gaussian", 3.0, v0_base=1.0)
