@@ -416,7 +416,7 @@ class StepPlan:
     step after next overwrites: copy rows that must outlive that.
     """
 
-    __slots__ = ("uv", "point_faces", "_legs", "_leg")
+    __slots__ = ("uv", "point_faces", "_mesh", "_legs", "_leg")
 
     def __init__(self, mesh: "Mesh", uv: np.ndarray, chis, ks):
         """Plan the steps of the (2, P, N) batch state ``uv`` (copied in)
@@ -434,6 +434,7 @@ class StepPlan:
             cells = points * n
             velocity = [mesh._velocity_arrays(cells, dtype) for dtype in (float, float, bool)]
         self.point_faces = [mesh.point_faces(velocity[0], j) if taxis else None for j in range(points)]
+        self._mesh = mesh
         self._legs = (
             _Leg(mesh, buffers[0], buffers[1], chi, k, faces, velocity),
             _Leg(mesh, buffers[1], buffers[0], chi, k, faces, velocity),
@@ -446,17 +447,17 @@ class StepPlan:
         ``point_faces`` views; a no-op when every chi is 0."""
         leg = self._leg
         if leg.taxis_ops is not None:
-            leg.velocities(*leg.velocity_ops)
+            self._mesh._velocities(*leg.velocity_ops)
 
     def advance(self, dt: float) -> np.ndarray:
         """One forward-Euler step of size ``dt`` from the current state, with
         the face velocities of the last ``face_velocities`` call; returns the
         new current state."""
-        leg = self._leg
-        leg.diffusive(*leg.diffusive_ops)
+        leg, mesh = self._leg, self._mesh
+        mesh._diffusive(*leg.diffusive_ops)
         if leg.taxis_ops is not None:
-            leg.taxis(*leg.taxis_ops)
-        leg.scatter(*leg.scatter_ops)
+            mesh._taxis(*leg.taxis_ops)
+        mesh._scatter(*leg.scatter_ops)
         euler_update(*leg.euler_ops, dt)
         first, second = self._legs
         self._leg = second if leg is first else first
@@ -465,21 +466,15 @@ class StepPlan:
 
 
 class _Leg:
-    """A step from the buffer ``src`` to the buffer ``dst``: the mesh's
-    kernels and every operand they read or write."""
+    """A step from the buffer ``src`` to the buffer ``dst``: every operand
+    that the mesh's kernels read or write."""
 
-    __slots__ = (
-        "src", "dst", "velocities", "diffusive", "taxis", "scatter",
-        "velocity_ops", "diffusive_ops", "taxis_ops", "scatter_ops", "euler_ops",
-    )
+    __slots__ = ("src", "dst", "velocity_ops", "diffusive_ops", "taxis_ops", "scatter_ops", "euler_ops")
 
     def __init__(self, mesh, src, dst, chi, k, faces, velocity):
         cells = src[0].size
         flat = src.reshape(-1)
         self.src, self.dst = src[:2], dst[:2]
-        self.velocities, self.diffusive, self.taxis, self.scatter = (
-            mesh._velocities, mesh._diffusive, mesh._taxis, mesh._scatter
-        )
         self.diffusive_ops = mesh._diffusive_operands(flat[: 2 * cells], faces)
         self.scatter_ops = mesh._scatter_operands(faces, dst.reshape(-1))
         self.velocity_ops = self.taxis_ops = new_taxis = None

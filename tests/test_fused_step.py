@@ -158,6 +158,7 @@ def test_positivity_loss_has_its_own_status(dt_safety):
     report = run(init, params, mesh, cfg)
     assert report.status == "positivity_lost"
     assert report.t_final == 0.0  # the last accepted step
+    assert report.steps == 0
     assert len(report.series) == 1
 
 
