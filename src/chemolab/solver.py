@@ -219,7 +219,7 @@ def stable_dt(
 
 def step(
     state: State,
-    params: ModelParams,
+    params: ModelParams | StepPlan,
     mesh: Mesh,
     cfg: SchemeConfig,
     dt: float | None = None,
