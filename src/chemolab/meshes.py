@@ -57,22 +57,22 @@ entries beyond both ends of the flat stack, and one scatter turns them into
 cell rates: cell i gets ``T[i+1] - T[i]`` (x faces, and radial faces divided
 by the shell volume), plus ``Ty[i+nx] - Ty[i]`` on a rectangle.  The pads,
 zeroed when the face arrays are allocated and never written, stand for the
-zero boundary fluxes of the first and last rows.  ``transport_rates`` fills
-one padded array with the rows (lap u, lap v, taxis divergence of u), so
-the rates of a step take one scatter.  Each cell keeps its terms and their
+zero boundary fluxes of the first and last rows.  ``transport_rates`` and
+``StepPlan`` fill one padded array with the rows (lap u, lap v, taxis
+divergence of u), so the rates of a step take one scatter.  Each cell keeps its terms and their
 order, so the rates have the bits of separate per-operator accumulation
 except, at most, the sign of an exact zero.
 
 The step plan.  Each kernel (face velocities, diffusive fluxes, taxis
-fluxes, scatter) is written once, on operands sliced beforehand: a mesh
-method ``_<kernel>_operands`` cuts the views out of the flat arrays, and
-``_<kernel>`` does the ``out=`` arithmetic.  The operators above slice per
-call.  ``StepPlan`` is the stepping loop's: built once per batch, it owns
-two ping-pong state buffers and all scratch, binds the operands of a step
-from either buffer when it is built, and then steps with the same kernels,
-on the same flat layout, so its states have the operators' bits.  On 128
-radial shells a step is some 25 ufunc calls on a few hundred doubles, so
-per-call slicing and reshaping cost as much as the arithmetic.
+fluxes, scatter) is written once, as a mesh method ``_<kernel>`` that cuts
+its views out of the flat arrays and returns a function doing the ``out=``
+arithmetic on them.  The operators above bind per call and call once.
+``StepPlan`` is the stepping loop's: built once per batch, it owns the
+batch state, the rates and all scratch, binds every kernel to them when it
+is built, and then steps by calling the bound kernels, on the same flat
+layout, so its states have the operators' bits.  On 128 radial shells a
+step is some 25 ufunc calls on a few hundred doubles, so per-call slicing
+and reshaping cost as much as the arithmetic.
 
 The innermost radial face has zero area, which enforces the symmetry
 condition at r = 0 without ghost values.
@@ -89,73 +89,83 @@ from .errors import DomainError, PositivityViolation
 
 
 def _velocity(v1, v0, chi, w, scratch, half_h):
-    """Face velocities chi * (v1 - v0) / (half_h * (v1 + v0)) into ``w``."""
-    np.subtract(v1, v0, out=w)
-    np.multiply(chi, w, out=w)
-    np.add(v1, v0, out=scratch)
-    np.multiply(half_h, scratch, out=scratch)
-    np.divide(w, scratch, out=w)
+    """Bind the face velocities chi * (v1 - v0) / (half_h * (v1 + v0)) into ``w``."""
+
+    def velocity():
+        np.subtract(v1, v0, out=w)
+        np.multiply(chi, w, out=w)
+        np.add(v1, v0, out=scratch)
+        np.multiply(half_h, scratch, out=scratch)
+        np.divide(w, scratch, out=w)
+
+    return velocity
 
 
-def euler_update(new, du, dv, taxis, u, v, uv, k, dt):
-    """Turn the rates in ``new`` (rows ``du``, ``dv`` and, unless None,
-    ``taxis``) into the forward-Euler state ``uv + dt * (du - taxis,
-    k dv - v + u)``, in place in the (2, ...) view ``new``."""
-    if taxis is not None:
-        du -= taxis
-    dv *= k
-    dv -= v
-    dv += u
-    new *= dt
-    new += uv
+def euler_update(rates, uv, k, out):
+    """Bind the forward-Euler update of the state ``uv = (u, v)`` from its
+    rates ``rates`` (rows lap u, lap v and, if there is a third, the taxis
+    divergence of u): the returned function of dt writes ``uv + dt * (lap u
+    - taxis, k lap v - v + u)`` into ``out``, ``uv`` itself or ``rates[:2]``,
+    using ``rates[:2]`` as scratch."""
+    du, dv, inc = rates[0], rates[1], rates[:2]
+    taxis = rates[2] if len(rates) == 3 else None
+    u, v = uv[0], uv[1]
+
+    def update(dt):
+        if taxis is not None:
+            np.subtract(du, taxis, out=du)
+        np.multiply(dv, k, out=dv)
+        np.subtract(dv, v, out=dv)
+        np.add(dv, u, out=dv)
+        np.multiply(inc, dt, out=inc)
+        np.add(inc, uv, out=out)
+
+    return update
 
 
 class _PaddedFluxMesh:
     """The operators shared by both meshes, on the flat stack.
 
-    Each kernel is a pair of methods: ``_<kernel>_operands`` takes the views
-    its arithmetic reads and writes out of flat arrays, and ``_<kernel>``
-    does the arithmetic on them with ``out=`` ufunc calls.  The operators
-    below slice per call; a ``StepPlan`` slices once and calls the same
-    kernels.  A subclass supplies ``face_arrays(shape)`` (the zeroed padded
-    face scratch of a stack of ``shape`` rows, with whatever else its
-    scatter needs), ``_velocity_arrays(size, dtype)`` (uninitialized arrays
-    shaped like the face velocities of ``size`` flat cells) and the kernels
-    ``velocities``, ``diffusive`` (the fluxes of the flat pairs of a field),
-    ``taxis`` (the donor-cell fluxes of u, from flat cell ``start`` of the
-    face scratch on) and ``scatter`` (zero the pairs that are not faces,
-    write the flat cell rates).  No write touches the pads, so face scratch
-    reused across calls keeps its zero pads.
+    Each kernel is written once, as a method that binds it: ``_<kernel>``
+    cuts the views that its arithmetic reads and writes out of flat arrays
+    and returns a function that does the ``out=`` ufunc calls on them each
+    time it is called.  The operators below bind per call and call once; a
+    ``StepPlan`` binds once and calls every step.  A subclass supplies
+    ``face_arrays(shape)`` (the zeroed padded face scratch of a stack of
+    ``shape`` rows, with whatever else its scatter needs),
+    ``_velocity_arrays(size, dtype)`` (uninitialized arrays shaped like the
+    face velocities of ``size`` flat cells) and the kernels ``_velocities``,
+    ``_diffusive`` (the fluxes of the flat pairs of a field), ``_taxis`` (the
+    donor-cell fluxes of u, from flat cell ``start`` of the face scratch on)
+    and ``_scatter`` (zero the pairs that are not faces, write the flat cell
+    rates).  No write touches the pads, so face scratch reused across calls
+    keeps its zero pads.
     """
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Laplacian of a field, or row by row of a stack of fields."""
         faces = self.face_arrays(f.shape[:-1])
-        self._diffusive(*self._diffusive_operands(f.reshape(-1), faces))
+        self._diffusive(f.reshape(-1), faces)()
         return self._scatter_faces(faces).reshape(f.shape)
 
     def chemotactic_divergence(self, u: np.ndarray, w) -> np.ndarray:
         """Donor-cell divergence of the taxis flux for face velocities ``w``."""
         faces = self.face_arrays(u.shape[:-1])
-        self._taxis_faces(u.reshape(-1), w, faces, 0)
+        self._taxis(u.reshape(-1), w, faces, 0, self._velocity_arrays(u.size, bool))()
         return self._scatter_faces(faces).reshape(u.shape)
 
-    def transport_rates(self, uv: np.ndarray, w=None, faces=None) -> np.ndarray:
+    def transport_rates(self, uv: np.ndarray, w=None) -> np.ndarray:
         """Rates of the state ``uv = (u, v)``, u and v of shape (..., N):
         (lap u, lap v), then, when the face velocities ``w`` of v are given,
-        the taxis divergence of u, stacked along the first axis.
-
-        ``faces`` is optional scratch space, ``face_arrays((3 or 2,) +
-        uv.shape[1:-1])``, that a caller may reuse across calls.  The
-        stepping loop does not call this: its ``StepPlan`` runs the same
-        kernels on operands bound once.
-        """
-        if faces is None:
-            faces = self.face_arrays((2 if w is None else 3,) + uv.shape[1:-1])
+        the taxis divergence of u, stacked along the first axis, in one
+        fresh array.  The stepping loop does not call this: its ``StepPlan``
+        runs the same kernels on operands bound once."""
+        faces = self.face_arrays((2 if w is None else 3,) + uv.shape[1:-1])
         flat = uv.reshape(-1)
-        self._diffusive(*self._diffusive_operands(flat, faces))
+        self._diffusive(flat, faces)()
         if w is not None:
-            self._taxis_faces(flat[: flat.size // 2], w, faces, flat.size)
+            cells = flat.size // 2
+            self._taxis(flat[:cells], w, faces, flat.size, self._velocity_arrays(cells, bool))()
         return self._scatter_faces(faces).reshape((-1,) + uv.shape[1:])
 
     def face_velocities(self, v: np.ndarray, chi):
@@ -170,16 +180,12 @@ class _PaddedFluxMesh:
         """
         v = v.reshape(-1)
         w = self._velocity_arrays(v.size)
-        self._velocities(*self._velocity_operands(v, chi, w, self._velocity_arrays(v.size)))
+        self._velocities(v, chi, w, self._velocity_arrays(v.size))()
         return w
-
-    def _taxis_faces(self, u, w, faces, start):
-        masks = self._velocity_arrays(u.size, bool)
-        self._taxis(*self._taxis_operands(u, w, faces, start, masks))
 
     def _scatter_faces(self, faces):
         out = np.empty(faces[0].size - 1)
-        self._scatter(*self._scatter_operands(faces, out))
+        self._scatter(faces, out)()
         return out
 
 
@@ -225,7 +231,7 @@ class CartesianMesh2D(_PaddedFluxMesh):
     def _velocity_arrays(self, size, dtype=float):
         return np.empty(size - 1, dtype), np.empty(size - self.nx, dtype)
 
-    def _velocity_operands(self, v, chi, w, scratch):
+    def _velocities(self, v, chi, w, scratch):
         nx = self.nx
         if isinstance(chi, np.ndarray):
             chi = chi.reshape(-1)
@@ -233,49 +239,59 @@ class CartesianMesh2D(_PaddedFluxMesh):
         else:
             cx = cy = chi
         (wx, wy), (sx, sy) = w, scratch
-        x = v[1:], v[:-1], cx, wx, sx, self.hx * 0.5
-        y = v[nx:], v[:-nx], cy, wy, sy, self.hy * 0.5
-        return x, y, wx[nx - 1 :: nx]
+        x = _velocity(v[1:], v[:-1], cx, wx, sx, self.hx * 0.5)
+        y = _velocity(v[nx:], v[:-nx], cy, wy, sy, self.hy * 0.5)
+        wraps = wx[nx - 1 :: nx]
 
-    def _velocities(self, x, y, wraps):
-        _velocity(*x)
-        _velocity(*y)
-        wraps.fill(0.0)  # the pairs that join the end of a row to the start of the next
+        def velocities():
+            x()
+            y()
+            wraps.fill(0.0)  # the pairs that join the end of a row to the start of the next
 
-    def _diffusive_operands(self, f, faces):
+        return velocities
+
+    def _diffusive(self, f, faces):
         nx, size = self.nx, f.size
-        x = f[1:], f[:-1], faces[0][1:size], self.hx * self.hx
-        y = f[nx:], f[:-nx], faces[1][nx:size], self.hy * self.hy
-        return x, y
+        directions = (
+            (f[1:], f[:-1], faces[0][1:size], self.hx * self.hx),
+            (f[nx:], f[:-nx], faces[1][nx:size], self.hy * self.hy),
+        )
 
-    def _diffusive(self, x, y):
-        for f1, f0, t, h2 in (x, y):
-            np.subtract(f1, f0, out=t)
-            t /= h2
+        def diffusive():
+            for f1, f0, t, h2 in directions:
+                np.subtract(f1, f0, out=t)
+                np.divide(t, h2, out=t)
 
-    def _taxis_operands(self, u, w, faces, start, masks):
+        return diffusive
+
+    def _taxis(self, u, w, faces, start, masks):
         nx, end = self.nx, start + u.size
         (wx, wy), (mx, my) = w, masks
-        x = wx, mx, u[:-1], u[1:], faces[0][start + 1 : end], self.hx
-        y = wy, my, u[:-nx], u[nx:], faces[1][start + nx : end], self.hy
-        return x, y
+        directions = (
+            (wx, mx, u[:-1], u[1:], faces[0][start + 1 : end], self.hx),
+            (wy, my, u[:-nx], u[nx:], faces[1][start + nx : end], self.hy),
+        )
 
-    def _taxis(self, x, y):
-        for w, mask, u0, u1, t, h in (x, y):
-            np.multiply(w, np.where(np.greater(w, 0.0, out=mask), u0, u1), out=t)
-            t /= h
+        def taxis():
+            for w, mask, u0, u1, t, h in directions:
+                np.multiply(w, np.where(np.greater(w, 0.0, out=mask), u0, u1), out=t)
+                np.divide(t, h, out=t)
 
-    def _scatter_operands(self, faces, out):
+        return taxis
+
+    def _scatter(self, faces, out):
         nx = self.nx
         tx, ty, ty_cross = faces
-        return tx[nx::nx], ty_cross, tx[1:], tx[:-1], ty[nx:], ty[:-nx], out
+        tx_wraps, tx1, tx0, ty1, ty0 = tx[nx::nx], tx[1:], tx[:-1], ty[nx:], ty[:-nx]
 
-    def _scatter(self, tx_wraps, ty_cross, tx1, tx0, ty1, ty0, out):
-        tx_wraps.fill(0.0)  # the row-wrap pairs, joins of two stack rows included
-        ty_cross.fill(0.0)
-        np.subtract(tx1, tx0, out=out)
-        out += ty1
-        out -= ty0
+        def scatter():
+            tx_wraps.fill(0.0)  # the row-wrap pairs, joins of two stack rows included
+            ty_cross.fill(0.0)
+            np.subtract(tx1, tx0, out=out)
+            np.add(out, ty1, out=out)
+            np.subtract(out, ty0, out=out)
+
+        return scatter
 
     def point_faces(self, w, j):
         """Row j's face velocities out of ``face_velocities`` of a stack."""
@@ -343,38 +359,43 @@ class RadialShellMesh(_PaddedFluxMesh):
     def _velocity_arrays(self, size, dtype=float):
         return np.empty(size - 1, dtype)
 
-    def _velocity_operands(self, v, chi, w, scratch):
+    def _velocities(self, v, chi, w, scratch):
         if isinstance(chi, np.ndarray):
             chi = chi.reshape(-1)[:-1]
-        return v[1:], v[:-1], chi, w, scratch, self.h * 0.5
+        return _velocity(v[1:], v[:-1], chi, w, scratch, self.h * 0.5)
 
-    _velocities = staticmethod(_velocity)
+    def _diffusive(self, f, faces):
+        size, h = f.size, self.h
+        f1, f0, area, t = f[1:], f[:-1], faces[1][: size - 1], faces[0][1:size]
 
-    def _diffusive_operands(self, f, faces):
-        size = f.size
-        return f[1:], f[:-1], faces[1][: size - 1], faces[0][1:size]
+        def diffusive():
+            np.subtract(f1, f0, out=t)
+            np.multiply(t, area, out=t)
+            np.divide(t, h, out=t)
 
-    def _diffusive(self, f1, f0, area, t):
-        np.subtract(f1, f0, out=t)
-        t *= area
-        t /= self.h
+        return diffusive
 
-    def _taxis_operands(self, u, w, faces, start, mask):
+    def _taxis(self, u, w, faces, start, mask):
         size = u.size
-        return faces[1][: size - 1], w, mask, u[:-1], u[1:], faces[0][start + 1 : start + size]
+        area, u0, u1, t = faces[1][: size - 1], u[:-1], u[1:], faces[0][start + 1 : start + size]
 
-    def _taxis(self, area, w, mask, u0, u1, t):
-        np.multiply(area, w, out=t)
-        t *= np.where(np.greater(w, 0.0, out=mask), u0, u1)
+        def taxis():
+            np.multiply(area, w, out=t)
+            np.multiply(t, np.where(np.greater(w, 0.0, out=mask), u0, u1), out=t)
 
-    def _scatter_operands(self, faces, out):
+        return taxis
+
+    def _scatter(self, faces, out):
+        m = self.m
         t, _, vol, scratch = faces
-        return t[self.m :: self.m], t[1:], t[:-1], vol, scratch, out
+        wraps, t1, t0 = t[m::m], t[1:], t[:-1]
 
-    def _scatter(self, wraps, t1, t0, vol, scratch, out):
-        wraps.fill(0.0)  # the pairs that join two rows
-        np.divide(t1, vol, out=out)
-        out -= np.divide(t0, vol, out=scratch)
+        def scatter():
+            wraps.fill(0.0)  # the pairs that join two rows
+            np.divide(t1, vol, out=out)
+            np.subtract(out, np.divide(t0, vol, out=scratch), out=out)
+
+        return scatter
 
     def point_faces(self, w, j):
         """Row j's face velocities out of ``face_velocities`` of a stack."""
@@ -396,94 +417,65 @@ class RadialShellMesh(_PaddedFluxMesh):
 class StepPlan:
     """The explicit step of one batch, every operand bound once.
 
-    The batch state lives in one of two ping-pong buffers of shape (R, P, N)
-    (R = 3 rows with a taxis term, else 2): rows 0 and 1 hold u and v, and a
-    step writes the rates (lap u, lap v, taxis divergence of u) into the
-    other buffer, then turns its rows 0 and 1 into the new state in place.
-    The plan also owns the padded face scratch (``face_arrays((R, P))``),
-    the face-velocity scratch, chi per cell of the flat stack (a float when
-    every point shares it) and k (a float, or a (P, 1) column), and binds
-    every view the kernels read or write, for a step from either buffer,
-    when it is built.  A step is then a fixed sequence of ``out=`` ufunc
-    calls: no reshape, no slicing, no allocation but ``np.where``'s.
+    The plan holds the batch state ``uv``, a (2, P, N) array that every step
+    overwrites in place (copy rows that must outlive the next step), and the
+    (R, P, N) rates of a step (R = 3 rows with a taxis term, else 2: lap u,
+    lap v, taxis divergence of u), with the padded face scratch
+    (``face_arrays((R, P))``), the face-velocity, sum and upwind-mask
+    scratch, chi per cell of the flat stack (a float when every point shares
+    it) and k (a float, or a (P, 1) column).  It binds each of the mesh's
+    kernels to these arrays when it is built, so a step is a fixed sequence
+    of ``out=`` ufunc calls: no reshape, no slicing, no allocation but
+    ``np.where``'s.
 
-    Reusing the buffers matters beyond the saved slicing: fresh face arrays
+    Reusing the arrays matters beyond the saved slicing: fresh face arrays
     per call made a 64x64 step loop about 15 % slower (2-core x86_64,
     glibc), because the allocator returned their pages on every free and
     faulted them in again on the next call.
-
-    ``uv`` is the current state, a (2, P, N) view of a buffer that the
-    step after next overwrites: copy rows that must outlive that.
     """
 
-    __slots__ = ("uv", "point_faces", "_mesh", "_legs", "_leg")
+    __slots__ = ("uv", "point_faces", "face_velocities", "_fluxes", "_update")
 
     def __init__(self, mesh: "Mesh", uv: np.ndarray, chis, ks):
         """Plan the steps of the (2, P, N) batch state ``uv`` (copied in)
         whose points have the chi values ``chis`` and the k values ``ks``."""
         points, n = uv.shape[1:]
+        cells = points * n
         chi, k = _shared_or_column(chis), _shared_or_column(ks)
         if isinstance(chi, np.ndarray):
             chi = np.repeat(chi, n)
         taxis = any(c != 0.0 for c in chis)
-        buffers = np.empty((2, 3 if taxis else 2, points, n))
-        buffers[0, :2] = uv
-        faces = mesh.face_arrays(buffers.shape[1:3])
-        velocity = None
+        self.uv = uv.copy()
+        rates = np.empty((3 if taxis else 2, points, n))
+        faces = mesh.face_arrays(rates.shape[:2])
+        flat = self.uv.reshape(-1)
+        fluxes = [mesh._diffusive(flat, faces)]
         if taxis:  # the face velocities, the scratch of their sums, the upwind masks
-            cells = points * n
-            velocity = [mesh._velocity_arrays(cells, dtype) for dtype in (float, float, bool)]
-        self.point_faces = [mesh.point_faces(velocity[0], j) if taxis else None for j in range(points)]
-        self._mesh = mesh
-        self._legs = (
-            _Leg(mesh, buffers[0], buffers[1], chi, k, faces, velocity),
-            _Leg(mesh, buffers[1], buffers[0], chi, k, faces, velocity),
-        )
-        self._leg = self._legs[0]
-        self.uv = self._leg.src
-
-    def face_velocities(self) -> None:
-        """Write the face velocities of the current v into the scratch that
-        ``point_faces`` views; a no-op when every chi is 0."""
-        leg = self._leg
-        if leg.taxis_ops is not None:
-            self._mesh._velocities(*leg.velocity_ops)
+            w, scratch, masks = (mesh._velocity_arrays(cells, dtype) for dtype in (float, float, bool))
+            self.face_velocities = mesh._velocities(flat[cells:], chi, w, scratch)
+            self.point_faces = [mesh.point_faces(w, j) for j in range(points)]
+            fluxes.append(mesh._taxis(flat[:cells], w, faces, 2 * cells, masks))
+        else:
+            self.face_velocities = _no_velocities
+            self.point_faces = [None] * points
+        fluxes.append(mesh._scatter(faces, rates.reshape(-1)))
+        self._fluxes = tuple(fluxes)
+        self._update = euler_update(rates, self.uv, k, self.uv)
 
     def advance(self, dt: float) -> np.ndarray:
         """One forward-Euler step of size ``dt`` from the current state, with
-        the face velocities of the last ``face_velocities`` call; returns the
-        new current state."""
-        leg, mesh = self._leg, self._mesh
-        mesh._diffusive(*leg.diffusive_ops)
-        if leg.taxis_ops is not None:
-            mesh._taxis(*leg.taxis_ops)
-        mesh._scatter(*leg.scatter_ops)
-        euler_update(*leg.euler_ops, dt)
-        first, second = self._legs
-        self._leg = second if leg is first else first
-        self.uv = leg.dst
-        return leg.dst
+        the face velocities of the last ``face_velocities()`` call (which
+        writes them, from the current v, into the arrays that
+        ``point_faces`` views; a no-op when every chi is 0); returns ``uv``,
+        now the new state."""
+        for kernel in self._fluxes:
+            kernel()
+        self._update(dt)
+        return self.uv
 
 
-class _Leg:
-    """A step from the buffer ``src`` to the buffer ``dst``: every operand
-    that the mesh's kernels read or write."""
-
-    __slots__ = ("src", "dst", "velocity_ops", "diffusive_ops", "taxis_ops", "scatter_ops", "euler_ops")
-
-    def __init__(self, mesh, src, dst, chi, k, faces, velocity):
-        cells = src[0].size
-        flat = src.reshape(-1)
-        self.src, self.dst = src[:2], dst[:2]
-        self.diffusive_ops = mesh._diffusive_operands(flat[: 2 * cells], faces)
-        self.scatter_ops = mesh._scatter_operands(faces, dst.reshape(-1))
-        self.velocity_ops = self.taxis_ops = new_taxis = None
-        if velocity is not None:
-            w, scratch, masks = velocity
-            self.velocity_ops = mesh._velocity_operands(flat[cells : 2 * cells], chi, w, scratch)
-            self.taxis_ops = mesh._taxis_operands(flat[:cells], w, faces, 2 * cells, masks)
-            new_taxis = dst[2]
-        self.euler_ops = dst[:2], dst[0], dst[1], new_taxis, src[0], src[1], src[:2], k
+def _no_velocities():
+    """The face velocities of a batch with no taxis term: none."""
 
 
 def _shared_or_column(values):

@@ -39,18 +39,20 @@ accepted step.  Beyond that, a cell where both limits bind can go negative;
 Batches.  ``run_batch`` advances P runs that share a mesh, a scheme and an
 initial state, as one contiguous (2, P, N) stack (u rows, then v rows);
 ``run`` is a batch of one, so there is one stepping loop.  Each batch gets
-a ``meshes.StepPlan``, which holds the stack in one of two ping-pong
-buffers, with chi per cell of the flat stack (a float when all points share
-it) and k as a float or a (P, 1) column, and binds every operand of a step
-once.  One step does each piece of work once for the whole batch: the plan
-computes the chemotactic face velocities from v on the mesh's flat stack
-(see ``meshes``), and each point's contiguous slice of them is handed to
-its own ``stable_dt``; ``step``, given the plan, writes the face fluxes of
-lap u, lap v and the taxis term, scatters them into the rates in the other
-buffer and turns those into the new state in place, all on one flat array;
-and one ``np.minimum.reduce`` and one ``np.maximum.reduce`` per row of the
-new stack decide, point by point, finiteness, u >= 0, v > 0, the running
-extremes and the blow-up proxy.  Rows are copied out of the buffers only
+a ``meshes.StepPlan``, which holds the stack, updated in place, with the
+rates and all scratch of a step, chi per cell of the flat stack (a float
+when all points share it) and k as a float or a (P, 1) column, and binds
+every operand of a step once.  One step does each piece of work once for
+the whole batch: the plan computes the chemotactic face velocities from v
+on the mesh's flat stack (see ``meshes``), and each point's contiguous
+slice of them is handed to its own ``stable_dt``; ``step``, given the plan,
+writes the face fluxes of lap u, lap v and the taxis term, scatters them
+into the rates and adds dt times those to the state, all on one flat
+array; and one ``np.minimum.reduce`` and one ``np.maximum.reduce`` per row
+of the new stack decide, point by point, finiteness, u >= 0, v > 0, the
+running extremes and the blow-up proxy.  No point needs the state before a
+step once it is taken (a point that loses positivity reports only the time
+before it), so the plan keeps one.  Rows are copied out of the stack only
 when the batch splits or a point stops and leaves it; the others carry on
 in a new plan.  Besides the one-point states that rows are computed from,
 a step builds one ``State``, the one ``step`` returns.  A point's accepted
@@ -236,12 +238,15 @@ def step(
     non-finite values and positivity loss (see module docstring).  The new u
     and v are the rows of one fresh array (``State.stacked``).
 
-    ``run_batch`` passes its batch's ``StepPlan`` as ``params``, the batch
-    state ``state`` (its ``uv``), and the shared ``dt``; the step then runs
-    on the plan's buffers, with the face velocities of its last
-    ``face_velocities`` call, and ``w`` is not used.
+    ``run_batch`` passes its batch's ``StepPlan`` as ``params``, the state
+    whose ``uv`` is the plan's (``State.stacked(plan.uv, t)``, or the
+    state that the last step of the plan returned), and the shared ``dt``;
+    the step then overwrites the plan's state in place, with the face
+    velocities of its last ``face_velocities`` call, and ``w`` is not used.
     """
     if isinstance(params, StepPlan):
+        if state.uv() is not params.uv:
+            raise ValueError("a StepPlan steps only the state that it holds")
         return State.stacked(params.advance(dt), state.t + dt)
     if w is None and params.chi != 0.0:
         w = mesh.face_velocities(state.v, params.chi)
@@ -249,8 +254,7 @@ def step(
         dt = stable_dt(state, params, mesh, cfg, w)
     uv = state.uv()
     rates = mesh.transport_rates(uv, w)
-    taxis = rates[2] if w is not None else None
-    euler_update(rates[:2], rates[0], rates[1], taxis, uv[0], uv[1], uv, params.k, dt)
+    euler_update(rates, uv, params.k, rates[:2])(dt)
     return State.stacked(rates[:2], state.t + dt)
 
 

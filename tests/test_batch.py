@@ -129,11 +129,10 @@ def test_transport_rates_rows_and_reused_faces(make_mesh, rng):
     mesh = make_mesh()
     lap, div = sep_kernels(mesh)
     chi = np.repeat([[0.7], [0.2], [2.5]], mesh.cell_count, axis=1)  # per cell
-    faces = mesh.face_arrays((3, 3))
-    for _ in range(2):  # the second call reuses the face arrays
+    for _ in range(2):  # a second call on new fields gets their rates, not stale ones
         uv = fields(mesh, rng, (2, 3))
         w = mesh.face_velocities(uv[1], chi)
-        rates = mesh.transport_rates(uv, w, faces)
+        rates = mesh.transport_rates(uv, w)
         assert rates.shape == (3, 3, mesh.cell_count)
         assert same_bytes(rates[:2], lap(mesh, uv))
         for j in range(3):
@@ -181,7 +180,7 @@ def test_rows_of_the_flat_stack_are_isolated(make_mesh, bad, rng):
     chi = np.repeat(np.array(chis)[:, None], mesh.cell_count, axis=1)
     with np.errstate(invalid="ignore"):
         w = mesh.face_velocities(uv[1], chi)
-        rates = mesh.transport_rates(uv, w, mesh.face_arrays((3, 4)))
+        rates = mesh.transport_rates(uv, w)
         for j in range(4):
             alone = uv[:, j].copy()
             w_alone = mesh.face_velocities(alone[1], chis[j])

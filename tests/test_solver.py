@@ -8,7 +8,7 @@ import pytest
 from chemolab.diagnostics import MonitorConfig, min_v_floor_check
 from chemolab.errors import DomainError
 from chemolab.exponents import ModelParams
-from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State
+from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State, StepPlan
 from chemolab.solver import SchemeConfig, initial_state, run, stable_dt, step
 
 from test_meshes import (
@@ -170,6 +170,23 @@ class TestStep:
                 assert not any(np.shares_memory(a, b) for a in (old.u, old.v) for b in (new.u, new.v))
         for s, (u, v) in zip(states, kept):
             assert np.array_equal(s.u, u) and np.array_equal(s.v, v)
+
+    @pytest.mark.parametrize(
+        "mesh", [CartesianMesh2D(1.0, 1.0, 5, 4), RadialShellMesh(3, 1.0, 7)], ids=["cart", "radial"]
+    )
+    def test_a_plan_steps_only_its_own_state(self, mesh):
+        # a plan overwrites the state it holds: stepping any other state must
+        # fail, not silently advance the plan's
+        params = ModelParams(chi=0.6, k=1.3, n=3 if mesh.geometry == "radial" else 2)
+        start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
+        plan = StepPlan(mesh, start.uv()[:, None], [params.chi], [params.k])
+        with pytest.raises(ValueError):
+            step(State.stacked(plan.uv.copy(), 0.0), plan, mesh, small_cfg(), 1e-3)
+        plan.face_velocities()
+        got = step(State.stacked(plan.uv, 0.0), plan, mesh, small_cfg(), 1e-3)
+        want = step(start, params, mesh, small_cfg(), 1e-3)
+        assert got.uv() is plan.uv
+        assert got.uv()[:, 0].tobytes() == want.uv().tobytes()
 
     def test_zero_chi_heat_decay(self):
         mesh = CartesianMesh2D(1.0, 1.0, 16, 16)
