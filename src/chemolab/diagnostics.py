@@ -51,8 +51,8 @@ class MonitorConfig:
         if not self.tolerance_rel > 0.0:
             raise DomainError(f"tolerance_rel must be positive, got {self.tolerance_rel}")
         for q in self.q_list:
-            if not q >= 1.0:
-                raise DomainError(f"norm orders must be >= 1, got {q}")
+            if not 1.0 <= q < math.inf:
+                raise DomainError(f"norm orders must be finite and >= 1, got {q}")
 
     @property
     def v_orders(self) -> tuple[float, ...]:

@@ -36,16 +36,25 @@ from .errors import DomainError, NotApplicable, WindowUndefined
 BOUNDARY_RTOL = 1e-12
 
 
+def _check_k(k: float) -> None:
+    if not (k > 0.0 and math.isfinite(k)):
+        raise DomainError(f"k must be positive and finite, got {k}")
+
+
 def _check_chi_k(chi: float, k: float) -> None:
     if not (chi > 0.0 and math.isfinite(chi)):
         raise DomainError(f"chi must be positive and finite, got {chi}")
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"k must be positive and finite, got {k}")
+    _check_k(k)
 
 
 def _check_n(n: int, minimum: int = 2) -> None:
     if int(n) != n or n < minimum:
         raise DomainError(f"space dimension n must be an integer >= {minimum}, got {n}")
+
+
+def _check_p(p: float) -> None:
+    if not p > 1.0:
+        raise DomainError(f"exponent p must be > 1, got {p}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,7 @@ class ModelParams:
     def __post_init__(self):
         if not (self.chi >= 0.0 and math.isfinite(self.chi)):
             raise DomainError(f"chi must be >= 0 and finite, got {self.chi}")
-        if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise DomainError(f"k must be positive and finite, got {self.k}")
+        _check_k(self.k)
         _check_n(self.n)
 
 
@@ -80,8 +88,7 @@ def chi_star(k: float, n: int) -> float:
     algebraically identical quotient b / (2(a + sqrt(a^2 + b))) is used there
     (a = k - 1, b = 8k/n).
     """
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"k must be positive and finite, got {k}")
+    _check_k(k)
     _check_n(n)
     a = k - 1.0
     b = 8.0 * k / n
@@ -144,10 +151,7 @@ class RatioBounds:
     c_sup: float
 
     def __post_init__(self):
-        if not (0.0 < self.c0 <= self.c_sup < 1.0):
-            raise DomainError(
-                f"ratio bounds must satisfy 0 < c0 <= c_sup < 1, got ({self.c0}, {self.c_sup})"
-            )
+        _check_ratio_pair(self.c0, self.c_sup)
 
 
 def center_ratio_bounds(chi: float, k: float, n: int) -> RatioBounds:
@@ -176,8 +180,7 @@ def admissibility_quadratic(r: float, p: float, chi: float, k: float) -> float:
     interval.
     """
     _check_chi_k(chi, k)
-    if not p > 1.0:
-        raise DomainError(f"exponent p must be > 1, got {p}")
+    _check_p(p)
     s = (p - 1.0) * chi + r * (1.0 + k)
     return p * s * s / (4.0 * (p - 1.0)) - p * r * chi - r * (r + 1.0) * k
 
@@ -188,8 +191,7 @@ def admissibility_coeffs(p: float, chi: float, k: float) -> tuple[float, float, 
     a = p(k-1)^2 + 4k,  b = 2p(p-1)chi(k-1) - 4(p-1)k,  c = p(p-1)^2 chi^2.
     """
     _check_chi_k(chi, k)
-    if not p > 1.0:
-        raise DomainError(f"exponent p must be > 1, got {p}")
+    _check_p(p)
     a = p * (k - 1.0) ** 2 + 4.0 * k
     b = 2.0 * p * (p - 1.0) * chi * (k - 1.0) - 4.0 * (p - 1.0) * k
     c = p * (p - 1.0) ** 2 * chi * chi
@@ -203,8 +205,7 @@ def admissibility_discriminant(p: float, chi: float, k: float) -> float:
     16 (p-1)^2 * (this value); it is positive exactly when p < p_max(chi, k).
     """
     _check_chi_k(chi, k)
-    if not p > 1.0:
-        raise DomainError(f"exponent p must be > 1, got {p}")
+    _check_p(p)
     return k * k - p * chi * k * (k - 1.0) - p * chi * chi * k
 
 
@@ -365,7 +366,6 @@ def bootstrap(params: ModelParams, theta: float = 0.5, max_steps: int = 50) -> B
         raise DomainError(f"theta must be in (0, 1), got {theta}")
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
-    _check_chi_k(chi, k)
     if not is_below_threshold(chi, k, n):
         raise NotApplicable(
             f"chi={chi} is not below chi_star(k={k}, n={n})={chi_star(k, n):.12g}"

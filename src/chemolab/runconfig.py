@@ -32,14 +32,22 @@ The on-disk format is a strict sectioned key = value text file::
     tolerance_rel = 0.05
 
 Blank lines and lines starting with ``#`` or ``;`` are ignored.  Unknown
-sections or keys, duplicates, bad value types, and out-of-range values are
-all rejected with the offending 1-based line number.  A radial geometry uses
-``R`` and ``m`` instead of the four Cartesian keys; explicit monitor pairs
-use ``pr_source = explicit`` plus ``pr_pairs = p:r, p:r, ...``.
+sections or keys, duplicates, bad value types, non-finite numbers (list
+entries included), and out-of-range values are all rejected with the
+offending 1-based line number.  A radial geometry uses ``R`` and ``m``
+instead of the four Cartesian keys; explicit monitor pairs use
+``pr_source = explicit`` plus ``pr_pairs = p:r, p:r, ...``.
 
 Sweep documents carry the same four sections plus a ``[sweep]`` section with
 axis definitions (``chi_values`` or ``chi_range = start:stop:step``, same
-for ``k``), ``parallelism``, and an optional ``max_points`` cap.
+for ``k``), ``parallelism``, and an optional ``max_points`` cap.  A range
+with more than ``max_points`` values is rejected, with its line number,
+before any of them is built.
+
+Each value is checked once, where it enters: the readers below check a
+document's values, and the constructors that the ``build_*`` functions call
+check those of a ``RunConfig`` built in code.  ``RunConfig`` itself checks
+only the rules that tie its fields together.
 """
 
 from __future__ import annotations
@@ -96,6 +104,17 @@ def _scan(text: str):
     return sections, section_lines
 
 
+def _finite(text: str, what: str, line: int) -> float:
+    """``text`` as a finite float, or a ConfigError at ``line`` naming ``what``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be a number, got {text!r}", line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {text!r}", line)
+    return value
+
+
 class _Section:
     def __init__(self, name: str, entries: dict[str, tuple[str, int]], line: int):
         self.name = name
@@ -118,12 +137,7 @@ class _Section:
         if item is None:
             return default
         raw, line = item
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {raw!r}", line) from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {raw!r}", line)
+        value = _finite(raw, key, line)
         if check is not None and not check(value):
             raise ConfigError(f"{key} = {raw} is out of range ({describe})", line)
         return value
@@ -155,13 +169,9 @@ class _Section:
         if item is None:
             return tuple(default) if default is not None else None
         raw, line = item
-        tokens = [t for t in raw.replace(",", " ").split() if t]
         values = []
-        for tok in tokens:
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ConfigError(f"{key} contains a non-number {tok!r}", line) from None
+        for tok in raw.replace(",", " ").split():
+            v = _finite(tok, f"{key} entry", line)
             if check is not None and not check(v):
                 raise ConfigError(f"{key} entry {tok} is out of range ({describe})", line)
             values.append(v)
@@ -173,14 +183,12 @@ class _Section:
             return None
         raw, line = item
         pairs = []
-        for tok in (t for t in raw.replace(",", " ").split() if t):
+        for tok in raw.replace(",", " ").split():
             left, sep, right = tok.partition(":")
             if not sep:
                 raise ConfigError(f"{key} entries must look like p:r, got {tok!r}", line)
-            try:
-                pairs.append((float(left), float(right)))
-            except ValueError:
-                raise ConfigError(f"{key} entry {tok!r} is not a numeric pair", line) from None
+            what = f"{key} entry"
+            pairs.append((_finite(left, what, line), _finite(right, what, line)))
         return tuple(pairs)
 
     def reject_leftovers(self):
@@ -225,60 +233,31 @@ class RunConfig:
     tolerance_rel: float = 0.05
 
     def __post_init__(self):
-        problems = _field_problems(self)
+        # Values are checked where they enter (module docstring); these rules
+        # tie fields together, so no reader or constructor sees them.
+        cartesian = (self.lx, self.ly, self.nx, self.ny)
+        radial = (self.radius, self.shells)
+        problems = []
+        if self.geometry not in GEOMETRIES:
+            problems.append(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
+        elif self.geometry == "cartesian2d":
+            if self.n != 2:
+                problems.append("cartesian2d geometry requires n = 2")
+            if None in cartesian:
+                problems.append("cartesian2d geometry requires Lx, Ly, nx, ny")
+            if radial != (None, None):
+                problems.append("cartesian2d geometry forbids R and m")
+        else:
+            if None in radial:
+                problems.append("radial geometry requires R and m")
+            if cartesian != (None,) * 4:
+                problems.append("radial geometry forbids Lx, Ly, nx, ny")
+        if self.pr_source not in PR_SOURCES:
+            problems.append(f"pr_source must be one of {PR_SOURCES}, got {self.pr_source!r}")
+        elif self.pr_source == "bootstrap" and self.pr_pairs:
+            problems.append("pr_pairs is only valid with pr_source = explicit")
         if problems:
             raise ConfigError("; ".join(problems))
-
-
-def _field_problems(cfg: RunConfig) -> list[str]:
-    out = []
-    if not (cfg.chi >= 0.0 and math.isfinite(cfg.chi)):
-        out.append(f"chi must be >= 0, got {cfg.chi}")
-    if not (cfg.k > 0.0 and math.isfinite(cfg.k)):
-        out.append(f"k must be positive, got {cfg.k}")
-    if cfg.n < 2:
-        out.append(f"n must be >= 2, got {cfg.n}")
-    if cfg.geometry not in GEOMETRIES:
-        out.append(f"geometry must be one of {GEOMETRIES}, got {cfg.geometry!r}")
-    elif cfg.geometry == "cartesian2d":
-        if cfg.n != 2:
-            out.append("cartesian2d geometry requires n = 2")
-        if None in (cfg.lx, cfg.ly, cfg.nx, cfg.ny):
-            out.append("cartesian2d geometry requires Lx, Ly, nx, ny")
-        if cfg.radius is not None or cfg.shells is not None:
-            out.append("cartesian2d geometry forbids R and m")
-    else:
-        if cfg.radius is None or cfg.shells is None:
-            out.append("radial geometry requires R and m")
-        if None not in (cfg.lx, cfg.ly, cfg.nx, cfg.ny):
-            out.append("radial geometry forbids Lx, Ly, nx, ny")
-    if cfg.kind not in INITIAL_KINDS:
-        out.append(f"kind must be one of {INITIAL_KINDS}, got {cfg.kind!r}")
-    if not cfg.amplitude >= 0.0:
-        out.append(f"amplitude must be >= 0, got {cfg.amplitude}")
-    if not cfg.v0_min > 0.0:
-        out.append(f"v0_min must be positive, got {cfg.v0_min}")
-    if not 0.0 < cfg.dt_safety <= 1.0:
-        out.append(f"dt_safety must be in (0, 1], got {cfg.dt_safety}")
-    if not cfg.dt_min > 0.0:
-        out.append(f"dt_min must be positive, got {cfg.dt_min}")
-    if not cfg.t_end > 0.0:
-        out.append(f"t_end must be positive, got {cfg.t_end}")
-    if not cfg.blowup_factor > 1.0:
-        out.append(f"blowup_factor must exceed 1, got {cfg.blowup_factor}")
-    if not cfg.output_interval > 0.0:
-        out.append(f"output_interval must be positive, got {cfg.output_interval}")
-    if any(q < 1.0 for q in cfg.q_list):
-        out.append("q_list entries must be >= 1")
-    if cfg.pr_source not in PR_SOURCES:
-        out.append(f"pr_source must be one of {PR_SOURCES}, got {cfg.pr_source!r}")
-    if cfg.pr_source == "bootstrap" and cfg.pr_pairs:
-        out.append("pr_pairs is only valid with pr_source = explicit")
-    if not 0.0 < cfg.theta < 1.0:
-        out.append(f"theta must be in (0, 1), got {cfg.theta}")
-    if not cfg.tolerance_rel > 0.0:
-        out.append(f"tolerance_rel must be positive, got {cfg.tolerance_rel}")
-    return out
 
 
 def _read_model(sec: _Section) -> dict:
@@ -522,11 +501,12 @@ class SweepSpec:
         return [(chi, k) for chi in self.chi_values for k in self.k_values]
 
 
-def _read_axis(sec: _Section, name: str, fallback: float, nonneg: bool):
+def _read_axis(sec: _Section, name: str, fallback: float, max_points: int, nonneg: bool):
+    check = (lambda v: v >= 0) if nonneg else (lambda v: v > 0)
     values = sec.get_float_list(
         f"{name}_values",
         default=None,
-        check=(lambda v: v >= 0) if nonneg else (lambda v: v > 0),
+        check=check,
         describe=f"{name} {'>= 0' if nonneg else '> 0'}",
     )
     item = sec.take(f"{name}_range")
@@ -537,16 +517,16 @@ def _read_axis(sec: _Section, name: str, fallback: float, nonneg: bool):
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError(f"{name}_range must be start:stop:step, got {raw!r}", line)
-        try:
-            start, stop, step_w = (float(x) for x in parts)
-        except ValueError:
-            raise ConfigError(f"{name}_range has non-numeric parts: {raw!r}", line) from None
+        start, stop, step_w = (_finite(x, f"each part of {name}_range", line) for x in parts)
         if step_w <= 0 or stop < start:
             raise ConfigError(f"{name}_range needs stop >= start and step > 0", line)
-        count = int(math.floor((stop - start) / step_w + 1e-9)) + 1
-        values = tuple(start + i * step_w for i in range(count))
-        lo_ok = all(v >= 0 for v in values) if nonneg else all(v > 0 for v in values)
-        if not lo_ok:
+        span = (stop - start) / step_w + 1e-9  # floor(span) + 1 values, refused before they exist
+        if not span < max_points:
+            raise ConfigError(
+                f"{name}_range has more than {max_points} values, cap is {max_points} points", line
+            )
+        values = tuple(start + i * step_w for i in range(int(math.floor(span)) + 1))
+        if not all(math.isfinite(v) and check(v) for v in values):
             raise ConfigError(f"{name}_range leaves the valid domain", line)
     if values is None:
         return (fallback,)
@@ -561,13 +541,13 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         raise ConfigError("missing required section [sweep]")
     sweep_sec = _Section("sweep", sections.pop("sweep"), section_lines["sweep"])
     base = RunConfig(**_sections_to_kwargs(sections, section_lines, _RUN_SECTIONS))
-    chi_values = _read_axis(sweep_sec, "chi", base.chi, nonneg=True)
-    k_values = _read_axis(sweep_sec, "k", base.k, nonneg=False)
-    parallelism = sweep_sec.get_int(
-        "parallelism", default=1, check=lambda v: v >= 1, describe="parallelism >= 1"
-    )
     max_points = sweep_sec.get_int(
         "max_points", default=10_000, check=lambda v: v >= 1, describe="max_points >= 1"
+    )
+    chi_values = _read_axis(sweep_sec, "chi", base.chi, max_points, nonneg=True)
+    k_values = _read_axis(sweep_sec, "k", base.k, max_points, nonneg=False)
+    parallelism = sweep_sec.get_int(
+        "parallelism", default=1, check=lambda v: v >= 1, describe="parallelism >= 1"
     )
     sweep_sec.reject_leftovers()
     return SweepSpec(

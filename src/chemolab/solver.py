@@ -225,31 +225,29 @@ def step(
     mesh: Mesh,
     cfg: SchemeConfig,
     dt: float | None = None,
-    w=None,
 ) -> State:
     """One forward-Euler step; dt defaults to ``stable_dt``.
 
-    ``w`` are the face velocities of ``state.v`` (computed when omitted and
-    chi != 0); the taxis term is taken whenever they are present.  Both
-    u-terms are conservative with zero boundary flux, so the volume-weighted
-    sum of u is preserved to rounding.  Flux differences vanish identically
-    on constant fields, so the constant steady state u = v = c is reproduced
-    bit-exactly.  The new state is not checked: ``run_batch`` classifies
-    non-finite values and positivity loss (see module docstring).  The new u
-    and v are the rows of one fresh array (``State.stacked``).
+    The taxis term is taken, with the face velocities of ``state.v``, when
+    chi != 0.  Both u-terms are conservative with zero boundary flux, so the
+    volume-weighted sum of u is preserved to rounding.  Flux differences
+    vanish identically on constant fields, so the constant steady state
+    u = v = c is reproduced bit-exactly.  The new state is not checked:
+    ``run_batch`` classifies non-finite values and positivity loss (see
+    module docstring).  The new u and v are the rows of one fresh array
+    (``State.stacked``).
 
     ``run_batch`` passes its batch's ``StepPlan`` as ``params``, the state
     whose ``uv`` is the plan's (``State.stacked(plan.uv, t)``, or the
     state that the last step of the plan returned), and the shared ``dt``;
     the step then overwrites the plan's state in place, with the face
-    velocities of its last ``face_velocities`` call, and ``w`` is not used.
+    velocities of its last ``face_velocities`` call.
     """
     if isinstance(params, StepPlan):
         if state.uv() is not params.uv:
             raise ValueError("a StepPlan steps only the state that it holds")
         return State.stacked(params.advance(dt), state.t + dt)
-    if w is None and params.chi != 0.0:
-        w = mesh.face_velocities(state.v, params.chi)
+    w = mesh.face_velocities(state.v, params.chi) if params.chi != 0.0 else None
     if dt is None:
         dt = stable_dt(state, params, mesh, cfg, w)
     uv = state.uv()

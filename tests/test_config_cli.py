@@ -1,13 +1,18 @@
 """Configuration parsing, serialization round-trips, and the CLI surface."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from chemolab.cli import main
-from chemolab.errors import ConfigError
+from chemolab.errors import ConfigError, DomainError
 from chemolab.runconfig import (
+    RunConfig,
+    build_initial,
+    build_mesh,
     build_params,
+    build_scheme,
     parse_run_config,
     parse_sweep_spec,
     resolve_monitors,
@@ -207,6 +212,91 @@ class TestSweepSpec:
         text = CART_CONFIG + "\n[sweep]\nchi_range = 0:1:0.01\nk_range = 0.1:10:0.1\nmax_points = 50\n"
         with pytest.raises(ConfigError, match="cap"):
             parse_sweep_spec(text)
+        # each axis under the cap, the grid over it
+        text = CART_CONFIG + "\n[sweep]\nchi_values = 0.1, 0.2, 0.3\nk_values = 1, 2\nmax_points = 5\n"
+        with pytest.raises(ConfigError, match="sweep has 6 points, cap is 5"):
+            parse_sweep_spec(text)
+
+    def test_oversize_range_refused_before_it_is_built(self):
+        text = CART_CONFIG + "\n[sweep]\nchi_range = 0:1:1e-6\n"  # 10^6 + 1 values
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="cap"):
+                parse_sweep_spec(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+DIRECT_CART = dict(
+    chi=0.5, k=1.0, n=2, geometry="cartesian2d", lx=2.0, ly=2.0, nx=8, ny=8,
+    t_end=0.2, output_interval=0.1,
+)
+DIRECT_RADIAL = dict(chi=0.5, k=1.0, n=3, geometry="radial", radius=1.0, shells=8,
+                     t_end=0.2, output_interval=0.1)
+
+
+def _initial(cfg):
+    return build_initial(cfg, build_mesh(cfg))
+
+
+def _monitors(cfg):
+    return resolve_monitors(cfg, build_params(cfg))
+
+
+class TestDirectRunConfig:
+    """A RunConfig built in code checks only the rules that tie its fields
+    together; each value is checked by the constructor its build_* calls."""
+
+    @pytest.mark.parametrize(
+        "base, fault",
+        [
+            (DIRECT_CART, dict(geometry="spherical")),
+            (DIRECT_CART, dict(n=3)),
+            (DIRECT_CART, dict(nx=None)),
+            (DIRECT_CART, dict(shells=8)),
+            (DIRECT_RADIAL, dict(radius=None)),
+            (DIRECT_RADIAL, dict(lx=2.0)),
+            (DIRECT_CART, dict(pr_source="both")),
+            (DIRECT_CART, dict(pr_pairs=((2.0, 0.5),))),
+        ],
+    )
+    def test_cross_field_fault_is_a_config_error(self, base, fault):
+        with pytest.raises(ConfigError):
+            RunConfig(**{**base, **fault})
+
+    @pytest.mark.parametrize(
+        "base, fault, build",
+        [
+            (DIRECT_CART, dict(chi=-0.5), build_params),
+            (DIRECT_CART, dict(chi=math.inf), build_params),
+            (DIRECT_CART, dict(k=0.0), build_params),
+            (DIRECT_RADIAL, dict(n=1), build_params),
+            (DIRECT_CART, dict(nx=2), build_mesh),
+            (DIRECT_CART, dict(ly=-1.0), build_mesh),
+            (DIRECT_RADIAL, dict(shells=2), build_mesh),
+            (DIRECT_CART, dict(dt_safety=1.5), build_scheme),
+            (DIRECT_CART, dict(dt_min=0.0), build_scheme),
+            (DIRECT_CART, dict(t_end=0.0), build_scheme),
+            (DIRECT_CART, dict(blowup_factor=1.0), build_scheme),
+            (DIRECT_CART, dict(output_interval=-0.1), build_scheme),
+            (DIRECT_CART, dict(kind="square"), _initial),
+            (DIRECT_CART, dict(amplitude=-1.0), _initial),
+            (DIRECT_CART, dict(v0_min=0.0), _initial),
+            (DIRECT_CART, dict(theta=1.0), _monitors),
+        ],
+    )
+    def test_out_of_range_value_fails_in_its_builder(self, base, fault, build):
+        cfg = RunConfig(**{**base, **fault})
+        with pytest.raises(DomainError):
+            build(cfg)
+
+    @pytest.mark.parametrize("fault", [dict(q_list=(0.5,)), dict(tolerance_rel=0.0)])
+    def test_out_of_range_monitor_value_is_a_config_error(self, fault):
+        cfg = RunConfig(**{**DIRECT_CART, **fault})
+        with pytest.raises(ConfigError):
+            _monitors(cfg)
 
 
 class TestExponentsCli:
@@ -443,3 +533,33 @@ class TestSweepCli:
         assert rows["0.5"][4] == "completed"
         assert rows["0.90000000000000002"][4] == "error:ConfigError"
         assert rows["0.90000000000000002"][6] == "nan"
+
+
+class TestMalformedEntryCli:
+    @pytest.mark.parametrize(
+        "command, entry",
+        [
+            ("sweep", "k_values = 1, inf"),
+            ("sweep", "chi_values = 0.5, inf"),
+            ("sweep", "chi_range = 0:1:1e-6"),
+            ("sweep", "chi_range = 0:1:1e-320"),
+            ("sweep", "chi_range = 0:inf:0.1"),
+            ("sweep", "chi_range = nan:1:0.1"),
+            ("sweep", "chi_range = 0:1:nan"),
+            ("sweep", "chi_range = 1.6976931348624157e308:1.7976931348623157e308:1e307"),
+            ("run", "q_list = 2, inf"),
+            ("run", "pr_pairs = inf:0.5"),
+        ],
+    )
+    def test_malformed_entry_exits_one_with_its_line(self, command, entry, tmp_path, capsys):
+        if command == "sweep":
+            text = SWEEP_SMALL.replace("chi_values = 0.6, 1.2\nk_values = 0.5, 1", entry)
+        elif entry.startswith("q_list"):
+            text = CART_CONFIG.replace("q_list = 1, 2", entry)
+        else:
+            text = CART_CONFIG.replace("pr_source = bootstrap", "pr_source = explicit\n" + entry)
+        line = text.splitlines().index(entry) + 1
+        path = write_config(tmp_path, text)
+        assert main([command, str(path), "--outdir", str(tmp_path / "out")]) == 1
+        assert f"line {line}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -196,6 +196,8 @@ class TestComputeRow:
         with pytest.raises(DomainError):
             MonitorConfig(q_list=(0.5,))
         with pytest.raises(DomainError):
+            MonitorConfig(q_list=(2.0, math.inf))
+        with pytest.raises(DomainError):
             MonitorConfig(tolerance_rel=0.0)
         # r outside the admissible window for (chi, k) = (0.5, 1), p = 2
         with pytest.raises(DomainError):

@@ -114,7 +114,7 @@ def test_fused_step_is_bit_identical_to_plain_step(make_mesh, chi):
         dt = stable_dt(fused, params, mesh, cfg, w)
         assert dt == plain_dt(plain, params, mesh, cfg)
         advective_steps += dt < dt_diffusive
-        fused = step(fused, params, mesh, cfg, dt, w)
+        fused = step(fused, params, mesh, cfg, dt)
         plain = plain_step(plain, params, mesh, dt)
         assert np.array_equal(fused.u, plain.u) and np.array_equal(fused.v, plain.v)
         assert fused.t == plain.t
