@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -349,6 +348,8 @@ def cmd_sweep(args) -> int:
     rows, tasks = _plan_sweep(spec, workers)
     processes = min(workers, len(tasks))
     if processes > 1:
+        import multiprocessing  # here, so that `chemolab run` does not pay for the import
+
         with multiprocessing.Pool(processes) as pool:
             results = pool.map(_sweep_point, tasks)
     else:

@@ -63,16 +63,24 @@ divergence of u), so the rates of a step take one scatter.  Each cell keeps its 
 order, so the rates have the bits of separate per-operator accumulation
 except, at most, the sign of an exact zero.
 
-The step plan.  Each kernel (face velocities, diffusive fluxes, taxis
-fluxes, scatter) is written once, as a mesh method ``_<kernel>`` that cuts
-its views out of the flat arrays and returns a function doing the ``out=``
-arithmetic on them.  The operators above bind per call and call once.
+The step plan.  Each kernel (pair differences, diffusive scaling, face
+velocities, taxis fluxes, scatter) is written once, as a mesh method
+``_<kernel>`` that cuts its views out of the flat arrays and returns a
+function doing the ``out=`` arithmetic on them.  The face velocities read
+the differences of v that the difference kernel wrote, and the diffusive
+kernel scales the differences into fluxes in place, so v is differenced
+once per step for both.  The operators above bind per call and call once.
 ``StepPlan`` is the stepping loop's: built once per batch, it owns the
 batch state, the rates and all scratch, binds every kernel to them when it
 is built, and then steps by calling the bound kernels, on the same flat
-layout, so its states have the operators' bits.  On 128 radial shells a
-step is some 25 ufunc calls on a few hundred doubles, so per-call slicing
-and reshaping cost as much as the arithmetic.
+layout, so its states have the operators' bits.  Its ``face_velocities()``
+writes the differences that its ``advance(dt)`` scales, so each
+``advance`` needs a ``face_velocities()`` call on the current state
+first.  With a taxis term and k = 1, a step (``face_velocities()`` and
+``advance(dt)``) is 19 numpy calls on radial shells and 28 on a rectangle,
+one more each for k != 1 (``tests/test_call_counts.py`` counts them).  On
+128 radial shells these act on a few hundred doubles, so the fixed cost of
+a call, not the arithmetic, sets the cost of a step.
 
 The innermost radial face has zero area, which enforces the symmetry
 condition at r = 0 without ghost values.
@@ -88,15 +96,15 @@ import numpy as np
 from .errors import DomainError, PositivityViolation
 
 
-def _velocity(v1, v0, chi, w, scratch, half_h):
-    """Bind the face velocities chi * (v1 - v0) / (half_h * (v1 + v0)) into ``w``."""
+def _velocity(dv, v1, v0, chi, w, scratch, half_h):
+    """Bind the face velocities chi * dv / (half_h * (v1 + v0)) into ``w``,
+    ``dv`` the differences v1 - v0 that ``_differences`` wrote."""
 
     def velocity():
-        np.subtract(v1, v0, out=w)
-        np.multiply(chi, w, out=w)
-        np.add(v1, v0, out=scratch)
-        np.multiply(half_h, scratch, out=scratch)
-        np.divide(w, scratch, out=w)
+        np.multiply(chi, dv, w)
+        np.add(v1, v0, scratch)
+        np.multiply(half_h, scratch, scratch)
+        np.divide(w, scratch, w)
 
     return velocity
 
@@ -106,19 +114,22 @@ def euler_update(rates, uv, k, out):
     rates ``rates`` (rows lap u, lap v and, if there is a third, the taxis
     divergence of u): the returned function of dt writes ``uv + dt * (lap u
     - taxis, k lap v - v + u)`` into ``out``, ``uv`` itself or ``rates[:2]``,
-    using ``rates[:2]`` as scratch."""
+    using ``rates[:2]`` as scratch.  A k of exactly 1 skips the product,
+    since x * 1.0 == x for every double."""
     du, dv, inc = rates[0], rates[1], rates[:2]
     taxis = rates[2] if len(rates) == 3 else None
     u, v = uv[0], uv[1]
+    scale_k = isinstance(k, np.ndarray) or k != 1.0
 
     def update(dt):
         if taxis is not None:
-            np.subtract(du, taxis, out=du)
-        np.multiply(dv, k, out=dv)
-        np.subtract(dv, v, out=dv)
-        np.add(dv, u, out=dv)
-        np.multiply(inc, dt, out=inc)
-        np.add(inc, uv, out=out)
+            np.subtract(du, taxis, du)
+        if scale_k:
+            np.multiply(dv, k, dv)
+        np.subtract(dv, v, dv)
+        np.add(dv, u, dv)
+        np.multiply(inc, dt, inc)
+        np.add(inc, uv, out)
 
     return update
 
@@ -134,18 +145,23 @@ class _PaddedFluxMesh:
     ``face_arrays(shape)`` (the zeroed padded face scratch of a stack of
     ``shape`` rows, with whatever else its scatter needs),
     ``_velocity_arrays(size, dtype)`` (uninitialized arrays shaped like the
-    face velocities of ``size`` flat cells) and the kernels ``_velocities``,
-    ``_diffusive`` (the fluxes of the flat pairs of a field), ``_taxis`` (the
-    donor-cell fluxes of u, from flat cell ``start`` of the face scratch on)
-    and ``_scatter`` (zero the pairs that are not faces, write the flat cell
-    rates).  No write touches the pads, so face scratch reused across calls
-    keeps its zero pads.
+    face velocities of ``size`` flat cells) and the kernels ``_differences``
+    (the differences f[j+1] - f[j] of the flat pairs of a field, written
+    into the face scratch), ``_diffusive`` (scale those differences into
+    diffusive fluxes, in place), ``_velocities`` (the face velocities of v
+    from its differences, which start at flat cell ``start`` of the face
+    scratch), ``_taxis`` (the donor-cell fluxes of u, from flat cell
+    ``start`` of the face scratch on) and ``_scatter`` (zero the pairs that
+    are not faces, write the flat cell rates).  No write touches the pads, so
+    face scratch reused across calls keeps its zero pads.
     """
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Laplacian of a field, or row by row of a stack of fields."""
         faces = self.face_arrays(f.shape[:-1])
-        self._diffusive(f.reshape(-1), faces)()
+        flat = f.reshape(-1)
+        self._differences(flat, faces)()
+        self._diffusive(flat, faces)()
         return self._scatter_faces(faces).reshape(f.shape)
 
     def chemotactic_divergence(self, u: np.ndarray, w) -> np.ndarray:
@@ -162,6 +178,7 @@ class _PaddedFluxMesh:
         runs the same kernels on operands bound once."""
         faces = self.face_arrays((2 if w is None else 3,) + uv.shape[1:-1])
         flat = uv.reshape(-1)
+        self._differences(flat, faces)()
         self._diffusive(flat, faces)()
         if w is not None:
             cells = flat.size // 2
@@ -178,9 +195,11 @@ class _PaddedFluxMesh:
         flat stack, ``point_faces`` slices out one row's), with ``chi`` a
         number or an array of v's shape.
         """
+        faces = self.face_arrays(v.shape[:-1])
         v = v.reshape(-1)
         w = self._velocity_arrays(v.size)
-        self._velocities(v, chi, w, self._velocity_arrays(v.size))()
+        self._differences(v, faces)()
+        self._velocities(v, faces, 0, chi, w, self._velocity_arrays(v.size))()
         return w
 
     def _scatter_faces(self, faces):
@@ -231,16 +250,16 @@ class CartesianMesh2D(_PaddedFluxMesh):
     def _velocity_arrays(self, size, dtype=float):
         return np.empty(size - 1, dtype), np.empty(size - self.nx, dtype)
 
-    def _velocities(self, v, chi, w, scratch):
-        nx = self.nx
+    def _velocities(self, v, faces, start, chi, w, scratch):
+        nx, end = self.nx, start + v.size
         if isinstance(chi, np.ndarray):
             chi = chi.reshape(-1)
             cx, cy = chi[:-1], chi[:-nx]
         else:
             cx = cy = chi
         (wx, wy), (sx, sy) = w, scratch
-        x = _velocity(v[1:], v[:-1], cx, wx, sx, self.hx * 0.5)
-        y = _velocity(v[nx:], v[:-nx], cy, wy, sy, self.hy * 0.5)
+        x = _velocity(faces[0][start + 1 : end], v[1:], v[:-1], cx, wx, sx, self.hx * 0.5)
+        y = _velocity(faces[1][start + nx : end], v[nx:], v[:-nx], cy, wy, sy, self.hy * 0.5)
         wraps = wx[nx - 1 :: nx]
 
         def velocities():
@@ -250,17 +269,23 @@ class CartesianMesh2D(_PaddedFluxMesh):
 
         return velocities
 
+    def _differences(self, f, faces):
+        nx, size = self.nx, f.size
+        directions = ((f[1:], f[:-1], faces[0][1:size]), (f[nx:], f[:-nx], faces[1][nx:size]))
+
+        def differences():
+            for f1, f0, t in directions:
+                np.subtract(f1, f0, t)
+
+        return differences
+
     def _diffusive(self, f, faces):
         nx, size = self.nx, f.size
-        directions = (
-            (f[1:], f[:-1], faces[0][1:size], self.hx * self.hx),
-            (f[nx:], f[:-nx], faces[1][nx:size], self.hy * self.hy),
-        )
+        directions = ((faces[0][1:size], self.hx * self.hx), (faces[1][nx:size], self.hy * self.hy))
 
         def diffusive():
-            for f1, f0, t, h2 in directions:
-                np.subtract(f1, f0, out=t)
-                np.divide(t, h2, out=t)
+            for t, h2 in directions:
+                np.divide(t, h2, t)
 
         return diffusive
 
@@ -274,8 +299,8 @@ class CartesianMesh2D(_PaddedFluxMesh):
 
         def taxis():
             for w, mask, u0, u1, t, h in directions:
-                np.multiply(w, np.where(np.greater(w, 0.0, out=mask), u0, u1), out=t)
-                np.divide(t, h, out=t)
+                np.multiply(w, np.where(np.greater(w, 0.0, mask), u0, u1), t)
+                np.divide(t, h, t)
 
         return taxis
 
@@ -287,9 +312,9 @@ class CartesianMesh2D(_PaddedFluxMesh):
         def scatter():
             tx_wraps.fill(0.0)  # the row-wrap pairs, joins of two stack rows included
             ty_cross.fill(0.0)
-            np.subtract(tx1, tx0, out=out)
-            np.add(out, ty1, out=out)
-            np.subtract(out, ty0, out=out)
+            np.subtract(tx1, tx0, out)
+            np.add(out, ty1, out)
+            np.subtract(out, ty0, out)
 
         return scatter
 
@@ -359,19 +384,27 @@ class RadialShellMesh(_PaddedFluxMesh):
     def _velocity_arrays(self, size, dtype=float):
         return np.empty(size - 1, dtype)
 
-    def _velocities(self, v, chi, w, scratch):
+    def _velocities(self, v, faces, start, chi, w, scratch):
         if isinstance(chi, np.ndarray):
             chi = chi.reshape(-1)[:-1]
-        return _velocity(v[1:], v[:-1], chi, w, scratch, self.h * 0.5)
+        dv = faces[0][start + 1 : start + v.size]
+        return _velocity(dv, v[1:], v[:-1], chi, w, scratch, self.h * 0.5)
+
+    def _differences(self, f, faces):
+        f1, f0, t = f[1:], f[:-1], faces[0][1 : f.size]
+
+        def differences():
+            np.subtract(f1, f0, t)
+
+        return differences
 
     def _diffusive(self, f, faces):
         size, h = f.size, self.h
-        f1, f0, area, t = f[1:], f[:-1], faces[1][: size - 1], faces[0][1:size]
+        area, t = faces[1][: size - 1], faces[0][1:size]
 
         def diffusive():
-            np.subtract(f1, f0, out=t)
-            np.multiply(t, area, out=t)
-            np.divide(t, h, out=t)
+            np.multiply(t, area, t)
+            np.divide(t, h, t)
 
         return diffusive
 
@@ -380,8 +413,8 @@ class RadialShellMesh(_PaddedFluxMesh):
         area, u0, u1, t = faces[1][: size - 1], u[:-1], u[1:], faces[0][start + 1 : start + size]
 
         def taxis():
-            np.multiply(area, w, out=t)
-            np.multiply(t, np.where(np.greater(w, 0.0, out=mask), u0, u1), out=t)
+            np.multiply(area, w, t)
+            np.multiply(t, np.where(np.greater(w, 0.0, mask), u0, u1), t)
 
         return taxis
 
@@ -392,8 +425,8 @@ class RadialShellMesh(_PaddedFluxMesh):
 
         def scatter():
             wraps.fill(0.0)  # the pairs that join two rows
-            np.divide(t1, vol, out=out)
-            np.subtract(out, np.divide(t0, vol, out=scratch), out=out)
+            np.divide(t1, vol, out)
+            np.subtract(out, np.divide(t0, vol, scratch), out)
 
         return scatter
 
@@ -418,15 +451,17 @@ class StepPlan:
     """The explicit step of one batch, every operand bound once.
 
     The plan holds the batch state ``uv``, a (2, P, N) array that every step
-    overwrites in place (copy rows that must outlive the next step), and the
-    (R, P, N) rates of a step (R = 3 rows with a taxis term, else 2: lap u,
-    lap v, taxis divergence of u), with the padded face scratch
+    overwrites in place (copy rows that must outlive the next step), its
+    (2P, N) view ``rows`` (u rows, then v rows), and the (R, P, N) rates of
+    a step (R = 3 rows with a taxis term, else 2: lap u, lap v, taxis
+    divergence of u), with the padded face scratch
     (``face_arrays((R, P))``), the face-velocity, sum and upwind-mask
     scratch, chi per cell of the flat stack (a float when every point shares
     it) and k (a float, or a (P, 1) column).  It binds each of the mesh's
     kernels to these arrays when it is built, so a step is a fixed sequence
     of ``out=`` ufunc calls: no reshape, no slicing, no allocation but
-    ``np.where``'s.
+    ``np.where``'s.  A step is ``face_velocities()`` (the pair differences
+    of u and v, then the face velocities) and then ``advance(dt)``.
 
     Reusing the arrays matters beyond the saved slicing: fresh face arrays
     per call made a 64x64 step loop about 15 % slower (2-core x86_64,
@@ -434,7 +469,7 @@ class StepPlan:
     faulted them in again on the next call.
     """
 
-    __slots__ = ("uv", "point_faces", "face_velocities", "_fluxes", "_update")
+    __slots__ = ("uv", "rows", "point_faces", "face_velocities", "_fluxes", "_update")
 
     def __init__(self, mesh: "Mesh", uv: np.ndarray, chis, ks):
         """Plan the steps of the (2, P, N) batch state ``uv`` (copied in)
@@ -446,36 +481,44 @@ class StepPlan:
             chi = np.repeat(chi, n)
         taxis = any(c != 0.0 for c in chis)
         self.uv = uv.copy()
+        self.rows = self.uv.reshape(2 * points, n)
         rates = np.empty((3 if taxis else 2, points, n))
         faces = mesh.face_arrays(rates.shape[:2])
         flat = self.uv.reshape(-1)
+        differences = mesh._differences(flat, faces)
         fluxes = [mesh._diffusive(flat, faces)]
         if taxis:  # the face velocities, the scratch of their sums, the upwind masks
             w, scratch, masks = (mesh._velocity_arrays(cells, dtype) for dtype in (float, float, bool))
-            self.face_velocities = mesh._velocities(flat[cells:], chi, w, scratch)
+            velocities = mesh._velocities(flat[cells:], faces, cells, chi, w, scratch)
+
+            def face_velocities():
+                differences()
+                velocities()
+
+            self.face_velocities = face_velocities
             self.point_faces = [mesh.point_faces(w, j) for j in range(points)]
             fluxes.append(mesh._taxis(flat[:cells], w, faces, 2 * cells, masks))
         else:
-            self.face_velocities = _no_velocities
+            self.face_velocities = differences
             self.point_faces = [None] * points
         fluxes.append(mesh._scatter(faces, rates.reshape(-1)))
         self._fluxes = tuple(fluxes)
         self._update = euler_update(rates, self.uv, k, self.uv)
 
     def advance(self, dt: float) -> np.ndarray:
-        """One forward-Euler step of size ``dt`` from the current state, with
-        the face velocities of the last ``face_velocities()`` call (which
-        writes them, from the current v, into the arrays that
-        ``point_faces`` views; a no-op when every chi is 0); returns ``uv``,
-        now the new state."""
+        """One forward-Euler step of size ``dt`` from the current state;
+        returns ``uv``, now the new state.
+
+        The step reads what the last ``face_velocities()`` call wrote: the
+        differences of u and v over the flat pairs, which it scales into
+        the diffusive fluxes, and the face velocities of v, which
+        ``point_faces`` views (none when every chi is 0).  Call
+        ``face_velocities()`` on the current state before each ``advance``;
+        a second ``advance`` without it would scale the scaled fluxes."""
         for kernel in self._fluxes:
             kernel()
         self._update(dt)
         return self.uv
-
-
-def _no_velocities():
-    """The face velocities of a batch with no taxis term: none."""
 
 
 def _shared_or_column(values):

@@ -461,6 +461,8 @@ def resolve_monitors(cfg: RunConfig, params: ModelParams, missing_ok: bool = Fal
                     f"k={params.k}, n={params.n}"
                 ) from None
             pairs = ()
+        except DomainError as exc:  # theta outside (0, 1), in a RunConfig built in code
+            raise ConfigError(str(exc)) from None
     else:
         pairs = cfg.pr_pairs
     try:

@@ -7,6 +7,7 @@ different NaN payload or, where the claim is bit-identity, a different sign
 of zero counts as a difference."""
 
 import math
+import multiprocessing
 import struct
 
 import numpy as np
@@ -333,6 +334,49 @@ def test_positivity_loss_inside_a_batch_matches_run():
     assert [r.status for r in reports] == ["positivity_lost", "completed"]
 
 
+def test_point_that_loses_positivity_leaves_a_batch_that_carries_on(batch_sizes):
+    # the spike at dt_safety 0.55: chi = 1 and chi = 0.5 share the first dt,
+    # so they take the first step as one batch; that step fails the
+    # batch-level test, and only the chi = 1 point stops
+    mesh = CartesianMesh2D(1.0, 1.0, 8, 8)
+    u = np.zeros(64)
+    u[27] = 1.0
+    v = np.full(64, 3.0)
+    v[27] = 1.0
+    params_seq = [ModelParams(chi=chi, k=1.0, n=2) for chi in (1.0, 0.5)]
+    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=0.55)
+    reports, sizes = assert_batch_matches_runs(State(u, v), params_seq, mesh, cfg, [None, None], batch_sizes)
+    assert [r.status for r in reports] == ["positivity_lost", "completed"]
+    assert [r.steps for r in reports] == [0, len(sizes)]
+    assert sizes[0] == 2 and set(sizes[1:]) == {1}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_value_in_a_later_row_stops_only_its_point(monkeypatch, bad):
+    # after step 5, one cell of the second point's u is made non-finite: the
+    # extremes of the batch's first row alone look fine, so the batch-level
+    # test must see it anyway; the first point carries on as if alone
+    mesh = RadialShellMesh(3, 1.0, 37)
+    init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
+    params_seq = [ModelParams(chi=chi, k=1.0, n=3) for chi in (0.3, 0.5)]
+    cfg = SchemeConfig(t_end=0.01, output_interval=0.005, blowup_factor=math.inf)
+    alone = run(init, params_seq[0], mesh, cfg)
+    real_step, taken = solver.step, []
+
+    def step(state, *args, **kwargs):
+        state = real_step(state, *args, **kwargs)
+        taken.append(state.t)
+        if len(taken) == 5:
+            state.u[1, 17] = bad
+        return state
+
+    monkeypatch.setattr(solver, "step", step)
+    reports = run_batch(init, params_seq, mesh, cfg, [None, None])
+    assert (reports[1].status, reports[1].t_final, reports[1].steps) == ("suspected_blowup", taken[4], 5)
+    assert report_bytes(reports[0]) == report_bytes(alone)
+    assert alone.status == "completed"
+
+
 # ---------------------------------------------------------------------------
 # the sweep's batch tasks
 # ---------------------------------------------------------------------------
@@ -402,7 +446,7 @@ def sweep_lines(tmp_path, name, text):
 
 def test_rows_are_chi_major_whatever_the_task_order(tmp_path, monkeypatch):
     monkeypatch.delenv("CHEMOLAB_THREADS", raising=False)
-    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     lines = sweep_lines(tmp_path, "out", SWEEP_MIXED)

@@ -284,7 +284,6 @@ class TestDirectRunConfig:
             (DIRECT_CART, dict(kind="square"), _initial),
             (DIRECT_CART, dict(amplitude=-1.0), _initial),
             (DIRECT_CART, dict(v0_min=0.0), _initial),
-            (DIRECT_CART, dict(theta=1.0), _monitors),
         ],
     )
     def test_out_of_range_value_fails_in_its_builder(self, base, fault, build):
@@ -292,7 +291,7 @@ class TestDirectRunConfig:
         with pytest.raises(DomainError):
             build(cfg)
 
-    @pytest.mark.parametrize("fault", [dict(q_list=(0.5,)), dict(tolerance_rel=0.0)])
+    @pytest.mark.parametrize("fault", [dict(q_list=(0.5,)), dict(tolerance_rel=0.0), dict(theta=1.0)])
     def test_out_of_range_monitor_value_is_a_config_error(self, fault):
         cfg = RunConfig(**{**DIRECT_CART, **fault})
         with pytest.raises(ConfigError):

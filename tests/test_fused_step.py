@@ -1,6 +1,8 @@
 """The fused explicit step against a replay of the plain one, and the run's
 classification of positivity loss, sweep worker clamping included."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -205,7 +207,7 @@ class RecordingPool:
 )
 def test_sweep_workers_are_clamped(tmp_path, monkeypatch, threads, cpus, expected):
     monkeypatch.setattr(cli, "run_solver", fake_report("completed"))
-    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setenv("CHEMOLAB_THREADS", threads)

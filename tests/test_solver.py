@@ -172,21 +172,51 @@ class TestStep:
             assert np.array_equal(s.u, u) and np.array_equal(s.v, v)
 
     @pytest.mark.parametrize(
-        "mesh", [CartesianMesh2D(1.0, 1.0, 5, 4), RadialShellMesh(3, 1.0, 7)], ids=["cart", "radial"]
+        "mesh, k",
+        [
+            (CartesianMesh2D(1.0, 1.0, 5, 4), 1.3),
+            (RadialShellMesh(3, 1.0, 7), 1.3),
+            (CartesianMesh2D(1.0, 1.0, 5, 4), 1.0),
+            (RadialShellMesh(3, 1.0, 7), 1.0),
+        ],
+        ids=["cart", "radial", "cart-unit_k", "radial-unit_k"],
     )
-    def test_a_plan_steps_only_its_own_state(self, mesh):
+    def test_a_plan_steps_only_its_own_state(self, mesh, k):
         # a plan overwrites the state it holds: stepping any other state must
-        # fail, not silently advance the plan's
-        params = ModelParams(chi=0.6, k=1.3, n=3 if mesh.geometry == "radial" else 2)
+        # fail, not silently advance the plan's; k = 1 skips the k product
+        params = ModelParams(chi=0.6, k=k, n=3 if mesh.geometry == "radial" else 2)
         start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
         plan = StepPlan(mesh, start.uv()[:, None], [params.chi], [params.k])
         with pytest.raises(ValueError):
             step(State.stacked(plan.uv.copy(), 0.0), plan, mesh, small_cfg(), 1e-3)
         plan.face_velocities()
-        got = step(State.stacked(plan.uv, 0.0), plan, mesh, small_cfg(), 1e-3)
+        state = State.stacked(plan.uv, 0.25)
+        got = step(state, plan, mesh, small_cfg(), 1e-3)
         want = step(start, params, mesh, small_cfg(), 1e-3)
+        assert got is state and got.t == 0.25 + 1e-3
         assert got.uv() is plan.uv
         assert got.uv()[:, 0].tobytes() == want.uv().tobytes()
+
+    @pytest.mark.parametrize(
+        "mesh", [CartesianMesh2D(1.0, 1.0, 5, 4), RadialShellMesh(3, 1.0, 7)], ids=["cart", "radial"]
+    )
+    def test_plans_with_unit_and_other_k_match_step(self, mesh):
+        # one point at k = 1 next to one at 1.3 takes the k-column product; a
+        # plan of the k = 1 point alone skips it: each row has step's bytes
+        n = 3 if mesh.geometry == "radial" else 2
+        params_seq = [ModelParams(chi=0.6, k=k, n=n) for k in (1.0, 1.3)]
+        start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
+        pair = StepPlan(mesh, np.stack([start.uv()] * 2, axis=1), [0.6, 0.6], [1.0, 1.3])
+        alone = StepPlan(mesh, start.uv()[:, None], [0.6], [1.0])
+        wants = [start, start]
+        for _ in range(3):
+            wants = [step(want, params, mesh, small_cfg(), 1e-3) for want, params in zip(wants, params_seq)]
+            for plan in (pair, alone):
+                plan.face_velocities()
+                plan.advance(1e-3)
+            assert alone.uv[:, 0].tobytes() == wants[0].uv().tobytes()
+            for j, want in enumerate(wants):
+                assert pair.uv[:, j].tobytes() == want.uv().tobytes()
 
     def test_zero_chi_heat_decay(self):
         mesh = CartesianMesh2D(1.0, 1.0, 16, 16)
