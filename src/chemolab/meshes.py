@@ -73,14 +73,15 @@ once per step for both.  The operators above bind per call and call once.
 ``StepPlan`` is the stepping loop's: built once per batch, it owns the
 batch state, the rates and all scratch, binds every kernel to them when it
 is built, and then steps by calling the bound kernels, on the same flat
-layout, so its states have the operators' bits.  Its ``face_velocities()``
-writes the differences that its ``advance(dt)`` scales, so each
-``advance`` needs a ``face_velocities()`` call on the current state
-first.  With a taxis term and k = 1, a step (``face_velocities()`` and
-``advance(dt)``) is 19 numpy calls on radial shells and 28 on a rectangle,
-one more each for k != 1 (``tests/test_call_counts.py`` counts them).  On
-128 radial shells these act on a few hundred doubles, so the fixed cost of
-a call, not the arithmetic, sets the cost of a step.
+layout, so its states have the operators' bits.  The plan always holds the
+differences of its current state: it writes them when it is built, and
+each ``advance(dt)`` scales them into fluxes and ends by writing those of
+the new state, which the next ``face_velocities()`` reads.  With a taxis
+term and k = 1, a step (``face_velocities()`` and ``advance(dt)``) is 19
+numpy calls on radial shells and 28 on a rectangle, one more each for
+k != 1 (``tests/test_call_counts.py`` counts them).  On 128 radial shells
+these act on a few hundred doubles, so the fixed cost of a call, not the
+arithmetic, sets the cost of a step.
 
 The innermost radial face has zero area, which enforces the symmetry
 condition at r = 0 without ghost values.
@@ -147,13 +148,14 @@ class _PaddedFluxMesh:
     ``_velocity_arrays(size, dtype)`` (uninitialized arrays shaped like the
     face velocities of ``size`` flat cells) and the kernels ``_differences``
     (the differences f[j+1] - f[j] of the flat pairs of a field, written
-    into the face scratch), ``_diffusive`` (scale those differences into
-    diffusive fluxes, in place), ``_velocities`` (the face velocities of v
-    from its differences, which start at flat cell ``start`` of the face
-    scratch), ``_taxis`` (the donor-cell fluxes of u, from flat cell
-    ``start`` of the face scratch on) and ``_scatter`` (zero the pairs that
-    are not faces, write the flat cell rates).  No write touches the pads, so
-    face scratch reused across calls keeps its zero pads.
+    into the face scratch, or into any arrays indexed like its first two),
+    ``_diffusive`` (scale those differences into diffusive fluxes, in
+    place), ``_velocities`` (the face velocities of v from its differences,
+    which start at flat cell ``start`` of the face scratch), ``_taxis``
+    (the donor-cell fluxes of u, from flat cell ``start`` of the face
+    scratch on) and ``_scatter`` (zero the pairs that are not faces, write
+    the flat cell rates).  No write touches the pads, so face scratch reused
+    across calls keeps its zero pads.
     """
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -195,11 +197,10 @@ class _PaddedFluxMesh:
         flat stack, ``point_faces`` slices out one row's), with ``chi`` a
         number or an array of v's shape.
         """
-        faces = self.face_arrays(v.shape[:-1])
         v = v.reshape(-1)
-        w = self._velocity_arrays(v.size)
-        self._differences(v, faces)()
-        self._velocities(v, faces, 0, chi, w, self._velocity_arrays(v.size))()
+        differences, w = np.empty((2, v.size)), self._velocity_arrays(v.size)
+        self._differences(v, differences)()
+        self._velocities(v, differences, 0, chi, w, self._velocity_arrays(v.size))()
         return w
 
     def _scatter_faces(self, faces):
@@ -460,8 +461,12 @@ class StepPlan:
     it) and k (a float, or a (P, 1) column).  It binds each of the mesh's
     kernels to these arrays when it is built, so a step is a fixed sequence
     of ``out=`` ufunc calls: no reshape, no slicing, no allocation but
-    ``np.where``'s.  A step is ``face_velocities()`` (the pair differences
-    of u and v, then the face velocities) and then ``advance(dt)``.
+    ``np.where``'s.  A step is ``face_velocities()`` (from the differences
+    of v that the plan holds; a no-op when every chi is 0) and then
+    ``advance(dt)``.  The plan holds the differences of u and v over the
+    flat pairs of its current state: it writes them when it is built and
+    at the end of each ``advance``, so write ``uv`` only through
+    ``advance``.
 
     Reusing the arrays matters beyond the saved slicing: fresh face arrays
     per call made a 64x64 step loop about 15 % slower (2-core x86_64,
@@ -469,7 +474,7 @@ class StepPlan:
     faulted them in again on the next call.
     """
 
-    __slots__ = ("uv", "rows", "point_faces", "face_velocities", "_fluxes", "_update")
+    __slots__ = ("uv", "rows", "point_faces", "face_velocities", "_fluxes", "_update", "_differences")
 
     def __init__(self, mesh: "Mesh", uv: np.ndarray, chis, ks):
         """Plan the steps of the (2, P, N) batch state ``uv`` (copied in)
@@ -485,40 +490,39 @@ class StepPlan:
         rates = np.empty((3 if taxis else 2, points, n))
         faces = mesh.face_arrays(rates.shape[:2])
         flat = self.uv.reshape(-1)
-        differences = mesh._differences(flat, faces)
+        self._differences = mesh._differences(flat, faces)
+        self._differences()
         fluxes = [mesh._diffusive(flat, faces)]
         if taxis:  # the face velocities, the scratch of their sums, the upwind masks
             w, scratch, masks = (mesh._velocity_arrays(cells, dtype) for dtype in (float, float, bool))
-            velocities = mesh._velocities(flat[cells:], faces, cells, chi, w, scratch)
-
-            def face_velocities():
-                differences()
-                velocities()
-
-            self.face_velocities = face_velocities
+            self.face_velocities = mesh._velocities(flat[cells:], faces, cells, chi, w, scratch)
             self.point_faces = [mesh.point_faces(w, j) for j in range(points)]
             fluxes.append(mesh._taxis(flat[:cells], w, faces, 2 * cells, masks))
         else:
-            self.face_velocities = differences
+            self.face_velocities = _no_velocities
             self.point_faces = [None] * points
         fluxes.append(mesh._scatter(faces, rates.reshape(-1)))
         self._fluxes = tuple(fluxes)
         self._update = euler_update(rates, self.uv, k, self.uv)
 
     def advance(self, dt: float) -> np.ndarray:
-        """One forward-Euler step of size ``dt`` from the current state;
-        returns ``uv``, now the new state.
+        """One forward-Euler step of size ``dt`` from the current state, with
+        the face velocities of the last ``face_velocities()`` call (which
+        writes them, from the current v, into the arrays that
+        ``point_faces`` views); returns ``uv``, now the new state.
 
-        The step reads what the last ``face_velocities()`` call wrote: the
-        differences of u and v over the flat pairs, which it scales into
-        the diffusive fluxes, and the face velocities of v, which
-        ``point_faces`` views (none when every chi is 0).  Call
-        ``face_velocities()`` on the current state before each ``advance``;
-        a second ``advance`` without it would scale the scaled fluxes."""
+        The step scales the differences of the current state into the
+        diffusive fluxes and, once the state is updated, writes the
+        differences of the new one."""
         for kernel in self._fluxes:
             kernel()
         self._update(dt)
+        self._differences()
         return self.uv
+
+
+def _no_velocities():
+    """The face velocities of a batch with no taxis term: none."""
 
 
 def _shared_or_column(values):

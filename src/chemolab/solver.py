@@ -43,27 +43,22 @@ a ``meshes.StepPlan``, which holds the stack, updated in place, with the
 rates and all scratch of a step, chi per cell of the flat stack (a float
 when all points share it) and k as a float or a (P, 1) column, and binds
 every operand of a step once.  One step does each piece of work once for
-the whole batch: the plan writes the differences of u and v over the pairs
-of the mesh's flat stack and, from the v half of them, the chemotactic face
-velocities (see ``meshes``), and each point's contiguous slice of those is
-handed to its own ``stable_dt``; ``step``, given the plan, scales the
-differences into the fluxes of lap u and lap v, writes the taxis fluxes,
-scatters them into the rates and adds dt times those to the state, all on
-one flat array; and one ``np.minimum.reduce`` and one ``np.maximum.reduce`` over the
-plan's (2P, N) rows give each point's extremes.  One test on those lists
-then decides the whole batch: when the sum of the maxima is finite (a NaN
-or an infinity in any row makes it not), the least u minimum is >= 0, the
-least v minimum is > 0 and the largest u maximum is within the blow-up
-proxy, no point stops, and the step only updates each point's range of v
-and running extremes.  Otherwise the points are classified one by one:
-finiteness, u >= 0, v > 0, the running extremes and the blow-up proxy.  No
-point needs the state before a step once it is taken (a point that loses
-positivity reports only the time before it), so the plan keeps one.  Rows
-are copied out of the stack only when the batch splits or a point stops and
-leaves it; the others carry on in a new plan.  A step builds no ``State``
-but the one-point states that rows are computed from: ``step`` advances
-the state it is given.  A point's accepted steps (``RunReport.steps``) come
-from the batch's step counter, credited when the point leaves the batch.
+the whole batch: the plan computes the chemotactic face velocities from the
+differences of v that it holds (see ``meshes``), and each point's
+contiguous slice of them is handed to its own ``stable_dt``; ``step``,
+given the plan, scales those differences into the fluxes of lap u and lap
+v, writes the taxis fluxes, scatters them into the rates, adds dt times
+those to the state and writes the differences of the new state, all on one
+flat array; and one ``np.minimum.reduce`` and one ``np.maximum.reduce``
+over the plan's (2P, N) rows decide, point by point, finiteness, u >= 0,
+v > 0, the running extremes and the blow-up proxy.  No point needs the
+state before a step once it is taken (a point that loses positivity
+reports only the time before it), so the plan keeps one.  Rows are copied
+out of the stack only when the batch splits or a point stops and leaves
+it; the others carry on in a new plan.  A step builds no ``State`` but the
+one-point states that rows are computed from: ``step`` advances the state
+it is given.  A point's accepted steps (``RunReport.steps``) come from the
+batch's step counter, credited when the point leaves the batch.
 
 Split rule.  A batch steps with one dt, so every point's ``stable_dt`` is
 taken before each step, and when they differ (points with different k, or
@@ -245,10 +240,9 @@ def step(
 
     ``run_batch`` passes its batch's ``StepPlan`` as ``params``, the state
     whose ``uv`` is the plan's (``State.stacked(plan.uv, t)``), and the
-    shared ``dt``; the step then overwrites the plan's state in place, from
-    the differences and face velocities of the plan's last
-    ``face_velocities()`` call, which must have been made on the current
-    state, and returns the state it was given, its t advanced by dt.
+    shared ``dt``; the step then overwrites the plan's state in place, with
+    the face velocities of the plan's last ``face_velocities()`` call, and
+    returns the state it was given, its t advanced by dt.
     """
     if isinstance(params, StepPlan):
         if state.uv() is not params.uv:
@@ -405,33 +399,26 @@ def _advance(batch, state, next_j, mesh, cfg, max_u0, pending) -> None:
         state = step(state, plan, mesh, cfg, dt)
         taken += 1
         mins, maxs = np.minimum.reduce(plan.rows, 1).tolist(), np.maximum.reduce(plan.rows, 1).tolist()
-        min_us, min_vs, max_us, max_vs = mins[:size], mins[size:], maxs[:size], maxs[size:]
-        # the batch-level test: a NaN or an infinity in a row is in its
-        # maximum, so the sum is finite only if every row is
-        if sum(maxs) < math.inf and min(min_us) >= 0.0 and min(min_vs) > 0.0 and max(max_us) <= max_u_cap:
-            for point, min_v, max_u, max_v in zip(batch, min_vs, max_us, max_vs):
-                point.record(min_v, max_u, max_v)
-        else:
-            uv, keep = plan.uv, []
-            scan = zip(batch, min_us, min_vs, max_us, max_vs)
-            for j, (point, min_u, min_v, max_u, max_v) in enumerate(scan):
-                if not all(map(math.isfinite, (min_u, min_v, max_u, max_v))):
-                    point.stop(STATUS_BLOWUP, state.t, taken)
-                    continue
-                if min_u < 0.0 or min_v <= 0.0:
-                    point.stop(STATUS_POSITIVITY_LOST, t, taken - 1)
-                    continue
-                point.record(min_v, max_u, max_v)
-                if max_u > max_u_cap:
-                    point.emit(State(uv[0, j], uv[1, j], state.t), mesh)
-                    point.stop(STATUS_BLOWUP, state.t, taken)
-                    continue
-                keep.append(j)
-            if len(keep) < size:
-                if not keep:
-                    return
-                batch, plan = [batch[j] for j in keep], None
-                state = State.stacked(uv[:, keep], state.t)
+        uv, keep = plan.uv, []
+        scan = zip(batch, mins[:size], mins[size:], maxs[:size], maxs[size:])
+        for j, (point, min_u, min_v, max_u, max_v) in enumerate(scan):
+            if not all(map(math.isfinite, (min_u, min_v, max_u, max_v))):
+                point.stop(STATUS_BLOWUP, state.t, taken)
+                continue
+            if min_u < 0.0 or min_v <= 0.0:
+                point.stop(STATUS_POSITIVITY_LOST, t, taken - 1)
+                continue
+            point.record(min_v, max_u, max_v)
+            if max_u > max_u_cap:
+                point.emit(State(uv[0, j], uv[1, j], state.t), mesh)
+                point.stop(STATUS_BLOWUP, state.t, taken)
+                continue
+            keep.append(j)
+        if len(keep) < size:
+            if not keep:
+                return
+            batch, plan = [batch[j] for j in keep], None
+            state = State.stacked(uv[:, keep], state.t)
         if abs(state.t - t_target) <= _TREL * max(1.0, t_target):
             state.t = t_target
             u, v = state.u, state.v

@@ -336,8 +336,8 @@ def test_positivity_loss_inside_a_batch_matches_run():
 
 def test_point_that_loses_positivity_leaves_a_batch_that_carries_on(batch_sizes):
     # the spike at dt_safety 0.55: chi = 1 and chi = 0.5 share the first dt,
-    # so they take the first step as one batch; that step fails the
-    # batch-level test, and only the chi = 1 point stops
+    # so they take the first step as one batch; after it only the chi = 1
+    # point has lost positivity, and only it stops
     mesh = CartesianMesh2D(1.0, 1.0, 8, 8)
     u = np.zeros(64)
     u[27] = 1.0
@@ -354,8 +354,8 @@ def test_point_that_loses_positivity_leaves_a_batch_that_carries_on(batch_sizes)
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_value_in_a_later_row_stops_only_its_point(monkeypatch, bad):
     # after step 5, one cell of the second point's u is made non-finite: the
-    # extremes of the batch's first row alone look fine, so the batch-level
-    # test must see it anyway; the first point carries on as if alone
+    # extremes of the batch's first row look fine, so the reductions must
+    # see it in the second's; the first point carries on as if alone
     mesh = RadialShellMesh(3, 1.0, 37)
     init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
     params_seq = [ModelParams(chi=chi, k=1.0, n=3) for chi in (0.3, 0.5)]

@@ -218,6 +218,20 @@ class TestStep:
             for j, want in enumerate(wants):
                 assert pair.uv[:, j].tobytes() == want.uv().tobytes()
 
+    @pytest.mark.parametrize(
+        "mesh", [CartesianMesh2D(1.0, 1.0, 5, 4), RadialShellMesh(3, 1.0, 7)], ids=["cart", "radial"]
+    )
+    def test_a_plan_holds_the_differences_of_its_state(self, mesh):
+        # each advance writes the differences that the next one scales, so a
+        # plan with no taxis term steps on advance alone, with step's bytes
+        params = ModelParams(chi=0.0, k=1.3, n=3 if mesh.geometry == "radial" else 2)
+        want = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
+        plan = StepPlan(mesh, want.uv()[:, None], [params.chi], [params.k])
+        for _ in range(3):
+            want = step(want, params, mesh, small_cfg(), 1e-3)
+            plan.advance(1e-3)
+            assert plan.uv[:, 0].tobytes() == want.uv().tobytes()
+
     def test_zero_chi_heat_decay(self):
         mesh = CartesianMesh2D(1.0, 1.0, 16, 16)
         state = initial_state(mesh, "gaussian", 3.0, v0_base=1.0)
