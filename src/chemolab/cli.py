@@ -139,7 +139,7 @@ def timeseries_csv(series, monitors: MonitorConfig) -> str:
         for pair in monitors.pr_pairs:
             vals += [row.energies[pair], row.dissipations[pair]]
         vals += [row.v_norms[s] for s in monitors.v_orders]
-        lines.append(",".join(_fmt(v) for v in vals))
+        lines.append(",".join([f"{x:.17g}" for x in vals]))  # _fmt, inlined
     return "\n".join(lines) + "\n"
 
 

@@ -81,7 +81,17 @@ term and k = 1, a step (``face_velocities()`` and ``advance(dt)``) is 19
 numpy calls on radial shells and 28 on a rectangle, one more each for
 k != 1 (``tests/test_call_counts.py`` counts them).  On 128 radial shells
 these act on a few hundred doubles, so the fixed cost of a call, not the
-arithmetic, sets the cost of a step.
+arithmetic, sets the cost of a step.  So every operand that a binder hands
+to a ufunc is an array: a shared chi, h/2, h, h^2, k and the upwind test's
+0 are bound as 0-d float64 arrays, and ``euler_update`` writes each dt
+into a 0-d array it holds.  numpy 2 converts a Python number operand on
+every call (NEP 50 weak scalars), and a 0-d float64 array gives the same
+bits without that.  Each binder also holds its ufuncs as closure locals
+(``multiply = np.multiply``), so no call looks up a module attribute.  On
+384 doubles (2-core x86_64, Python 3.11, numpy 2.4) one multiply took
+about 950 ns with a Python-float dt and 730 ns with the dt written into a
+0-d array; by a constant, 1,060 ns as a float and 715 ns as a 0-d array;
+and ``np.multiply`` looked up at the call added about 80 ns.
 
 The innermost radial face has zero area, which enforces the symmetry
 condition at r = 0 without ghost values.
@@ -97,15 +107,23 @@ import numpy as np
 from .errors import DomainError, PositivityViolation
 
 
+def _operand(x):
+    """``x`` as a ufunc operand: an array as it is, a number as a 0-d
+    float64 array, which a ufunc takes without converting it on every call."""
+    return x if isinstance(x, np.ndarray) else np.array(x, float)
+
+
 def _velocity(dv, v1, v0, chi, w, scratch, half_h):
     """Bind the face velocities chi * dv / (half_h * (v1 + v0)) into ``w``,
     ``dv`` the differences v1 - v0 that ``_differences`` wrote."""
+    multiply, add, divide = np.multiply, np.add, np.divide
+    chi, half_h = _operand(chi), _operand(half_h)
 
     def velocity():
-        np.multiply(chi, dv, w)
-        np.add(v1, v0, scratch)
-        np.multiply(half_h, scratch, scratch)
-        np.divide(w, scratch, w)
+        multiply(chi, dv, w)
+        add(v1, v0, scratch)
+        multiply(half_h, scratch, scratch)
+        divide(w, scratch, w)
 
     return velocity
 
@@ -116,21 +134,25 @@ def euler_update(rates, uv, k, out):
     divergence of u): the returned function of dt writes ``uv + dt * (lap u
     - taxis, k lap v - v + u)`` into ``out``, ``uv`` itself or ``rates[:2]``,
     using ``rates[:2]`` as scratch.  A k of exactly 1 skips the product,
-    since x * 1.0 == x for every double."""
+    since x * 1.0 == x for every double.  Each dt is written into a 0-d
+    array that the product reads."""
+    subtract, multiply, add = np.subtract, np.multiply, np.add
     du, dv, inc = rates[0], rates[1], rates[:2]
     taxis = rates[2] if len(rates) == 3 else None
     u, v = uv[0], uv[1]
     scale_k = isinstance(k, np.ndarray) or k != 1.0
+    k, step = _operand(k), np.empty(())
 
     def update(dt):
+        step[()] = dt
         if taxis is not None:
-            np.subtract(du, taxis, du)
+            subtract(du, taxis, du)
         if scale_k:
-            np.multiply(dv, k, dv)
-        np.subtract(dv, v, dv)
-        np.add(dv, u, dv)
-        np.multiply(inc, dt, inc)
-        np.add(inc, uv, out)
+            multiply(dv, k, dv)
+        subtract(dv, v, dv)
+        add(dv, u, dv)
+        multiply(inc, step, inc)
+        add(inc, uv, out)
 
     return update
 
@@ -228,6 +250,7 @@ class CartesianMesh2D(_PaddedFluxMesh):
         self.cell_count = self.nx * self.ny
         self.volumes = np.full(self.cell_count, self.hx * self.hy)
         self.domain_volume = float(self.volumes.sum())
+        self._diffusion_outflow_max = 2.0 / (self.hx * self.hx) + 2.0 / (self.hy * self.hy)
 
     def cell_centers(self):
         """(x, y) coordinates per cell, each a flat array in cell order."""
@@ -271,51 +294,55 @@ class CartesianMesh2D(_PaddedFluxMesh):
         return velocities
 
     def _differences(self, f, faces):
-        nx, size = self.nx, f.size
+        subtract, nx, size = np.subtract, self.nx, f.size
         directions = ((f[1:], f[:-1], faces[0][1:size]), (f[nx:], f[:-nx], faces[1][nx:size]))
 
         def differences():
             for f1, f0, t in directions:
-                np.subtract(f1, f0, t)
+                subtract(f1, f0, t)
 
         return differences
 
     def _diffusive(self, f, faces):
-        nx, size = self.nx, f.size
-        directions = ((faces[0][1:size], self.hx * self.hx), (faces[1][nx:size], self.hy * self.hy))
+        divide, nx, size = np.divide, self.nx, f.size
+        directions = (
+            (faces[0][1:size], _operand(self.hx * self.hx)),
+            (faces[1][nx:size], _operand(self.hy * self.hy)),
+        )
 
         def diffusive():
             for t, h2 in directions:
-                np.divide(t, h2, t)
+                divide(t, h2, t)
 
         return diffusive
 
     def _taxis(self, u, w, faces, start, masks):
-        nx, end = self.nx, start + u.size
+        multiply, divide, where, greater = np.multiply, np.divide, np.where, np.greater
+        nx, end, zero = self.nx, start + u.size, _operand(0.0)
         (wx, wy), (mx, my) = w, masks
         directions = (
-            (wx, mx, u[:-1], u[1:], faces[0][start + 1 : end], self.hx),
-            (wy, my, u[:-nx], u[nx:], faces[1][start + nx : end], self.hy),
+            (wx, mx, u[:-1], u[1:], faces[0][start + 1 : end], _operand(self.hx)),
+            (wy, my, u[:-nx], u[nx:], faces[1][start + nx : end], _operand(self.hy)),
         )
 
         def taxis():
             for w, mask, u0, u1, t, h in directions:
-                np.multiply(w, np.where(np.greater(w, 0.0, mask), u0, u1), t)
-                np.divide(t, h, t)
+                multiply(w, where(greater(w, zero, mask), u0, u1), t)
+                divide(t, h, t)
 
         return taxis
 
     def _scatter(self, faces, out):
-        nx = self.nx
+        subtract, add, nx = np.subtract, np.add, self.nx
         tx, ty, ty_cross = faces
         tx_wraps, tx1, tx0, ty1, ty0 = tx[nx::nx], tx[1:], tx[:-1], ty[nx:], ty[:-nx]
 
         def scatter():
             tx_wraps.fill(0.0)  # the row-wrap pairs, joins of two stack rows included
             ty_cross.fill(0.0)
-            np.subtract(tx1, tx0, out)
-            np.add(out, ty1, out)
-            np.subtract(out, ty0, out)
+            subtract(tx1, tx0, out)
+            add(out, ty1, out)
+            subtract(out, ty0, out)
 
         return scatter
 
@@ -327,7 +354,7 @@ class CartesianMesh2D(_PaddedFluxMesh):
 
     def diffusion_outflow_max(self) -> float:
         """max over cells of sum_faces area / (h * volume), unit diffusivity."""
-        return 2.0 / (self.hx * self.hx) + 2.0 / (self.hy * self.hy)
+        return self._diffusion_outflow_max
 
     def advective_outflow_max(self, w) -> float:
         """max over cells of the donor-cell outflow rate sum_f A_f w_out,f / vol."""
@@ -392,42 +419,45 @@ class RadialShellMesh(_PaddedFluxMesh):
         return _velocity(dv, v[1:], v[:-1], chi, w, scratch, self.h * 0.5)
 
     def _differences(self, f, faces):
+        subtract = np.subtract
         f1, f0, t = f[1:], f[:-1], faces[0][1 : f.size]
 
         def differences():
-            np.subtract(f1, f0, t)
+            subtract(f1, f0, t)
 
         return differences
 
     def _diffusive(self, f, faces):
-        size, h = f.size, self.h
+        multiply, divide = np.multiply, np.divide
+        size, h = f.size, _operand(self.h)
         area, t = faces[1][: size - 1], faces[0][1:size]
 
         def diffusive():
-            np.multiply(t, area, t)
-            np.divide(t, h, t)
+            multiply(t, area, t)
+            divide(t, h, t)
 
         return diffusive
 
     def _taxis(self, u, w, faces, start, mask):
-        size = u.size
+        multiply, where, greater = np.multiply, np.where, np.greater
+        size, zero = u.size, _operand(0.0)
         area, u0, u1, t = faces[1][: size - 1], u[:-1], u[1:], faces[0][start + 1 : start + size]
 
         def taxis():
-            np.multiply(area, w, t)
-            np.multiply(t, np.where(np.greater(w, 0.0, mask), u0, u1), t)
+            multiply(area, w, t)
+            multiply(t, where(greater(w, zero, mask), u0, u1), t)
 
         return taxis
 
     def _scatter(self, faces, out):
-        m = self.m
+        divide, subtract, m = np.divide, np.subtract, self.m
         t, _, vol, scratch = faces
         wraps, t1, t0 = t[m::m], t[1:], t[:-1]
 
         def scatter():
             wraps.fill(0.0)  # the pairs that join two rows
-            np.divide(t1, vol, out)
-            np.subtract(out, np.divide(t0, vol, scratch), out)
+            divide(t1, vol, out)
+            subtract(out, divide(t0, vol, scratch), out)
 
         return scatter
 
@@ -457,16 +487,21 @@ class StepPlan:
     a step (R = 3 rows with a taxis term, else 2: lap u, lap v, taxis
     divergence of u), with the padded face scratch
     (``face_arrays((R, P))``), the face-velocity, sum and upwind-mask
-    scratch, chi per cell of the flat stack (a float when every point shares
-    it) and k (a float, or a (P, 1) column).  It binds each of the mesh's
-    kernels to these arrays when it is built, so a step is a fixed sequence
-    of ``out=`` ufunc calls: no reshape, no slicing, no allocation but
-    ``np.where``'s.  A step is ``face_velocities()`` (from the differences
-    of v that the plan holds; a no-op when every chi is 0) and then
-    ``advance(dt)``.  The plan holds the differences of u and v over the
-    flat pairs of its current state: it writes them when it is built and
-    at the end of each ``advance``, so write ``uv`` only through
-    ``advance``.
+    scratch, chi per cell of the flat stack (a 0-d array when every point
+    shares it) and k (a 0-d array, or a (P, 1) column).  It binds each of
+    the mesh's kernels to these arrays when it is built, so a step is a
+    fixed sequence of ``out=`` ufunc calls whose operands are all arrays
+    (see the module docstring): no reshape, no slicing, no scalar
+    conversion, no allocation but ``np.where``'s.  Array operands and local
+    ufuncs made a step (``face_velocities()`` plus ``advance``) on 128
+    radial shells 16.7 us against 19.3 us with Python-float operands and
+    ``np.<ufunc>`` calls, and on 32x32 cells 48.6 us against 54.3 us
+    (medians of 20 interleaved rounds, 2-core x86_64, Python 3.11, numpy
+    2.4).  A step is ``face_velocities()`` (from the differences of v that
+    the plan holds; a no-op when every chi is 0) and then ``advance(dt)``.
+    The plan holds the differences of u and v over the flat pairs of its
+    current state: it writes them when it is built and at the end of each
+    ``advance``, so write ``uv`` only through ``advance``.
 
     Reusing the arrays matters beyond the saved slicing: fresh face arrays
     per call made a 64x64 step loop about 15 % slower (2-core x86_64,

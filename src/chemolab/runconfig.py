@@ -446,8 +446,11 @@ def resolve_monitors(cfg: RunConfig, params: ModelParams, missing_ok: bool = Fal
     With ``pr_source = bootstrap`` the pairs come from the exponent chain for
     (chi, k, n).  Above the threshold no chain exists: that raises unless
     ``missing_ok`` (used by sweeps, which explore both sides of the
-    threshold), in which case the pair set is simply empty.
+    threshold), in which case the pair set is simply empty.  ``theta`` is
+    checked whatever the source of the pairs.
     """
+    if not 0.0 < cfg.theta < 1.0:  # a RunConfig built in code; a document's is checked when read
+        raise ConfigError(f"theta must be in (0, 1), got {cfg.theta}")
     if cfg.pr_source == "bootstrap":
         try:
             if params.chi == 0.0:
@@ -461,8 +464,6 @@ def resolve_monitors(cfg: RunConfig, params: ModelParams, missing_ok: bool = Fal
                     f"k={params.k}, n={params.n}"
                 ) from None
             pairs = ()
-        except DomainError as exc:  # theta outside (0, 1), in a RunConfig built in code
-            raise ConfigError(str(exc)) from None
     else:
         pairs = cfg.pr_pairs
     try:

@@ -377,6 +377,58 @@ def test_non_finite_value_in_a_later_row_stops_only_its_point(monkeypatch, bad):
     assert alone.status == "completed"
 
 
+@pytest.mark.parametrize(
+    "field, value, factor, status",
+    [
+        (0, -0.0, 1e6, "completed"),
+        (0, "cap", 2.0, "completed"),
+        (0, "above_cap", 2.0, "suspected_blowup"),
+        (1, math.nan, 1e6, "suspected_blowup"),
+        (0, math.inf, math.inf, "suspected_blowup"),
+    ],
+    ids=["minus_zero_u", "max_u_at_cap", "max_u_above_cap", "nan_in_v_only", "inf_u_infinite_factor"],
+)
+def test_post_step_test_edge_values_match_the_solo_run(monkeypatch, field, value, factor, status):
+    # after step 5, one cell of the second point's u or v (field 0 or 1) gets
+    # a value on the edge of the post-step test: -0.0 is not below 0, u equal
+    # to blowup_factor * max u0 is not past the cap, NaN in v alone is caught,
+    # and +inf in u is caught even when the cap is +inf too
+    mesh = RadialShellMesh(3, 1.0, 37)
+    init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
+    params_seq = [ModelParams(chi=chi, k=1.0, n=3) for chi in (0.3, 0.5)]
+    cfg = SchemeConfig(t_end=0.01, output_interval=0.005, blowup_factor=factor)
+    cap = factor * float(init.u.max())
+    value = {"cap": cap, "above_cap": math.nextafter(cap, math.inf)}.get(value, value)
+    real_step = solver.step
+
+    def stepping_with_edge_value(row):
+        taken = []
+
+        def step(state, plan, *args, **kwargs):
+            state = real_step(state, plan, *args, **kwargs)
+            taken.append(state.t)
+            if len(taken) == 5:
+                state.uv()[field, row, 17] = value
+                plan._differences()  # the plan holds the differences of its state
+            return state
+
+        monkeypatch.setattr(solver, "step", step)
+        return taken
+
+    taken = stepping_with_edge_value(1)
+    reports = run_batch(init, params_seq, mesh, cfg, [None, None])
+    stepping_with_edge_value(0)
+    alone = run(init, params_seq[1], mesh, cfg)
+    monkeypatch.setattr(solver, "step", real_step)
+    assert report_bytes(reports[1]) == report_bytes(alone)
+    assert report_bytes(reports[0]) == report_bytes(run(init, params_seq[0], mesh, cfg))
+    assert alone.status == status
+    if status == "suspected_blowup":
+        assert (alone.t_final, alone.steps) == (taken[4], 5)
+    elif value == cap:
+        assert alone.max_u_over_run == cap
+
+
 # ---------------------------------------------------------------------------
 # the sweep's batch tasks
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ from chemolab.solver import initial_state
 
 class CountingNumpy:
     """Stands in for ``numpy`` in ``meshes``: counts the calls of its
-    functions and ufuncs (array methods such as ``fill`` are not counted)."""
+    functions and ufuncs (array methods such as ``fill`` are not counted)
+    and records the positional operands of each."""
 
     def __init__(self):
-        self.calls = 0
+        self.operands = []  # (name, positional operands) of each counted call
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -26,13 +27,13 @@ class CountingNumpy:
             return attr
 
         def counted(*args, **kwargs):
-            self.calls += 1
+            self.operands.append((name, args))
             return attr(*args, **kwargs)
 
         return counted
 
 
-@pytest.mark.parametrize(
+CASES = pytest.mark.parametrize(
     "mesh, k, calls",
     [
         (RadialShellMesh(3, 1.0, 7), 1.0, 19),
@@ -42,12 +43,28 @@ class CountingNumpy:
     ],
     ids=["radial-unit_k", "radial", "cart-unit_k", "cart"],
 )
-def test_numpy_calls_of_a_bound_step(monkeypatch, mesh, k, calls):
+
+
+def _one_bound_step(monkeypatch, mesh, k):
+    """The counting stand-in after one bound step of a one-point plan."""
     counting = CountingNumpy()
     monkeypatch.setattr(meshes, "np", counting)
     start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
     plan = StepPlan(mesh, start.uv()[:, None], [0.6], [k])
-    counting.calls = 0
+    counting.operands = []
     plan.face_velocities()
     plan.advance(1e-3)
-    assert counting.calls == calls
+    return counting
+
+
+@CASES
+def test_numpy_calls_of_a_bound_step(monkeypatch, mesh, k, calls):
+    assert len(_one_bound_step(monkeypatch, mesh, k).operands) == calls
+
+
+@CASES
+def test_every_operand_of_a_bound_step_is_an_array(monkeypatch, mesh, k, calls):
+    """A Python number handed to a ufunc is converted on every call (NEP 50
+    weak scalars); the plan binds every scalar as a 0-d array instead."""
+    for name, args in _one_bound_step(monkeypatch, mesh, k).operands:
+        assert all(isinstance(a, np.ndarray) for a in args), (name, [type(a).__name__ for a in args])

@@ -3,9 +3,11 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from chemolab.cli import main
+from chemolab.cli import main, timeseries_csv
+from chemolab.diagnostics import MonitorConfig, TimeSeriesRow
 from chemolab.errors import ConfigError, DomainError
 from chemolab.runconfig import (
     RunConfig,
@@ -291,7 +293,17 @@ class TestDirectRunConfig:
         with pytest.raises(DomainError):
             build(cfg)
 
-    @pytest.mark.parametrize("fault", [dict(q_list=(0.5,)), dict(tolerance_rel=0.0), dict(theta=1.0)])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            dict(q_list=(0.5,)),
+            dict(tolerance_rel=0.0),
+            dict(theta=1.0),
+            # theta is checked even where no bootstrap chain reads it
+            dict(theta=1.0, pr_source="explicit", pr_pairs=((2.5, 0.75),)),
+            dict(theta=0.0, chi=0.0),
+        ],
+    )
     def test_out_of_range_monitor_value_is_a_config_error(self, fault):
         cfg = RunConfig(**{**DIRECT_CART, **fault})
         with pytest.raises(ConfigError):
@@ -362,6 +374,26 @@ pr_pairs = 2:0.5
 
 
 class TestRunCli:
+    def test_timeseries_csv_writes_each_value_as_17_significant_digits(self):
+        # the bytes of each value, special values and numpy scalars included
+        cases = [
+            (math.nan, "nan"), (-math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+            (-0.0, "-0"), (0.0, "0"), (5e-324, "4.9406564584124654e-324"),
+            (-2.2250738585072009e-308, "-2.2250738585072009e-308"), (1e16, "10000000000000000"),
+            (0.1, "0.10000000000000001"), (1.0 / 3.0, "0.33333333333333331"),
+            (np.float64(-0.0), "-0"), (np.float64(math.nan), "nan"),
+            (np.float64(2.0**-1074), "4.9406564584124654e-324"),
+        ]
+        monitors = MonitorConfig(q_list=(1.0,), pr_pairs=((2.5, 0.75),))
+        rows = [
+            TimeSeriesRow(t=x, mass=x, min_v=x, max_u=x, lq_norms={1.0: x}, energies={(2.5, 0.75): x},
+                          dissipations={(2.5, 0.75): x}, v_norms={1.75: x})
+            for x, _ in cases
+        ]
+        lines = timeseries_csv(rows, monitors).splitlines()
+        assert lines[0] == "t,mass,min_v,max_u,u_Lq_1,E_2.5_0.75,D_2.5_0.75,v_L1.75"
+        assert lines[1:] == [",".join([text] * 8) for _, text in cases]
+
     def test_steady_state_run_exits_zero(self, tmp_path, capsys):
         # amplitude 0 means u = 0: E and D vanish, checks pass on flat zeros
         cfg = write_config(tmp_path, STEADY_CONFIG)
