@@ -40,6 +40,6 @@ print()
 ratios = smoothing_ratio(report.series, p_v=p_v, q_u=1.0, n=3)
 print(f"smoothing ratio ||v||_{p_v:g} / (1 + sup ||u||_1):")
 print(f"{'t':>6} {'ratio':>10}")
-for row, ratio in list(zip(report.series, ratios))[::4]:
-    print(f"{row.t:>6.2f} {ratio:>10.6f}")
+for t, ratio in list(zip(report.series.t, ratios))[::4]:
+    print(f"{t:>6.2f} {ratio:>10.6f}")
 print(f"running max of the ratio: {max(ratios):.6f} (bounded monitor, no growth)")

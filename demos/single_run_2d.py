@@ -20,6 +20,7 @@ from chemolab import (
     dissipation_check,
     gronwall_check,
     initial_state,
+    mass_drift,
     min_v_floor_check,
     run,
 )
@@ -40,17 +41,14 @@ print(f"status = {report.status}, t_final = {report.t_final:g}")
 print(f"max u over run = {report.max_u_over_run:.6f}, min v over run = {report.min_v_over_run:.6f}")
 print()
 pair = pairs[0]
+series = report.series
 print(f"{'t':>6} {'mass':>12} {'min v':>10} {'max u':>10} {'E':>12} {'D':>12}")
-for row in report.series[::4]:
-    print(
-        f"{row.t:>6.2f} {row.mass:>12.9f} {row.min_v:>10.6f} {row.max_u:>10.6f} "
-        f"{row.energies[pair]:>12.6f} {row.dissipations[pair]:>12.6f}"
-    )
+columns = zip(series.t, series.mass, series.min_v, series.max_u, series.energy(pair), series.dissipation(pair))
+for t, mass, min_v, max_u, e, d in list(columns)[::4]:
+    print(f"{t:>6.2f} {mass:>12.9f} {min_v:>10.6f} {max_u:>10.6f} {e:>12.6f} {d:>12.6f}")
 
-mass0 = report.series[0].mass
-drift = max(abs(row.mass - mass0) for row in report.series) / mass0
 print()
-print(f"relative mass drift over the run: {drift:.3e}")
-print(f"chemical floor:  {min_v_floor_check(report.series)}")
-print(f"gronwall check:  {gronwall_check(report.series, pair, tol=0.05)}")
-print(f"dissipation check: {dissipation_check(report.series, pair, tol=0.05)}")
+print(f"relative mass drift over the run: {mass_drift(series):.3e}")
+print(f"chemical floor:  {min_v_floor_check(series)}")
+print(f"gronwall check:  {gronwall_check(series, pair, tol=0.05)}")
+print(f"dissipation check: {dissipation_check(series, pair, tol=0.05)}")

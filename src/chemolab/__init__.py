@@ -12,6 +12,7 @@ testing the moment-functional inequalities along the computed trajectory.
 from .diagnostics import (
     CheckVerdict,
     MonitorConfig,
+    TimeSeries,
     TimeSeriesRow,
     compute_row,
     dissipation,
@@ -19,6 +20,7 @@ from .diagnostics import (
     energy,
     gronwall_check,
     lq_norm,
+    mass_drift,
     min_v_floor_check,
     smoothing_ratio,
 )

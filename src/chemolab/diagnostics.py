@@ -1,24 +1,25 @@
 """Norms, moment functionals, and trajectory inequality checks.
 
-A run is summarized by one ``TimeSeriesRow`` per output time holding the
+A run is summarized by a ``TimeSeries``: one row per output time holding the
 mass, extremes, the tracked L^q norms of u, the moment functionals
 
     E_{p,r} = integral( u^p v^-r ),      D_{p,r} = integral( u^(p+1) v^-(r+1) ),
 
-and the tracked L^s norms of v.  For (p, r) with r inside the admissible
-window, the continuous system satisfies
+and the tracked L^s norms of v, stored as one flat float64 table.  For (p, r)
+with r inside the admissible window, the continuous system satisfies
 
     dE/dt <= r E - r D        (and hence E(t) <= E(0) exp(r t)),
 
 which this module tests along computed trajectories with explicit,
-tolerance-carrying discrete analogues.  The unknown constants of the
-underlying estimates are never estimated; every check is either an envelope
-(Gronwall) or a ratio monitor (heat smoothing).
+tolerance-carrying discrete analogues, reading whole columns of the table.
+The unknown constants of the underlying estimates are never estimated; every
+check is either an envelope (Gronwall) or a ratio monitor (heat smoothing).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,8 @@ class MonitorConfig:
 
 @dataclass
 class TimeSeriesRow:
+    """One row of a ``TimeSeries``, as a standalone object."""
+
     t: float
     mass: float
     min_v: float
@@ -79,6 +82,141 @@ class TimeSeriesRow:
     energies: dict[tuple[float, float], float] = field(default_factory=dict)
     dissipations: dict[tuple[float, float], float] = field(default_factory=dict)
     v_norms: dict[float, float] = field(default_factory=dict)
+
+
+class Columns:
+    """The column layout of a time series: ``t, mass, min_v, max_u``, then
+    ``||u||_q`` per q of ``q_list``, ``E`` and ``D`` per pair of
+    ``pr_pairs``, and ``||v||_s`` per s of ``v_orders``.
+
+    ``names`` are the CSV column names; ``lq``, ``energy``, ``dissipation``
+    and ``v_norm`` map each order or pair to its column index; ``u_orders``
+    and ``pr_orders`` are the exponents ``compute_row`` raises u and v to,
+    ``(q, 1/q)`` per norm and ``(p, -r, p + 1, -(r + 1))`` per pair.
+    """
+
+    __slots__ = (
+        "q_list", "pr_pairs", "v_orders", "names", "width", "lq", "energy", "dissipation", "v_norm",
+        "u_orders", "pr_orders",
+    )
+
+    def __init__(self, q_list=(), pr_pairs=(), v_orders=()):
+        self.q_list, self.pr_pairs, self.v_orders = tuple(q_list), tuple(pr_pairs), tuple(v_orders)
+        names = ["t", "mass", "min_v", "max_u"]
+        names += [f"u_Lq_{q:.12g}" for q in self.q_list]
+        for p, r in self.pr_pairs:
+            names += [f"E_{p:.12g}_{r:.12g}", f"D_{p:.12g}_{r:.12g}"]
+        names += [f"v_L{s:.12g}" for s in self.v_orders]
+        self.names, self.width = names, len(names)
+        first_pair = 4 + len(self.q_list)
+        self.lq = {q: 4 + i for i, q in enumerate(self.q_list)}
+        self.energy = {pair: first_pair + 2 * i for i, pair in enumerate(self.pr_pairs)}
+        self.dissipation = {pair: first_pair + 2 * i + 1 for i, pair in enumerate(self.pr_pairs)}
+        first_v = first_pair + 2 * len(self.pr_pairs)
+        self.v_norm = {s: first_v + i for i, s in enumerate(self.v_orders)}
+        self.u_orders = tuple((q, 1.0 / q) for q in self.q_list)
+        self.pr_orders = tuple((p, -r, p + 1.0, -(r + 1.0)) for p, r in self.pr_pairs)
+
+    def row(self, values) -> TimeSeriesRow:
+        """The ``TimeSeriesRow`` of one row's values, in column order."""
+        t, mass, min_v, max_u = values[:4]
+        return TimeSeriesRow(
+            t, mass, min_v, max_u,
+            {q: values[i] for q, i in self.lq.items()},
+            {pair: values[i] for pair, i in self.energy.items()},
+            {pair: values[i] for pair, i in self.dissipation.items()},
+            {s: values[i] for s, i in self.v_norm.items()},
+        )
+
+    def values(self, row: TimeSeriesRow) -> list[float]:
+        """A ``TimeSeriesRow``'s values, in column order."""
+        vals = [row.t, row.mass, row.min_v, row.max_u]
+        vals += [row.lq_norms[q] for q in self.q_list]
+        for pair in self.pr_pairs:
+            vals += [row.energies[pair], row.dissipations[pair]]
+        vals += [row.v_norms[s] for s in self.v_orders]
+        return vals
+
+
+class TimeSeries:
+    """The rows of one run as one flat float64 table, 8 bytes per value.
+
+    ``columns`` is the layout (``Columns``), fixed when the series is made
+    from a ``MonitorConfig`` (or from a ``Columns``); ``values`` is the
+    table, row after row, to which ``compute_row`` appends.  The checks read
+    whole columns: ``t``, ``mass``, ``min_v`` and ``max_u``, and
+    ``lq_norm(q)``, ``energy(pair)``, ``dissipation(pair)`` and
+    ``v_norm(s)``, each a new list of floats.  Indexing (by a row number or
+    a slice) and iterating give ``TimeSeriesRow`` values built on demand.
+    """
+
+    __slots__ = ("columns", "values")
+
+    def __init__(self, columns: "Columns | MonitorConfig"):
+        if isinstance(columns, MonitorConfig):
+            columns = Columns(columns.q_list, columns.pr_pairs, columns.v_orders)
+        self.columns = columns
+        self.values = array("d")
+
+    @classmethod
+    def from_rows(cls, rows) -> "TimeSeries":
+        """The series of ``TimeSeriesRow`` values, its layout taken from the
+        keys of the first row (an empty layout when there is none)."""
+        rows = list(rows)
+        first = rows[0] if rows else TimeSeriesRow(0.0, 0.0, 0.0, 0.0)
+        series = cls(Columns(first.lq_norms, first.energies, first.v_norms))
+        for row in rows:
+            series.values.extend(series.columns.values(row))
+        return series
+
+    def __len__(self) -> int:
+        return len(self.values) // self.columns.width
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        rows = len(self)
+        if j < 0:
+            j += rows
+        if not 0 <= j < rows:
+            raise IndexError("time series row index out of range")
+        width = self.columns.width
+        return self.columns.row(self.values[j * width : (j + 1) * width])
+
+    def __iter__(self):
+        for j in range(len(self)):
+            yield self[j]
+
+    def column(self, index: int) -> list[float]:
+        return self.values[index :: self.columns.width].tolist()
+
+    @property
+    def t(self) -> list[float]:
+        return self.column(0)
+
+    @property
+    def mass(self) -> list[float]:
+        return self.column(1)
+
+    @property
+    def min_v(self) -> list[float]:
+        return self.column(2)
+
+    @property
+    def max_u(self) -> list[float]:
+        return self.column(3)
+
+    def lq_norm(self, q: float) -> list[float]:
+        return self.column(self.columns.lq[q])
+
+    def energy(self, pair: tuple[float, float]) -> list[float]:
+        return self.column(self.columns.energy[pair])
+
+    def dissipation(self, pair: tuple[float, float]) -> list[float]:
+        return self.column(self.columns.dissipation[pair])
+
+    def v_norm(self, s: float) -> list[float]:
+        return self.column(self.columns.v_norm[s])
 
 
 def lq_norm(f: np.ndarray, q: float, mesh: Mesh) -> float:
@@ -102,31 +240,36 @@ def dissipation(state: State, p: float, r: float, mesh: Mesh) -> float:
     return float(mesh.integrate(state.u ** (p + 1.0) * state.v ** (-(r + 1.0))))
 
 
-def compute_row(state: State, mesh: Mesh, monitors: MonitorConfig) -> TimeSeriesRow:
-    """One row of the monitored quantities; the values of ``lq_norm``,
-    ``energy`` and ``dissipation``, to the bit.
+def compute_row(state: State, mesh: Mesh, series):
+    """Append the row of ``state`` to ``series`` (a ``TimeSeries``): the
+    values of ``lq_norm``, ``energy`` and ``dissipation``, to the bit.  Given
+    a ``MonitorConfig`` instead, return that row as a ``TimeSeriesRow``.
 
     Each distinct power of u is taken once per row (the orders q, p and
-    p + 1 overlap), and v > 0 is checked once when there are (p, r) pairs.
+    p + 1 overlap).  When there are (p, r) pairs, v > 0 is read off the
+    row's min v, which a NaN in v fails too; a row that raises is not
+    appended.
     """
+    if isinstance(series, MonitorConfig):
+        one = TimeSeries(series)
+        compute_row(state, mesh, one)
+        return one[0]
+    columns, integrate = series.columns, mesh.integrate
     u, v = state.u, state.v
     u_pow = _Powers(u)
-    row = TimeSeriesRow(
-        t=state.t,
-        mass=mesh.integrate(u),
-        min_v=float(v.min()),
-        max_u=float(u.max()),
-    )
-    for q in monitors.q_list:
-        row.lq_norms[q] = float(mesh.integrate(u_pow[q]) ** (1.0 / q))
-    if monitors.pr_pairs and (v <= 0.0).any():
+    min_v = float(v.min())
+    row = [state.t, integrate(u), min_v, float(u.max())]
+    for q, inverse in columns.u_orders:
+        row.append(integrate(u_pow[q]) ** inverse)
+    if columns.pr_orders and not min_v > 0.0:
         raise PositivityViolation("chemical field must be strictly positive")
-    for p, r in monitors.pr_pairs:
-        row.energies[(p, r)] = float(mesh.integrate(u_pow[p] * v ** (-r)))
-        row.dissipations[(p, r)] = float(mesh.integrate(u_pow[p + 1.0] * v ** (-(r + 1.0))))
-    for s in monitors.v_orders:
-        row.v_norms[s] = lq_norm(v, s, mesh)
-    return row
+    for p, minus_r, p_next, minus_r_next in columns.pr_orders:
+        row.append(integrate(u_pow[p] * v**minus_r))
+        row.append(integrate(u_pow[p_next] * v**minus_r_next))
+    for s in columns.v_orders:
+        row.append(lq_norm(v, s, mesh))
+    series.values.extend(row)
+    return None
 
 
 class _Powers(dict):
@@ -149,9 +292,7 @@ class CheckVerdict:
     worst: float
 
 
-def gronwall_check(
-    series: list[TimeSeriesRow], pair: tuple[float, float], tol: float = 0.05
-) -> CheckVerdict:
+def gronwall_check(series: TimeSeries, pair: tuple[float, float], tol: float = 0.05) -> CheckVerdict:
     """Envelope check E(t_j) <= E(t_0) exp(r (t_j - t_0)) (1 + tol).
 
     ``worst`` is the largest ratio E(t_j) / (E(t_0) exp(r (t_j - t_0))).
@@ -159,21 +300,20 @@ def gronwall_check(
     if len(series) < 1:
         raise InsufficientRows("need at least one row")
     _, r = pair
-    e0, t0 = series[0].energies[pair], series[0].t
+    times, energies = series.t, series.energy(pair)
+    e0, t0 = energies[0], times[0]
     worst = 0.0
-    for row in series:
-        bound = e0 * math.exp(r * (row.t - t0))
+    for t, e in zip(times, energies):
+        bound = e0 * math.exp(r * (t - t0))
         if bound == 0.0:
-            if row.energies[pair] != 0.0:
+            if e != 0.0:
                 return CheckVerdict(False, math.inf)
             continue
-        worst = max(worst, row.energies[pair] / bound)
+        worst = max(worst, e / bound)
     return CheckVerdict(worst <= 1.0 + tol, worst)
 
 
-def dissipation_check(
-    series: list[TimeSeriesRow], pair: tuple[float, float], tol: float = 0.05
-) -> CheckVerdict:
+def dissipation_check(series: TimeSeries, pair: tuple[float, float], tol: float = 0.05) -> CheckVerdict:
     """Discrete form of  dE/dt <= r E - r D  on interior output rows.
 
     The time derivative is the centered difference across neighboring rows;
@@ -189,13 +329,13 @@ def dissipation_check(
     if len(series) < 3:
         raise InsufficientRows(f"need at least 3 rows, got {len(series)}")
     _, r = pair
-    scale = abs(series[0].energies[pair])
+    times, energies, dissipations = series.t, series.energy(pair), series.dissipation(pair)
+    scale = abs(energies[0])
     worst = -math.inf
-    for j in range(1, len(series) - 1):
-        prev_row, row, next_row = series[j - 1], series[j], series[j + 1]
-        lhs = (next_row.energies[pair] - prev_row.energies[pair]) / (next_row.t - prev_row.t)
-        re = r * row.energies[pair]
-        rd = r * row.dissipations[pair]
+    for j in range(1, len(times) - 1):
+        lhs = (energies[j + 1] - energies[j - 1]) / (times[j + 1] - times[j - 1])
+        re = r * energies[j]
+        rd = r * dissipations[j]
         denom = abs(re) + abs(rd) + scale
         excess = lhs - (re - rd)
         if denom == 0.0:  # identically-zero functionals: only growth can fail
@@ -205,7 +345,7 @@ def dissipation_check(
     return CheckVerdict(worst <= tol, worst)
 
 
-def min_v_floor_check(series: list[TimeSeriesRow], tol_rel: float = 1e-8) -> CheckVerdict:
+def min_v_floor_check(series: TimeSeries, tol_rel: float = 1e-8) -> CheckVerdict:
     """Pointwise-in-time comparison min v(t) >= exp(-t) min v(0) - tol.
 
     ``worst`` is the most negative margin min_v(t_j) - exp(-(t_j - t_0)) min_v(t_0),
@@ -213,16 +353,26 @@ def min_v_floor_check(series: list[TimeSeriesRow], tol_rel: float = 1e-8) -> Che
     """
     if len(series) < 1:
         raise InsufficientRows("need at least one row")
-    v0, t0 = series[0].min_v, series[0].t
+    times, min_v = series.t, series.min_v
+    v0, t0 = min_v[0], times[0]
     worst = math.inf
-    for row in series:
-        worst = min(worst, row.min_v - math.exp(-(row.t - t0)) * v0)
+    for t, v in zip(times, min_v):
+        worst = min(worst, v - math.exp(-(t - t0)) * v0)
     return CheckVerdict(worst >= -tol_rel * v0, worst)
 
 
-def smoothing_ratio(
-    series: list[TimeSeriesRow], p_v: float, q_u: float, n: int
-) -> list[float]:
+def mass_drift(series: TimeSeries) -> float:
+    """max_j |mass_j - mass_0| / mass_0 over the rows; 0 when every mass
+    equals the first, a zero one included."""
+    mass = series.mass
+    mass0 = mass[0]
+    drift = max(abs(m - mass0) for m in mass)
+    if drift == 0.0:
+        return 0.0
+    return drift / mass0 if mass0 else math.inf
+
+
+def smoothing_ratio(series: TimeSeries, p_v: float, q_u: float, n: int) -> list[float]:
     """Per row: ||v||_{p_v} / (1 + running sup of ||u||_{q_u}).
 
     The heat-smoothing estimate bounds this ratio by an unknowable constant,
@@ -235,13 +385,11 @@ def smoothing_ratio(
         raise ExponentConditionError(
             f"(1/{q_u} - 1/{p_v}) * {n}/2 >= 1 violates the smoothing-exponent condition"
         )
+    if q_u not in series.columns.lq or p_v not in series.columns.v_norm:
+        raise DomainError(f"the series does not monitor ||u||_{q_u} and ||v||_{p_v}")
     ratios = []
     running_sup = -math.inf
-    for row in series:
-        if q_u not in row.lq_norms or p_v not in row.v_norms:
-            raise DomainError(
-                f"series rows do not monitor ||u||_{q_u} and ||v||_{p_v}"
-            )
-        running_sup = max(running_sup, row.lq_norms[q_u])
-        ratios.append(row.v_norms[p_v] / (1.0 + running_sup))
+    for u_norm, v_norm in zip(series.lq_norm(q_u), series.v_norm(p_v)):
+        running_sup = max(running_sup, u_norm)
+        ratios.append(v_norm / (1.0 + running_sup))
     return ratios

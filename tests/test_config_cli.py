@@ -1,13 +1,14 @@
 """Configuration parsing, serialization round-trips, and the CLI surface."""
 
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from chemolab.cli import main, timeseries_csv
-from chemolab.diagnostics import MonitorConfig, TimeSeriesRow
+from chemolab.cli import CSV_CHUNK_ROWS, main, timeseries_csv
+from chemolab.diagnostics import MonitorConfig, TimeSeries
 from chemolab.errors import ConfigError, DomainError
 from chemolab.runconfig import (
     RunConfig,
@@ -384,15 +385,28 @@ class TestRunCli:
             (np.float64(-0.0), "-0"), (np.float64(math.nan), "nan"),
             (np.float64(2.0**-1074), "4.9406564584124654e-324"),
         ]
-        monitors = MonitorConfig(q_list=(1.0,), pr_pairs=((2.5, 0.75),))
-        rows = [
-            TimeSeriesRow(t=x, mass=x, min_v=x, max_u=x, lq_norms={1.0: x}, energies={(2.5, 0.75): x},
-                          dissipations={(2.5, 0.75): x}, v_norms={1.75: x})
-            for x, _ in cases
-        ]
-        lines = timeseries_csv(rows, monitors).splitlines()
+        series = TimeSeries(MonitorConfig(q_list=(1.0,), pr_pairs=((2.5, 0.75),)))
+        for x, _ in cases:
+            series.values.extend([x] * 8)
+        out = io.StringIO()
+        timeseries_csv(series, out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "t,mass,min_v,max_u,u_Lq_1,E_2.5_0.75,D_2.5_0.75,v_L1.75"
         assert lines[1:] == [",".join([text] * 8) for _, text in cases]
+
+    @pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS, 3 * CSV_CHUNK_ROWS + 17])
+    def test_timeseries_csv_in_chunks_writes_the_bytes_of_one_string(self, rows, rng):
+        series = TimeSeries(MonitorConfig(q_list=(1.0, 2.0), pr_pairs=((2.5, 0.75),)))
+        width = series.columns.width
+        values = rng.standard_normal(rows * width) * 10.0 ** rng.integers(-320, 300, rows * width)
+        values[::11] = np.resize([math.nan, -0.0, -math.inf, 0.1], values[::11].size)
+        series.values.extend(values.tolist())
+        out = io.StringIO()
+        timeseries_csv(series, out)
+        flat = series.values.tolist()
+        lines = [",".join(series.columns.names)]
+        lines += [",".join([f"{x:.17g}" for x in flat[i : i + width]]) for i in range(0, len(flat), width)]
+        assert out.getvalue() == "\n".join(lines) + "\n"
 
     def test_steady_state_run_exits_zero(self, tmp_path, capsys):
         # amplitude 0 means u = 0: E and D vanish, checks pass on flat zeros
@@ -402,6 +416,7 @@ class TestRunCli:
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "status: completed" in report
         assert "min_v_floor:" in report and "dissipation:" in report
+        assert "\nmass_drift: 0\n" in report
         csv_text = (tmp_path / "out" / "timeseries.csv").read_text()
         lines = csv_text.splitlines()
         assert lines[0] == "t,mass,min_v,max_u,u_Lq_2,E_2_0.5,D_2_0.5,v_L1.5"
@@ -416,6 +431,24 @@ class TestRunCli:
         assert "gronwall: pass" in report
         assert "dissipation: pass" in report
         assert "min_v_floor: pass" in report
+
+    def test_report_gives_the_mass_drift_of_the_timeseries(self, tmp_path):
+        cfg = write_config(tmp_path, CART_CONFIG)
+        assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+        report = dict(line.split(": ", 1) for line in (tmp_path / "out" / "report.txt").read_text().splitlines())
+        lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
+        mass = [float(line.split(",")[1]) for line in lines[1:]]
+        drift = max(abs(m - mass[0]) for m in mass) / mass[0]
+        assert report["mass_drift"] == f"{drift:.17g}"
+        assert 0.0 < drift <= 1e-12
+
+    def test_zero_mass_run_reports_zero_drift(self, tmp_path):
+        # a Gaussian of amplitude 0 is u = 0: every mass is 0 (without production,
+        # v decays faster than exp(-t) under explicit steps: the floor check fails)
+        cfg = write_config(tmp_path, CART_CONFIG.replace("amplitude = 1.5", "amplitude = 0"))
+        main(["run", str(cfg), "--outdir", str(tmp_path / "out")])
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "status: completed" in report and "\nmass_drift: 0\n" in report
 
     def test_zero_chi_heat_decay(self, tmp_path):
         text = CART_CONFIG.replace("chi = 0.5", "chi = 0").replace("q_list = 1, 2", "q_list = 1")

@@ -2,12 +2,14 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chemolab.diagnostics import (
     MonitorConfig,
+    TimeSeries,
     TimeSeriesRow,
     compute_row,
     dissipation,
@@ -192,6 +194,15 @@ class TestComputeRow:
             compute_row(st, mesh, mon)
         assert compute_row(st, mesh, MonitorConfig(q_list=(2.0,))).min_v == 0.0  # no pairs, no check
 
+    def test_rejects_nan_chemical(self, rng):
+        mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
+        st = random_state(rng, mesh)
+        st.v[5] = math.nan
+        series = TimeSeries(MonitorConfig(q_list=(2.0,), pr_pairs=((2.0, 0.4),)))
+        with pytest.raises(PositivityViolation, match="strictly positive"):
+            compute_row(st, mesh, series)
+        assert len(series) == 0  # a row that raises is not appended
+
     def test_monitor_validation(self):
         with pytest.raises(DomainError):
             MonitorConfig(q_list=(0.5,))
@@ -203,6 +214,48 @@ class TestComputeRow:
         with pytest.raises(DomainError):
             MonitorConfig(pr_pairs=((2.0, 0.99),)).validate(0.5, 1.0)
         MonitorConfig(pr_pairs=((2.0, 0.5),)).validate(0.5, 1.0)
+
+
+class TestTimeSeries:
+    def test_rows_round_trip_through_the_table(self, rng):
+        mesh = RadialShellMesh(3, 1.0, 8)
+        mon = MonitorConfig(q_list=(1.0, 3.0), pr_pairs=((2.0, 0.4), (3.0, 0.9)))
+        rows = [compute_row(State(*random_state(rng, mesh).uv(), t), mesh, mon) for t in (0.0, 0.5, 1.0)]
+        series = TimeSeries.from_rows(rows)
+        assert series.columns.names == [
+            "t", "mass", "min_v", "max_u", "u_Lq_1", "u_Lq_3",
+            "E_2_0.4", "D_2_0.4", "E_3_0.9", "D_3_0.9", "v_L1.6", "v_L2.1",
+        ]
+        assert len(series) == 3 and len(series.values) == 3 * 12
+        assert list(series) == rows
+        assert series[-1] == rows[2] and series[::2] == [rows[0], rows[2]]
+        assert series.t == [0.0, 0.5, 1.0]
+        assert series.energy((3.0, 0.9)) == [row.energies[(3.0, 0.9)] for row in rows]
+        assert series.v_norm(2.1) == [row.v_norms[2.1] for row in rows]
+        with pytest.raises(IndexError):
+            series[3]
+
+    def test_a_run_of_2000_rows_keeps_8_bytes_per_value(self):
+        from chemolab.exponents import ModelParams
+        from chemolab.solver import SchemeConfig, initial_state, run
+
+        mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
+        init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
+        params = ModelParams(chi=0.5, k=1.0, n=2)
+        mon = MonitorConfig(q_list=(1.0, 2.0), pr_pairs=((2.0, 0.5),))
+        cfg = SchemeConfig(t_end=20.0, output_interval=0.01)
+        tracemalloc.start()
+        try:
+            report = run(init, params, mesh, cfg, mon)
+            held = tracemalloc.get_traced_memory()[0]
+            rows, width = len(report.series), report.series.columns.width
+            report.series = None
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "completed" and rows == 2001 and width == 9
+        table = 8 * width * rows
+        assert table <= freed <= 1.5 * table
 
 
 def flat_series(e0, d0, times, pair):
@@ -221,7 +274,7 @@ class TestGronwall:
     def test_flat_series_passes(self):
         pair = (2.0, 0.5)
         rows = flat_series(3.0, 3.0, np.linspace(0, 2, 11), pair)
-        verdict = gronwall_check(rows, pair, tol=0.05)
+        verdict = gronwall_check(TimeSeries.from_rows(rows), pair, tol=0.05)
         assert verdict.passed and verdict.worst <= 1.0
 
     def test_bound_rate_series_fails(self):
@@ -230,7 +283,7 @@ class TestGronwall:
         rows = flat_series(1.0, 1.0, times, pair)
         for row in rows:
             row.energies[pair] = math.exp(2 * 0.5 * row.t)  # twice the admissible rate
-        verdict = gronwall_check(rows, pair, tol=0.05)
+        verdict = gronwall_check(TimeSeries.from_rows(rows), pair, tol=0.05)
         assert not verdict.passed
         assert verdict.worst == pytest.approx(math.exp(0.5 * 4.0), rel=1e-12)
 
@@ -240,14 +293,14 @@ class TestGronwall:
         rows = flat_series(1.0, 1.0, times, pair)
         for row in rows:
             row.energies[pair] = 1.02 * math.exp(1.0 * row.t) if row.t > 0 else 1.0
-        assert gronwall_check(rows, pair, tol=0.05).passed
+        assert gronwall_check(TimeSeries.from_rows(rows), pair, tol=0.05).passed
 
 
 class TestDissipationCheck:
     def test_constant_steady_rows_pass(self):
         pair = (2.0, 0.5)
         rows = flat_series(4.0, 4.0, np.linspace(0, 1, 5), pair)
-        verdict = dissipation_check(rows, pair, tol=0.05)
+        verdict = dissipation_check(TimeSeries.from_rows(rows), pair, tol=0.05)
         assert verdict.passed
         assert verdict.worst == pytest.approx(0.0, abs=1e-15)
 
@@ -258,7 +311,7 @@ class TestDissipationCheck:
         for row in rows:
             row.energies[pair] = math.exp(3.0 * row.t)  # dE/dt = 3E > rE - rD bounds
             row.dissipations[pair] = row.energies[pair]
-        assert not dissipation_check(rows, pair, tol=0.05).passed
+        assert not dissipation_check(TimeSeries.from_rows(rows), pair, tol=0.05).passed
 
     def test_decaying_series_passes(self):
         pair = (2.0, 0.5)
@@ -267,13 +320,13 @@ class TestDissipationCheck:
         for row in rows:
             row.energies[pair] = math.exp(-row.t)
             row.dissipations[pair] = 3.0 * row.energies[pair]
-        assert dissipation_check(rows, pair, tol=0.05).passed
+        assert dissipation_check(TimeSeries.from_rows(rows), pair, tol=0.05).passed
 
     def test_insufficient_rows(self):
         pair = (2.0, 0.5)
         rows = flat_series(1.0, 1.0, [0.0, 0.1], pair)
         with pytest.raises(InsufficientRows):
-            dissipation_check(rows, pair)
+            dissipation_check(TimeSeries.from_rows(rows), pair)
 
 
 class TestMinVFloor:
@@ -284,14 +337,14 @@ class TestMinVFloor:
             for t in times
         ]
         rows[0].min_v = 1.0
-        assert min_v_floor_check(rows).passed
+        assert min_v_floor_check(TimeSeries.from_rows(rows)).passed
 
     def test_fast_decay_fails(self):
         times = np.linspace(0, 3, 13)
         rows = [
             TimeSeriesRow(t=t, mass=1.0, min_v=math.exp(-2 * t), max_u=1.0) for t in times
         ]
-        assert not min_v_floor_check(rows).passed
+        assert not min_v_floor_check(TimeSeries.from_rows(rows)).passed
 
 
 class TestSmoothingRatio:
@@ -299,8 +352,10 @@ class TestSmoothingRatio:
         mesh = CartesianMesh2D(2.0, 2.0, 4, 4)  # volume 4
         st = State(np.ones(16), np.ones(16))
         mon = MonitorConfig(q_list=(1.0,), pr_pairs=((3.0, 1.0),))  # p - r = 2
-        rows = [compute_row(State(st.u, st.v, t), mesh, mon) for t in (0.0, 0.5, 1.0)]
-        ratios = smoothing_ratio(rows, p_v=2.0, q_u=1.0, n=2)
+        series = TimeSeries(mon)
+        for t in (0.0, 0.5, 1.0):
+            compute_row(State(st.u, st.v, t), mesh, series)
+        ratios = smoothing_ratio(series, p_v=2.0, q_u=1.0, n=2)
         expected = 4.0 ** (1.0 / 2.0) / (1.0 + 4.0)
         assert ratios == pytest.approx([expected] * 3, rel=1e-13)
 
@@ -313,7 +368,7 @@ class TestSmoothingRatio:
     def test_missing_norms_raise(self):
         rows = [TimeSeriesRow(t=0.0, mass=1.0, min_v=1.0, max_u=1.0)]
         with pytest.raises(DomainError):
-            smoothing_ratio(rows, p_v=2.0, q_u=1.0, n=2)
+            smoothing_ratio(TimeSeries.from_rows(rows), p_v=2.0, q_u=1.0, n=2)
 
     def test_ratio_bounded_along_a_subthreshold_run(self):
         from chemolab.exponents import ModelParams

@@ -8,7 +8,7 @@ import pytest
 
 import chemolab.cli as cli
 from chemolab.cli import main
-from chemolab.diagnostics import MonitorConfig, compute_row
+from chemolab.diagnostics import MonitorConfig, TimeSeries, compute_row
 from chemolab.exponents import ModelParams
 from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State
 from chemolab.solver import RunReport, SchemeConfig, initial_state, run, stable_dt, step
@@ -95,7 +95,7 @@ def test_fused_run_is_bit_identical_to_plain_loop(make_mesh, chi):
     series, t_final, max_u, min_v = plain_run(init, params, mesh, cfg, monitors)
     assert report.status == "completed"
     assert len(report.series) == 6
-    assert report.series == series
+    assert list(report.series) == series
     assert report.t_final == t_final
     assert report.max_u_over_run == max_u
     assert report.min_v_over_run == min_v
@@ -166,8 +166,12 @@ def test_positivity_loss_has_its_own_status(dt_safety):
 
 def fake_report(status):
     def fake_run(init, params_seq, mesh, cfg, monitors_seq):
-        rows = [compute_row(init, mesh, monitors) for monitors in monitors_seq]
-        return [RunReport(status, 0.0, row.max_u, row.min_v, [row]) for row in rows]
+        reports = []
+        for monitors in monitors_seq:
+            series = TimeSeries(monitors)
+            compute_row(init, mesh, series)
+            reports.append(RunReport(status, 0.0, series.max_u[0], series.min_v[0], series))
+        return reports
 
     return fake_run
 
