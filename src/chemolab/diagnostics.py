@@ -19,6 +19,7 @@ check is either an envelope (Gronwall) or a ratio monitor (heat smoothing).
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 
@@ -240,34 +241,42 @@ def dissipation(state: State, p: float, r: float, mesh: Mesh) -> float:
     return float(mesh.integrate(state.u ** (p + 1.0) * state.v ** (-(r + 1.0))))
 
 
-def compute_row(state: State, mesh: Mesh, series):
+def compute_row(state: State, mesh: Mesh, series, extremes=None):
     """Append the row of ``state`` to ``series`` (a ``TimeSeries``): the
     values of ``lq_norm``, ``energy`` and ``dissipation``, to the bit.  Given
     a ``MonitorConfig`` instead, return that row as a ``TimeSeriesRow``.
 
+    ``extremes`` is ``(min v, max u)`` of the state when the caller has them
+    already (the stepping loop takes them from its post-step scan); without
+    it the row reduces v and u itself.  Min and max are exact, so both give
+    the same bits.
+
     Each distinct power of u is taken once per row (the orders q, p and
-    p + 1 overlap).  When there are (p, r) pairs, v > 0 is read off the
-    row's min v, which a NaN in v fails too; a row that raises is not
-    appended.
+    p + 1 overlap), and the norm of order 1 is the mass: u**1.0 is u and
+    x**1.0 == x.  When there are (p, r) pairs, v > 0 is read off the row's
+    min v, which a NaN in v fails too; a row that raises is not appended.
     """
     if isinstance(series, MonitorConfig):
         one = TimeSeries(series)
-        compute_row(state, mesh, one)
+        compute_row(state, mesh, one, extremes)
         return one[0]
     columns, integrate = series.columns, mesh.integrate
     u, v = state.u, state.v
     u_pow = _Powers(u)
-    min_v = float(v.min())
-    row = [state.t, integrate(u), min_v, float(u.max())]
+    min_v, max_u = extremes if extremes is not None else (float(v.min()), float(u.max()))
+    mass = integrate(u)
+    row = [state.t, mass, min_v, max_u]
     for q, inverse in columns.u_orders:
-        row.append(integrate(u_pow[q]) ** inverse)
+        row.append(mass if q == 1.0 else integrate(u_pow[q]) ** inverse)
     if columns.pr_orders and not min_v > 0.0:
         raise PositivityViolation("chemical field must be strictly positive")
     for p, minus_r, p_next, minus_r_next in columns.pr_orders:
         row.append(integrate(u_pow[p] * v**minus_r))
         row.append(integrate(u_pow[p_next] * v**minus_r_next))
-    for s in columns.v_orders:
-        row.append(lq_norm(v, s, mesh))
+    for s in columns.v_orders:  # lq_norm(v, s, mesh), inlined
+        if not s >= 1.0:
+            raise DomainError(f"norm order must be >= 1, got {s}")
+        row.append(integrate(v**s) ** (1.0 / s))
     series.values.extend(row)
     return None
 
@@ -345,20 +354,55 @@ def dissipation_check(series: TimeSeries, pair: tuple[float, float], tol: float 
     return CheckVerdict(worst <= tol, worst)
 
 
-def min_v_floor_check(series: TimeSeries, tol_rel: float = 1e-8) -> CheckVerdict:
-    """Pointwise-in-time comparison min v(t) >= exp(-t) min v(0) - tol.
+# The slack of the discrete floor, in ulps of min v(0) per accepted step: a
+# step rounds v + dt (k lap v - v + u) a few times, and the product of
+# (1 - dt) twice.
+FLOOR_ULPS_PER_STEP = 4.0
 
-    ``worst`` is the most negative margin min_v(t_j) - exp(-(t_j - t_0)) min_v(t_0),
-    and the slack is tol_rel * min_v(t_0).
+
+def min_v_floor_check(
+    series: TimeSeries, tol_rel: float = 1e-8, floor_factors=None, steps: int = 0
+) -> CheckVerdict:
+    """Pointwise-in-time comparison of min v with a floor.
+
+    Without ``floor_factors``, the continuum floor of the PDE:
+    min v(t) >= exp(-t) min v(0) - tol_rel * min v(0).
+
+    With ``floor_factors`` (``RunReport.floor_factors``: per row, the product
+    F_j of (1 - dt) over the accepted steps before it), the floor that the
+    explicit scheme keeps: each step gives v_i' = (1 - dt - dt k D_i) v_i +
+    dt k sum_f T_f v_nbr(f) + dt u_i with T_f >= 0 summing to D_i, so
+    min v' >= (1 - dt) min v under the positivity condition, and
+    min v(t_j) >= F_j min v(0).  F_j lies below exp(-t_j), by about
+    t_j dt / 2.  The slack is rounding: ``FLOOR_ULPS_PER_STEP`` ulps of
+    min v(0) per accepted step, ``steps`` being the run's count (at least
+    any row's).
+
+    ``worst`` is the most negative margin min_v(t_j) - floor_j.
     """
     if len(series) < 1:
         raise InsufficientRows("need at least one row")
     times, min_v = series.t, series.min_v
     v0, t0 = min_v[0], times[0]
-    worst = math.inf
-    for t, v in zip(times, min_v):
-        worst = min(worst, v - math.exp(-(t - t0)) * v0)
-    return CheckVerdict(worst >= -tol_rel * v0, worst)
+    if floor_factors is None:
+        floors = [math.exp(-(t - t0)) * v0 for t in times]
+        slack = tol_rel * v0
+    else:
+        if len(floor_factors) != len(min_v):
+            raise DomainError(f"need one floor factor per row, got {len(floor_factors)} for {len(min_v)}")
+        floors = [f * v0 for f in floor_factors]
+        slack = FLOOR_ULPS_PER_STEP * steps * sys.float_info.epsilon * v0
+    worst = min(v - floor for v, floor in zip(min_v, floors))
+    return CheckVerdict(worst >= -slack, worst)
+
+
+def floor_gap(series: TimeSeries, floor_factors) -> float:
+    """exp(-(t - t_0)) - F at the last row: how far the scheme's v floor
+    factor F (see ``min_v_floor_check``) lies below the continuum one, the
+    O(t dt) time error of explicit stepping; nan without ``floor_factors``."""
+    if floor_factors is None:
+        return math.nan
+    return math.exp(-(series.t[-1] - series.t[0])) - floor_factors[-1]
 
 
 def mass_drift(series: TimeSeries) -> float:

@@ -225,6 +225,13 @@ def test_criterion_6_functional_inequalities(run_2d, run_radial):
             assert dissipation_check(report.series, pair, tol=0.05).passed
 
 
+def test_both_reference_runs_keep_the_scheme_floor(run_2d, run_radial):
+    # min v(t) >= prod(1 - dt_j) min v(0), with the check's rounding slack
+    for report, _ in (run_2d[:2], run_radial):
+        assert len(report.floor_factors) == len(report.series)
+        assert min_v_floor_check(report.series, floor_factors=report.floor_factors, steps=report.steps).passed
+
+
 # ---------------------------------------------------------------------------
 # 7. exact constant steady state
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_kernels_on_exact_zeros_differ_at_most_in_zero_signs(make_mesh, rng):
 def report_bytes(report):
     """status and step count, then every float of the report in a fixed
     order, packed."""
-    floats = [report.t_final, report.max_u_over_run, report.min_v_over_run]
+    floats = [report.t_final, report.max_u_over_run, report.min_v_over_run, *report.floor_factors]
     for row in report.series:
         floats += [row.t, row.mass, row.min_v, row.max_u]
         for table in (row.lq_norms, row.energies, row.dissipations, row.v_norms):

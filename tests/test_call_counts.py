@@ -3,7 +3,8 @@
 On 128 radial shells a step acts on a few hundred doubles, so the fixed cost
 of each numpy call, not the arithmetic, sets the cost of a step.  These tests
 count the calls of one ``StepPlan.face_velocities()`` plus ``advance(dt)``,
-so that a change cannot add calls to the bound step unnoticed."""
+so that a change cannot add calls to the bound step unnoticed, and the
+reductions, powers and integrals of one output row of the stepping loop."""
 
 import numpy as np
 import pytest
@@ -68,3 +69,44 @@ def test_every_operand_of_a_bound_step_is_an_array(monkeypatch, mesh, k, calls):
     weak scalars); the plan binds every scalar as a 0-d array instead."""
     for name, args in _one_bound_step(monkeypatch, mesh, k).operands:
         assert all(isinstance(a, np.ndarray) for a in args), (name, [type(a).__name__ for a in args])
+
+
+class Field(np.ndarray):
+    """A field that records the ufunc calls it takes part in, by its name."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.calls.append((ufunc.__name__, method, [getattr(x, "name", x) for x in inputs]))
+        inputs = [x.view(np.ndarray) if isinstance(x, Field) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_calls_of_a_row_given_its_extremes():
+    """One ``compute_row`` on the monitor_dense layout, given (min v, max u)
+    as the stepping loop gives them: no min or max reduction, one power of u
+    or v per distinct exponent (none for the norm of order 1, which is the
+    mass), and one ``integrate`` per integral."""
+    from chemolab.diagnostics import MonitorConfig, TimeSeries, compute_row
+    from chemolab.meshes import State
+
+    mesh = CartesianMesh2D(2.0, 2.0, 32, 32)
+    start = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
+    calls, integrals = [], []
+    u, v = (f.copy().view(Field) for f in (start.u, start.v))
+    for f, name in ((u, "u"), (v, "v")):
+        f.name, f.calls = name, calls
+    integrate = mesh.integrate
+    mesh.integrate = lambda f: integrals.append(f) or integrate(f)
+    pairs = ((1.5, 0.25), (2.0, 0.5), (2.5, 0.75), (3.0, 1.0))
+    series = TimeSeries(MonitorConfig(q_list=(1.0, 2.0, 3.0, 4.0), pr_pairs=pairs))
+    compute_row(State(u, v, 0.5), mesh, series, (float(start.v.min()), float(start.u.max())))
+
+    assert not [c for c in calls if c[0] in ("minimum", "maximum")]
+    # numpy may take f**2.0, f**0.5, f**-1.0 and f**1.0 by these ufuncs
+    shortcuts = {"square": 2.0, "sqrt": 0.5, "reciprocal": -1.0, "positive": 1.0}
+    powers = [(c[2][0], c[2][1]) for c in calls if c[0] == "power"]
+    powers += [(c[2][0], shortcuts[c[0]]) for c in calls if c[0] in shortcuts]
+    u_orders = {2.0, 3.0, 4.0} | {p for p, _ in pairs} | {p + 1.0 for p, _ in pairs}
+    v_orders = {-r for _, r in pairs} | {-(r + 1.0) for _, r in pairs} | {p - r for p, r in pairs}
+    assert sorted(powers) == sorted([("u", e) for e in u_orders] + [("v", e) for e in v_orders])
+    # the mass, three norms of order q > 1, E and D per pair, one norm of v per pair
+    assert len(integrals) == 1 + 3 + 2 * len(pairs) + len(pairs)

@@ -443,12 +443,45 @@ class TestRunCli:
         assert 0.0 < drift <= 1e-12
 
     def test_zero_mass_run_reports_zero_drift(self, tmp_path):
-        # a Gaussian of amplitude 0 is u = 0: every mass is 0 (without production,
-        # v decays faster than exp(-t) under explicit steps: the floor check fails)
+        # a Gaussian of amplitude 0 is u = 0: every mass is 0, and v decays
+        # at the factor 1 - dt per step, the floor the check tests
         cfg = write_config(tmp_path, CART_CONFIG.replace("amplitude = 1.5", "amplitude = 0"))
-        main(["run", str(cfg), "--outdir", str(tmp_path / "out")])
+        assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "status: completed" in report and "\nmass_drift: 0\n" in report
+        assert "\nmin_v_floor: pass\n" in report
+
+    def test_report_gives_the_gap_to_the_continuum_floor(self, tmp_path):
+        # u = 0: min v is v0 times the floor factor, to rounding
+        cfg = write_config(tmp_path, CART_CONFIG.replace("amplitude = 1.5", "amplitude = 0"))
+        assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+        report = dict(line.split(": ", 1) for line in (tmp_path / "out" / "report.txt").read_text().splitlines())
+        lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
+        t, min_v = (float(x) for x in np.array(lines[-1].split(","))[[0, 2]])
+        gap = float(report["min_v_floor_gap"])
+        assert t == 0.5 and 0.0 < gap < 1e-3
+        assert min_v == pytest.approx(math.exp(-t) - gap, rel=1e-13)
+
+    def test_a_scheme_that_decays_v_too_fast_fails_the_floor(self, tmp_path, monkeypatch):
+        # the v-update k lap v - 2 v + u: v falls below the product of (1 - dt)
+        import chemolab.meshes as meshes
+
+        real = meshes.euler_update
+
+        def doubled_decay(rates, uv, k, out):
+            update = real(rates, uv, k, out)
+
+            def step(dt):
+                np.subtract(rates[1], uv[1], rates[1])  # k = 1: one more -v
+                update(dt)
+
+            return step
+
+        monkeypatch.setattr(meshes, "euler_update", doubled_decay)
+        cfg = write_config(tmp_path, CART_CONFIG.replace("amplitude = 1.5", "amplitude = 0"))
+        assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 3
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "status: completed" in report and "\nmin_v_floor: fail\n" in report
 
     def test_zero_chi_heat_decay(self, tmp_path):
         text = CART_CONFIG.replace("chi = 0.5", "chi = 0").replace("q_list = 1, 2", "q_list = 1")

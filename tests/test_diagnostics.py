@@ -2,12 +2,14 @@
 
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from chemolab.diagnostics import (
+    FLOOR_ULPS_PER_STEP,
     MonitorConfig,
     TimeSeries,
     TimeSeriesRow,
@@ -345,6 +347,28 @@ class TestMinVFloor:
             TimeSeriesRow(t=t, mass=1.0, min_v=math.exp(-2 * t), max_u=1.0) for t in times
         ]
         assert not min_v_floor_check(TimeSeries.from_rows(rows)).passed
+
+    def test_discrete_floor_has_a_rounding_slack(self):
+        # v0 = 2 decaying at 1 - dt per step, dt = 0.01, ten steps per row:
+        # below exp(-t) by about t dt / 2, on the product of (1 - dt) up to
+        # a few ulps per step
+        steps = 40
+        factors = [(1.0 - 0.01) ** (10 * j) for j in range(5)]
+        rows = [TimeSeriesRow(t=0.1 * j, mass=0.0, min_v=2.0 * f, max_u=0.0) for j, f in enumerate(factors)]
+        series = TimeSeries.from_rows(rows)
+        assert not min_v_floor_check(series).passed  # the continuum floor
+        assert min_v_floor_check(series, floor_factors=factors, steps=steps).passed
+        slack = FLOOR_ULPS_PER_STEP * steps * sys.float_info.epsilon * 2.0
+        series.values[2 + 3 * series.columns.width] -= 0.5 * slack
+        verdict = min_v_floor_check(series, floor_factors=factors, steps=steps)
+        assert verdict.passed and verdict.worst == pytest.approx(-0.5 * slack, rel=1e-3)
+        series.values[2 + 3 * series.columns.width] -= slack
+        assert not min_v_floor_check(series, floor_factors=factors, steps=steps).passed
+
+    def test_one_floor_factor_per_row(self):
+        rows = [TimeSeriesRow(t=t, mass=1.0, min_v=1.0, max_u=1.0) for t in (0.0, 0.1)]
+        with pytest.raises(DomainError, match="one floor factor per row"):
+            min_v_floor_check(TimeSeries.from_rows(rows), floor_factors=[1.0], steps=1)
 
 
 class TestSmoothingRatio:
