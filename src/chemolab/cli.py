@@ -8,9 +8,10 @@ with one row per grid point in deterministic chi-major order regardless of
 the parallelism level (override with the CHEMOLAB_THREADS variable; the pool
 never gets more workers than grid points or CPUs).  A sweep task is a batch:
 grid points that share their first time step advance together as one
-``solver.run_batch`` stack of at most ``solver.BATCH_CELLS`` cells, and each
-point's row is bit-identical to a run of that point alone, so the summary
-depends neither on the batching nor on the parallelism.
+``solver.run_batch`` stack of at most ``solver.BATCH_CELLS`` cells (one point
+when the mesh alone is larger), and each point's row is bit-identical to a
+run of that point alone, so the summary depends neither on the batching nor
+on the parallelism.
 
 All real numbers in CSV output carry 17 significant digits, so files are
 round-trippable and byte-comparable across repeated and parallel runs.
@@ -293,9 +294,9 @@ def _plan_sweep(spec: SweepSpec, workers: int):
     The mesh, scheme and initial state come from ``spec.base`` (no grid point
     changes them); each point's params and monitors are built in its own
     ``try``.  Points are grouped by their first-step ``stable_dt``, each group
-    is cut into batches of at most ``BATCH_CELLS`` cells, and the batches
-    with the most work (points / dt) are halved until there are
-    ``min(points, workers)`` tasks.
+    is cut into batches of at most ``BATCH_CELLS`` cells (one point each when
+    the mesh alone is larger), and the batches with the most work
+    (points / dt) are halved until there are ``min(points, workers)`` tasks.
 
     Returns ``(rows, tasks)``: the CSV rows of the points that failed to
     build, by grid index, and the ``_sweep_point`` tasks, largest work first.

@@ -82,16 +82,33 @@ numpy calls on radial shells and 28 on a rectangle, one more each for
 k != 1 (``tests/test_call_counts.py`` counts them).  On 128 radial shells
 these act on a few hundred doubles, so the fixed cost of a call, not the
 arithmetic, sets the cost of a step.  So every operand that a binder hands
-to a ufunc is an array: a shared chi, h/2, h, h^2, k and the upwind test's
-0 are bound as 0-d float64 arrays, and ``euler_update`` writes each dt
-into a 0-d array it holds.  numpy 2 converts a Python number operand on
-every call (NEP 50 weak scalars), and a 0-d float64 array gives the same
-bits without that.  Each binder also holds its ufuncs as closure locals
-(``multiply = np.multiply``), so no call looks up a module attribute.  On
-384 doubles (2-core x86_64, Python 3.11, numpy 2.4) one multiply took
-about 950 ns with a Python-float dt and 730 ns with the dt written into a
-0-d array; by a constant, 1,060 ns as a float and 715 ns as a 0-d array;
-and ``np.multiply`` looked up at the call added about 80 ns.
+to a ufunc is an array: a shared chi, h/2, 1/h or h, 1/h^2 or h^2, k and
+the upwind test's 0 are bound as 0-d float64 arrays, and ``euler_update``
+writes each dt into a 0-d array it holds.  numpy 2 converts a Python
+number operand on every call (NEP 50 weak scalars), and a 0-d float64
+array gives the same bits without that.  Each binder also holds its ufuncs
+as closure locals (``multiply = np.multiply``), so no call looks up a
+module attribute.  On 384 doubles (2-core x86_64, Python 3.11, numpy 2.4)
+one multiply took about 950 ns with a Python-float dt and 730 ns with the
+dt written into a 0-d array; by a constant, 1,060 ns as a float and 715 ns
+as a 0-d array; and ``np.multiply`` looked up at the call added about
+80 ns.
+
+Exact reciprocals.  The kernels that divide by a mesh constant (the
+Cartesian diffusive fluxes by hx^2 and hy^2, the Cartesian taxis fluxes by
+hx and hy, the radial diffusive fluxes by h) bind, through ``_scale``, a
+multiply by 1/h when h is a power of two whose reciprocal is finite, and
+the divide otherwise.  IEEE 754 rounds both operations correctly, and x / h
+and x * (1/h) are then the same real number, so the product has the
+quotient's bits for every double, signed zeros, subnormals, infinities and
+NaN included (``tests/test_exact_reciprocals.py`` checks every such power
+of two).  Every mesh the project runs has such spacings: L = 2 with 16, 32
+or 64 cells a side, R = 2 with 64 or 128 shells.  A multiply of 8,192
+doubles by a 0-d array took 2.6-4.1 us against 6.0-6.8 us for the divide
+(on 2,048 doubles the two cost about the same), and at 64x64 cells the
+diffusive kernel fell from about 15 us to 4-6 us, the taxis kernel from
+32-39 us to 24-30 us and the bound step from about 105 to 90 us (medians of
+interleaved rounds, 2-core x86_64, Python 3.11, numpy 2.4).
 
 The innermost radial face has zero area, which enforces the symmetry
 condition at r = 0 without ghost values.
@@ -111,6 +128,17 @@ def _operand(x):
     """``x`` as a ufunc operand: an array as it is, a number as a 0-d
     float64 array, which a ufunc takes without converting it on every call."""
     return x if isinstance(x, np.ndarray) else np.array(x, float)
+
+
+def _scale(h):
+    """The ufunc and 0-d operand that take x to x / h: ``np.multiply`` with
+    1/h when h is a power of two whose reciprocal is finite, else
+    ``np.divide`` with h.  Both round the same real number then, so the
+    product has the quotient's bits for every double x."""
+    inverse = 1.0 / h
+    if math.frexp(h)[0] == 0.5 and math.isfinite(inverse):
+        return np.multiply, _operand(inverse)
+    return np.divide, _operand(h)
 
 
 def _velocity(dv, v1, v0, chi, w, scratch, half_h):
@@ -307,31 +335,31 @@ class CartesianMesh2D(_PaddedFluxMesh):
         return differences
 
     def _diffusive(self, f, faces):
-        divide, nx, size = np.divide, self.nx, f.size
+        nx, size = self.nx, f.size
         directions = (
-            (faces[0][1:size], _operand(self.hx * self.hx)),
-            (faces[1][nx:size], _operand(self.hy * self.hy)),
+            (faces[0][1:size], *_scale(self.hx * self.hx)),
+            (faces[1][nx:size], *_scale(self.hy * self.hy)),
         )
 
         def diffusive():
-            for t, h2 in directions:
-                divide(t, h2, t)
+            for t, scale, h2 in directions:
+                scale(t, h2, t)
 
         return diffusive
 
     def _taxis(self, u, w, faces, start, masks):
-        multiply, divide, where, greater = np.multiply, np.divide, np.where, np.greater
+        multiply, where, greater = np.multiply, np.where, np.greater
         nx, end, zero = self.nx, start + u.size, _operand(0.0)
         (wx, wy), (mx, my) = w, masks
         directions = (
-            (wx, mx, u[:-1], u[1:], faces[0][start + 1 : end], _operand(self.hx)),
-            (wy, my, u[:-nx], u[nx:], faces[1][start + nx : end], _operand(self.hy)),
+            (wx, mx, u[:-1], u[1:], faces[0][start + 1 : end], *_scale(self.hx)),
+            (wy, my, u[:-nx], u[nx:], faces[1][start + nx : end], *_scale(self.hy)),
         )
 
         def taxis():
-            for w, mask, u0, u1, t, h in directions:
+            for w, mask, u0, u1, t, scale, h in directions:
                 multiply(w, where(greater(w, zero, mask), u0, u1), t)
-                divide(t, h, t)
+                scale(t, h, t)
 
         return taxis
 
@@ -428,13 +456,13 @@ class RadialShellMesh(_PaddedFluxMesh):
         return differences
 
     def _diffusive(self, f, faces):
-        multiply, divide = np.multiply, np.divide
-        size, h = f.size, _operand(self.h)
+        multiply, size = np.multiply, f.size
+        scale, h = _scale(self.h)
         area, t = faces[1][: size - 1], faces[0][1:size]
 
         def diffusive():
             multiply(t, area, t)
-            divide(t, h, t)
+            scale(t, h, t)
 
         return diffusive
 

@@ -490,6 +490,20 @@ def test_ten_thousand_point_sweep_is_partitioned_within_the_budget():
     assert len(rows) + sum(len(task[3]) for task in tasks) == 10_000
 
 
+@pytest.mark.parametrize("nx, ny", [(256, 130), (16, 16)])
+def test_a_batch_holds_the_budget_or_one_point(nx, ny):
+    """A mesh of more than BATCH_CELLS cells gets one point per batch, which
+    is then larger than the budget; a smaller mesh never exceeds it."""
+    text = CART_CONFIG.replace("nx = 16", f"nx = {nx}").replace("ny = 16", f"ny = {ny}")
+    spec, rows, tasks = planned(text + "\n[sweep]\nchi_range = 0:0.99:0.01\nk_values = 0.5, 1\n", workers=1)
+    cells = nx * ny
+    assert rows == {} and sum(len(task[3]) for task in tasks) == len(spec.points) == 200
+    if cells > BATCH_CELLS:
+        assert all(len(task[3]) == 1 for task in tasks)
+    else:  # 200 points of 256 cells share one time step, cut into two batches
+        assert len(tasks) == 2 and all(len(task[3]) * cells <= BATCH_CELLS for task in tasks)
+
+
 def sweep_lines(tmp_path, name, text):
     spec = write_config(tmp_path, text, f"{name}.cfg")
     assert main(["sweep", str(spec), "--outdir", str(tmp_path / name)]) == 0

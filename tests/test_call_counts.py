@@ -71,6 +71,29 @@ def test_every_operand_of_a_bound_step_is_an_array(monkeypatch, mesh, k, calls):
         assert all(isinstance(a, np.ndarray) for a in args), (name, [type(a).__name__ for a in args])
 
 
+@pytest.mark.parametrize(
+    "mesh, calls, divides",
+    [
+        (RadialShellMesh(3, 1.0, 7), 19, 4),
+        (RadialShellMesh(3, 2.0, 128), 19, 3),
+        (CartesianMesh2D(1.0, 1.0, 5, 4), 28, 4),
+        (CartesianMesh2D(2.0, 2.0, 64, 64), 28, 2),
+    ],
+    ids=["radial_m7", "radial_m128_R2", "cart_5x4", "cart_64x64_L2"],
+)
+def test_divides_of_a_bound_step(monkeypatch, mesh, calls, divides):
+    """A mesh constant whose reciprocal is exact scales by a multiply: what
+    divides is the face velocities (one per direction), the radial scatter
+    (two, by the shell volumes) and, where the spacing is 0.2 or 1/7, the
+    diffusive fluxes and the Cartesian taxis fluxes of that direction.  The
+    total stays the same, and every operand is 0-d or of its call's shape."""
+    operands = _one_bound_step(monkeypatch, mesh, 1.0).operands
+    assert len(operands) == calls
+    assert [name for name, _ in operands].count("divide") == divides
+    for name, args in operands:
+        assert len({np.shape(a) for a in args} - {()}) <= 1, (name, [np.shape(a) for a in args])
+
+
 class Field(np.ndarray):
     """A field that records the ufunc calls it takes part in, by its name."""
 
