@@ -57,9 +57,9 @@ entries beyond both ends of the flat stack, and one scatter turns them into
 cell rates: cell i gets ``T[i+1] - T[i]`` (x faces, and radial faces divided
 by the shell volume), plus ``Ty[i+nx] - Ty[i]`` on a rectangle.  The pads,
 zeroed when the face arrays are allocated and never written, stand for the
-zero boundary fluxes of the first and last rows.  ``transport_rates`` and
-``StepPlan`` fill one padded array with the rows (lap u, lap v, taxis
-divergence of u), so the rates of a step take one scatter.  Each cell keeps its terms and their
+zero boundary fluxes of the first and last rows.  ``StepPlan`` fills one
+padded array with the rows (lap u, lap v, taxis divergence of u), so the
+rates of a step take one scatter.  Each cell keeps its terms and their
 order, so the rates have the bits of separate per-operator accumulation
 except, at most, the sign of an exact zero.
 
@@ -70,10 +70,11 @@ function doing the ``out=`` arithmetic on them.  The face velocities read
 the differences of v that the difference kernel wrote, and the diffusive
 kernel scales the differences into fluxes in place, so v is differenced
 once per step for both.  The operators above bind per call and call once.
-``StepPlan`` is the stepping loop's: built once per batch, it owns the
-batch state, the rates and all scratch, binds every kernel to them when it
-is built, and then steps by calling the bound kernels, on the same flat
-layout, so its states have the operators' bits.  The plan always holds the
+``StepPlan`` is the one explicit step: the stepping loop builds one per
+batch, and the public ``solver.step`` one per call, on a single point.  It
+owns the batch state, the rates and all scratch, binds every kernel to them
+when it is built, and then steps by calling the bound kernels, on the same
+flat layout, so its states have the operators' bits.  The plan always holds the
 differences of its current state: it writes them when it is built, and
 each ``advance(dt)`` scales them into fluxes and ends by writing those of
 the new state, which the next ``face_velocities()`` reads.  With a taxis
@@ -156,14 +157,14 @@ def _velocity(dv, v1, v0, chi, w, scratch, half_h):
     return velocity
 
 
-def euler_update(rates, uv, k, out):
+def euler_update(rates, uv, k):
     """Bind the forward-Euler update of the state ``uv = (u, v)`` from its
     rates ``rates`` (rows lap u, lap v and, if there is a third, the taxis
-    divergence of u): the returned function of dt writes ``uv + dt * (lap u
-    - taxis, k lap v - v + u)`` into ``out``, ``uv`` itself or ``rates[:2]``,
-    using ``rates[:2]`` as scratch.  A k of exactly 1 skips the product,
-    since x * 1.0 == x for every double.  Each dt is written into a 0-d
-    array that the product reads."""
+    divergence of u): the returned function of dt overwrites ``uv`` in place
+    with ``uv + dt * (lap u - taxis, k lap v - v + u)``, using ``rates[:2]``
+    as scratch.  A k of exactly 1 skips the product, since x * 1.0 == x for
+    every double.  Each dt is written into a 0-d array that the product
+    reads."""
     subtract, multiply, add = np.subtract, np.multiply, np.add
     du, dv, inc = rates[0], rates[1], rates[:2]
     taxis = rates[2] if len(rates) == 3 else None
@@ -180,7 +181,7 @@ def euler_update(rates, uv, k, out):
         subtract(dv, v, dv)
         add(dv, u, dv)
         multiply(inc, step, inc)
-        add(inc, uv, out)
+        add(inc, uv, uv)
 
     return update
 
@@ -227,21 +228,6 @@ class _PaddedFluxMesh:
         faces = self.face_arrays(u.shape[:-1])
         self._taxis(u.reshape(-1), w, faces, 0, self._velocity_arrays(u.size, bool))()
         return self._scatter_faces(faces).reshape(u.shape)
-
-    def transport_rates(self, uv: np.ndarray, w=None) -> np.ndarray:
-        """Rates of the state ``uv = (u, v)``, u and v of shape (..., N):
-        (lap u, lap v), then, when the face velocities ``w`` of v are given,
-        the taxis divergence of u, stacked along the first axis, in one
-        fresh array.  The stepping loop does not call this: its ``StepPlan``
-        runs the same kernels on operands bound once."""
-        faces = self.face_arrays((2 if w is None else 3,) + uv.shape[1:-1])
-        flat = uv.reshape(-1)
-        self._differences(flat, faces)()
-        self._diffusive(flat, faces)()
-        if w is not None:
-            cells = flat.size // 2
-            self._taxis(flat[:cells], w, faces, flat.size, self._velocity_arrays(cells, bool))()
-        return self._scatter_faces(faces).reshape((-1,) + uv.shape[1:])
 
     def face_velocities(self, v: np.ndarray, chi):
         """Chemotactic face velocities chi * dv / (h * v_face) on the flat pairs.
@@ -564,7 +550,7 @@ class StepPlan:
             self.point_faces = [None] * points
         fluxes.append(mesh._scatter(faces, rates.reshape(-1)))
         self._fluxes = tuple(fluxes)
-        self._update = euler_update(rates, self.uv, k, self.uv)
+        self._update = euler_update(rates, self.uv, k)
 
     def advance(self, dt: float) -> np.ndarray:
         """One forward-Euler step of size ``dt`` from the current state, with

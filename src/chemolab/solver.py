@@ -38,11 +38,12 @@ accepted step.  Beyond that, a cell where both limits bind can go negative;
 
 Batches.  ``run_batch`` advances P runs that share a mesh, a scheme and an
 initial state, as one contiguous (2, P, N) stack (u rows, then v rows);
-``run`` is a batch of one, so there is one stepping loop.  Each batch gets
-a ``meshes.StepPlan``, which holds the stack, updated in place, with the
-rates and all scratch of a step, chi per cell of the flat stack (a 0-d
-array when all points share it) and k as a 0-d array or a (P, 1) column,
-and binds every operand of a step once.  One step does each piece of work once for
+``run`` is a batch of one, so there is one stepping loop, and ``step``
+given ``ModelParams`` steps a one-point plan, so there is one step path.
+Each batch gets a ``meshes.StepPlan``, which holds the stack, updated in
+place, with the rates and all scratch of a step, chi per cell of the flat
+stack (a 0-d array when all points share it) and k as a 0-d array or a
+(P, 1) column, and binds every operand of a step once.  One step does each piece of work once for
 the whole batch: the plan computes the chemotactic face velocities from the
 differences of v that it holds (see ``meshes``), and each point's
 contiguous slice of them is handed to its own ``stable_dt``; ``step``,
@@ -109,7 +110,7 @@ import numpy as np
 from .diagnostics import MonitorConfig, TimeSeries, compute_row
 from .errors import DomainError
 from .exponents import ModelParams
-from .meshes import CartesianMesh2D, Mesh, RadialShellMesh, State, StepPlan, euler_update
+from .meshes import CartesianMesh2D, Mesh, RadialShellMesh, State, StepPlan
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "suspected_blowup"
@@ -259,8 +260,10 @@ def step(
     vanish identically on constant fields, so the constant steady state
     u = v = c is reproduced bit-exactly.  The new state is not checked:
     ``run_batch`` classifies non-finite values and positivity loss (see
-    module docstring).  The new u and v are the rows of one fresh array
-    (``State.stacked``).
+    module docstring).  Given ``ModelParams``, the step is that of a
+    one-point ``StepPlan`` built on a copy of ``state``, whose face
+    velocities also give ``stable_dt``; the new u and v are the rows of the
+    plan's own array (``State.stacked``), which no other state shares.
 
     ``run_batch`` passes its batch's ``StepPlan`` as ``params``, the state
     whose ``uv`` is the plan's (``State.stacked(plan.uv, t)``), and the
@@ -274,13 +277,12 @@ def step(
         params.advance(dt)
         state.t += dt
         return state
-    w = mesh.face_velocities(state.v, params.chi) if params.chi != 0.0 else None
+    plan = StepPlan(mesh, state.uv()[:, None], [params.chi], [params.k])
+    plan.face_velocities()
     if dt is None:
-        dt = stable_dt(state, params, mesh, cfg, w)
-    uv = state.uv()
-    rates = mesh.transport_rates(uv, w)
-    euler_update(rates, uv, params.k, rates[:2])(dt)
-    return State.stacked(rates[:2], state.t + dt)
+        dt = stable_dt(state, params, mesh, cfg, plan.point_faces[0])
+    plan.advance(dt)
+    return State.stacked(plan.uv[:, 0], state.t + dt)
 
 
 def run(

@@ -18,7 +18,7 @@ import chemolab.solver as solver
 from chemolab.cli import main
 from chemolab.diagnostics import MonitorConfig
 from chemolab.exponents import ModelParams
-from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State
+from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State, StepPlan
 from chemolab.runconfig import parse_sweep_spec
 from chemolab.solver import BATCH_CELLS, SchemeConfig, initial_state, run, run_batch
 
@@ -125,20 +125,38 @@ def test_chemotactic_divergence(make_mesh, rng):
     assert same_bytes(mesh.chemotactic_divergence(u, w), div(mesh, u, w))
 
 
-@mesh_params
-def test_transport_rates_rows_and_reused_faces(make_mesh, rng):
-    mesh = make_mesh()
+def sep_step(mesh, uv, w, k, dt):
+    """One forward-Euler step of one point from the separate kernels."""
     lap, div = sep_kernels(mesh)
-    chi = np.repeat([[0.7], [0.2], [2.5]], mesh.cell_count, axis=1)  # per cell
-    for _ in range(2):  # a second call on new fields gets their rates, not stale ones
-        uv = fields(mesh, rng, (2, 3))
-        w = mesh.face_velocities(uv[1], chi)
-        rates = mesh.transport_rates(uv, w)
-        assert rates.shape == (3, 3, mesh.cell_count)
-        assert same_bytes(rates[:2], lap(mesh, uv))
-        for j in range(3):
-            assert same_bytes(rates[2, j], div(mesh, uv[0, j], mesh.point_faces(w, j)))
-    assert same_bytes(mesh.transport_rates(uv[:, 0]), lap(mesh, uv[:, 0]))
+    u, v = uv
+    du = lap(mesh, u) - div(mesh, u, w)
+    dv = k * lap(mesh, v) - v + u
+    return np.stack((u + dt * du, v + dt * dv))
+
+
+def plan_step(plan, dt):
+    plan.face_velocities()
+    plan.advance(dt)
+
+
+def same_faces(a, b):
+    """Face velocities, a pair of arrays on a rectangle, compared by bytes."""
+    pairs = zip(a, b, strict=True) if isinstance(a, tuple) else [(a, b)]
+    return all(same_bytes(x, y) for x, y in pairs)
+
+
+@mesh_params
+def test_plan_rows_and_reused_faces(make_mesh, rng):
+    mesh = make_mesh()
+    chis, ks, dt = (0.7, 0.2, 2.5), (1.0, 1.3, 0.7), 1e-4
+    plan = StepPlan(mesh, fields(mesh, rng, (2, 3)), chis, ks)
+    for _ in range(2):  # the second step scales the new state's fluxes, not stale ones
+        uv = plan.uv.copy()
+        plan_step(plan, dt)
+        for j, (chi, k) in enumerate(zip(chis, ks)):
+            w = mesh.face_velocities(uv[1, j], chi)
+            assert same_faces(plan.point_faces[j], w)
+            assert same_bytes(plan.uv[:, j], sep_step(mesh, uv[:, j], w, k, dt))
 
 
 @mesh_params
@@ -171,24 +189,21 @@ ISOLATION_MESHES = [
 def test_rows_of_the_flat_stack_are_isolated(make_mesh, bad, rng):
     # the flat pairs that join two rows of the stack must carry no flux: a
     # non-finite value where points 0 and 1 meet reaches no other row, and
-    # every point's rates and faces, those of points 0 and 1 included, are
-    # the ones it gets alone
+    # every point's stepped state and faces, those of points 0 and 1
+    # included, are the ones it gets in a plan of its own
     mesh = make_mesh()
     chis = (0.7, 0.2, 2.5, 1.1)
     uv = fields(mesh, rng, (2, 4))
     uv[:, 0, -1] = bad
     uv[:, 1, 0] = bad
-    chi = np.repeat(np.array(chis)[:, None], mesh.cell_count, axis=1)
     with np.errstate(invalid="ignore"):
-        w = mesh.face_velocities(uv[1], chi)
-        rates = mesh.transport_rates(uv, w)
+        plan = StepPlan(mesh, uv, chis, [1.0] * 4)
+        plan_step(plan, 1e-4)
         for j in range(4):
-            alone = uv[:, j].copy()
-            w_alone = mesh.face_velocities(alone[1], chis[j])
-            assert same_bytes(rates[:, j], mesh.transport_rates(alone, w_alone))
-            wj = mesh.point_faces(w, j)
-            pairs = zip(wj, w_alone) if isinstance(w_alone, tuple) else [(wj, w_alone)]
-            assert all(same_bytes(a, b) for a, b in pairs)
+            alone = StepPlan(mesh, uv[:, j : j + 1], [chis[j]], [1.0])
+            plan_step(alone, 1e-4)
+            assert same_bytes(plan.uv[:, j], alone.uv[:, 0])
+            assert same_faces(plan.point_faces[j], alone.point_faces[0])
 
 
 @mesh_params

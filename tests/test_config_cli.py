@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chemolab.meshes as meshes
 from chemolab.cli import CSV_CHUNK_ROWS, main, timeseries_csv
 from chemolab.diagnostics import MonitorConfig, TimeSeries
 from chemolab.errors import ConfigError, DomainError
@@ -341,6 +342,21 @@ class TestExponentsCli:
         assert main(["exponents"]) == 1
 
 
+def doubled_decay(euler_update):
+    """``euler_update`` with the v-update k lap v - 2 v + u at k = 1."""
+
+    def binder(rates, uv, k):
+        update = euler_update(rates, uv, k)
+
+        def step(dt):
+            np.subtract(rates[1], uv[1], rates[1])  # k = 1: one more -v
+            update(dt)
+
+        return step
+
+    return binder
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -464,20 +480,7 @@ class TestRunCli:
 
     def test_a_scheme_that_decays_v_too_fast_fails_the_floor(self, tmp_path, monkeypatch):
         # the v-update k lap v - 2 v + u: v falls below the product of (1 - dt)
-        import chemolab.meshes as meshes
-
-        real = meshes.euler_update
-
-        def doubled_decay(rates, uv, k, out):
-            update = real(rates, uv, k, out)
-
-            def step(dt):
-                np.subtract(rates[1], uv[1], rates[1])  # k = 1: one more -v
-                update(dt)
-
-            return step
-
-        monkeypatch.setattr(meshes, "euler_update", doubled_decay)
+        monkeypatch.setattr(meshes, "euler_update", doubled_decay(meshes.euler_update))
         cfg = write_config(tmp_path, CART_CONFIG.replace("amplitude = 1.5", "amplitude = 0"))
         assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 3
         report = (tmp_path / "out" / "report.txt").read_text()

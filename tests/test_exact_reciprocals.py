@@ -143,7 +143,12 @@ def test_operators_on_a_stack_keep_their_bits(monkeypatch, make_mesh, rng):
 
     def operators():
         w = mesh.face_velocities(v, 0.7)
-        return [mesh.laplacian(u), mesh.chemotactic_divergence(u, w), mesh.transport_rates(uv, w), mesh.transport_rates(uv)]
+        results = [mesh.laplacian(u), mesh.chemotactic_divergence(u, w), mesh.laplacian(uv)]
+        for chi in (0.7, 0.0):  # a plan's step with a taxis row and without
+            plan = StepPlan(mesh, uv, [chi] * 3, [1.0] * 3)
+            plan.face_velocities()
+            results.append(plan.advance(1e-3))
+        return results
 
     results = operators()
     monkeypatch.setattr(meshes, "_scale", always_divide)

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from chemolab.diagnostics import MonitorConfig, min_v_floor_check
+import chemolab.meshes as meshes
+from chemolab.diagnostics import MonitorConfig, compute_row, min_v_floor_check
 from chemolab.errors import DomainError
 from chemolab.exponents import ModelParams
 from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State, StepPlan
 from chemolab.solver import SchemeConfig, initial_state, run, stable_dt, step
 
+from test_config_cli import doubled_decay
+from test_fused_step import plain_step
 from test_meshes import (
     cart_chemdiv_oracle,
     cart_laplacian_oracle,
@@ -192,7 +195,7 @@ class TestStep:
         plan.face_velocities()
         state = State.stacked(plan.uv, 0.25)
         got = step(state, plan, mesh, small_cfg(), 1e-3)
-        want = step(start, params, mesh, small_cfg(), 1e-3)
+        want = plain_step(start, params, mesh, 1e-3)
         assert got is state and got.t == 0.25 + 1e-3
         assert got.uv() is plan.uv
         assert got.uv()[:, 0].tobytes() == want.uv().tobytes()
@@ -202,7 +205,8 @@ class TestStep:
     )
     def test_plans_with_unit_and_other_k_match_step(self, mesh):
         # one point at k = 1 next to one at 1.3 takes the k-column product; a
-        # plan of the k = 1 point alone skips it: each row has step's bytes
+        # plan of the k = 1 point alone skips it: each row has the bytes of
+        # the separate operators
         n = 3 if mesh.geometry == "radial" else 2
         params_seq = [ModelParams(chi=0.6, k=k, n=n) for k in (1.0, 1.3)]
         start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
@@ -210,7 +214,7 @@ class TestStep:
         alone = StepPlan(mesh, start.uv()[:, None], [0.6], [1.0])
         wants = [start, start]
         for _ in range(3):
-            wants = [step(want, params, mesh, small_cfg(), 1e-3) for want, params in zip(wants, params_seq)]
+            wants = [plain_step(want, params, mesh, 1e-3) for want, params in zip(wants, params_seq)]
             for plan in (pair, alone):
                 plan.face_velocities()
                 plan.advance(1e-3)
@@ -223,14 +227,52 @@ class TestStep:
     )
     def test_a_plan_holds_the_differences_of_its_state(self, mesh):
         # each advance writes the differences that the next one scales, so a
-        # plan with no taxis term steps on advance alone, with step's bytes
+        # plan with no taxis term steps on advance alone, with the bytes of
+        # the separate operators
         params = ModelParams(chi=0.0, k=1.3, n=3 if mesh.geometry == "radial" else 2)
         want = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
         plan = StepPlan(mesh, want.uv()[:, None], [params.chi], [params.k])
         for _ in range(3):
-            want = step(want, params, mesh, small_cfg(), 1e-3)
+            want = plain_step(want, params, mesh, 1e-3)
             plan.advance(1e-3)
             assert plan.uv[:, 0].tobytes() == want.uv().tobytes()
+
+    @pytest.mark.parametrize(
+        "mesh, u, v, chi, k",
+        [
+            (CartesianMesh2D(1.0, 1.0, 8, 8), np.ones(64), np.r_[1e-3, np.ones(63)], 3.0, 1.0),
+            (CartesianMesh2D(1.0, 1.0, 8, 8), None, None, 0.0, 1.3),
+            (RadialShellMesh(3, 1.0, 12), None, None, 0.6, 1.0),
+        ],
+        ids=["advective_limit", "no_taxis", "radial"],
+    )
+    def test_step_without_dt_takes_stable_dt(self, mesh, u, v, chi, k):
+        # the plan's face velocities, when there are any, give stable_dt's own;
+        # the first case is the advective limit of
+        # test_steep_chemical_gradient_forces_advective_limit
+        state = initial_state(mesh, "gaussian", 2.0, v0_base=0.5) if u is None else State(u, v)
+        params = ModelParams(chi=chi, k=k, n=3 if mesh.geometry == "radial" else 2)
+        assert step(state, params, mesh, small_cfg()).t == stable_dt(state, params, mesh, small_cfg())
+
+    def test_run_and_step_share_one_update_binder(self, monkeypatch):
+        # a v-update of k lap v - 2 v + u bound in meshes reaches both paths
+        mesh = RadialShellMesh(3, 1.0, 12)
+        params = ModelParams(chi=0.6, k=1.0, n=3)
+        start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
+        dt = 1e-4  # below stable_dt, so a run to t = dt takes this one step
+        cfg = small_cfg(t_end=dt, output_interval=dt)
+        unpatched = run(start, params, mesh, cfg)
+        monkeypatch.setattr(meshes, "euler_update", doubled_decay(meshes.euler_update))
+        u, v = start.u, start.v
+        du = mesh.laplacian(u) - mesh.chemotactic_divergence(u, mesh.face_velocities(v, params.chi))
+        dv = mesh.laplacian(v) - v - v + u
+        got = step(start, params, mesh, cfg, dt)
+        assert got.u.tobytes() == (u + dt * du).tobytes()
+        assert got.v.tobytes() == (v + dt * dv).tobytes()
+        report = run(start, params, mesh, cfg)
+        assert report.steps == 1 and report.min_v_over_run == float(got.v.min())
+        assert report.min_v_over_run < unpatched.min_v_over_run
+        assert list(report.series)[-1] == compute_row(got, mesh, MonitorConfig())
 
     def test_zero_chi_heat_decay(self):
         mesh = CartesianMesh2D(1.0, 1.0, 16, 16)
