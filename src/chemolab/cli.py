@@ -19,7 +19,8 @@ round-trippable and byte-comparable across repeated and parallel runs.
 Exit codes: 0 success (run: completed with all checks passing), 1 malformed
 input or configuration, 2 exponents outside the applicable chi range,
 3 run completed but a check failed, 4 suspected blow-up, 5 dt collapse,
-6 positivity lost (dt_safety beyond the guaranteed range).
+6 positivity lost (a scheme fault: ``stable_dt`` keeps u >= 0 and v > 0
+for every accepted dt_safety).
 """
 
 from __future__ import annotations

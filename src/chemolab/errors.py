@@ -21,8 +21,9 @@ class NotApplicable(ValueError):
 class PositivityViolation(RuntimeError):
     """A field that must stay nonnegative/positive failed to do so.
 
-    In the solver this signals a broken CFL bound (a scheme bug or a
-    dt_safety pushed past its guaranteed range), not physics.
+    In the solver this signals a broken CFL bound, a scheme bug, not
+    physics: ``stable_dt`` keeps u >= 0 and v > 0 for every accepted
+    dt_safety.
     """
 
 

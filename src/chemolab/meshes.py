@@ -48,9 +48,14 @@ every write:
 A zeroed pair adds or subtracts exactly 0, as the zero-flux boundary face of
 a row on its own does, so every cell gets the same terms in the same order as
 on its own row and the rates keep its bits; a non-finite value in one row
-cannot reach another.  ``face_velocities`` of a (P, N) stack is flat as well
-(x or radial entries P*N - 1, y entries P*N - nx), and ``point_faces(w, j)``
-gives point j's faces as contiguous slices, the arrays it gets alone.
+cannot reach another.
+
+One face layout.  Faces come in directions of stride s, the pairs (j, j+s):
+x and y (strides 1 and nx) on a rectangle, one radial direction (stride 1)
+on shells.  ``face_velocities`` of a (P, N) stack is a tuple of one flat
+array per direction, P*N - s entries each, on both meshes, and
+``point_faces(w, j)`` gives point j's as contiguous slices, the arrays it
+gets alone.  The kernels that read only the strides are written once.
 
 Padded faces, one scatter.  Face fluxes go into face arrays padded with zero
 entries beyond both ends of the flat stack, and one scatter turns them into
@@ -193,20 +198,21 @@ class _PaddedFluxMesh:
     cuts the views that its arithmetic reads and writes out of flat arrays
     and returns a function that does the ``out=`` ufunc calls on them each
     time it is called.  The operators below bind per call and call once; a
-    ``StepPlan`` binds once and calls every step.  A subclass supplies
-    ``face_arrays(shape)`` (the zeroed padded face scratch of a stack of
-    ``shape`` rows, with whatever else its scatter needs),
-    ``_velocity_arrays(size, dtype)`` (uninitialized arrays shaped like the
-    face velocities of ``size`` flat cells) and the kernels ``_differences``
-    (the differences f[j+1] - f[j] of the flat pairs of a field, written
-    into the face scratch, or into any arrays indexed like its first two),
-    ``_diffusive`` (scale those differences into diffusive fluxes, in
-    place), ``_velocities`` (the face velocities of v from its differences,
-    which start at flat cell ``start`` of the face scratch), ``_taxis``
-    (the donor-cell fluxes of u, from flat cell ``start`` of the face
-    scratch on) and ``_scatter`` (zero the pairs that are not faces, write
-    the flat cell rates).  No write touches the pads, so face scratch reused
-    across calls keeps its zero pads.
+    ``StepPlan`` binds once and calls every step.  A subclass supplies its
+    face layout (module docstring): ``_strides``, one stride s per face
+    direction, and ``_outflow``, per direction the (area, vol_in, vol_out)
+    by which a face's outflow leaves cell j and cell j + s (numbers on a
+    rectangle, per-face arrays on shells); ``face_arrays(shape)`` (the
+    zeroed padded face scratch of a stack of ``shape`` rows, one array per
+    direction first, then whatever else its scatter needs); and the kernels
+    whose arithmetic differs: ``_diffusive`` (scale the differences f[j+s]
+    - f[j] that ``_differences`` wrote into diffusive fluxes, in place),
+    ``_velocities`` (the face velocities of v from its differences, which
+    start at flat cell ``start`` of the face scratch), ``_taxis`` (the
+    donor-cell fluxes of u, from flat cell ``start`` of the face scratch
+    on) and ``_scatter`` (zero the pairs that are not faces, write the flat
+    cell rates).  No write touches the pads, so face scratch reused across
+    calls keeps its zero pads.
     """
 
     def integrate(self, f: np.ndarray) -> float:
@@ -230,20 +236,52 @@ class _PaddedFluxMesh:
         return self._scatter_faces(faces).reshape(u.shape)
 
     def face_velocities(self, v: np.ndarray, chi):
-        """Chemotactic face velocities chi * dv / (h * v_face) on the flat pairs.
+        """Chemotactic face velocities chi * dv / (h * v_face) on the flat pairs,
+        one flat array per direction.
 
-        Radial: the interior faces.  Cartesian: (x faces, y faces), both
-        flat: x face i joins cells (i, i+1), y face i joins (i, i+nx); the x
-        entries that join the end of a row to the start of the next are 0.
-        ``v`` may have leading dimensions (the faces are then those of the
-        flat stack, ``point_faces`` slices out one row's), with ``chi`` a
-        number or an array of v's shape.
+        Radial: the interior faces, ``(w,)``, face i joining shells (i, i+1).
+        Cartesian: (x faces, y faces): x face i joins cells (i, i+1), y face
+        i joins (i, i+nx); the x entries that join the end of a row to the
+        start of the next are 0.  ``v`` may have leading dimensions (the
+        faces are then those of the flat stack, ``point_faces`` slices out
+        one row's), with ``chi`` a number or an array of v's shape.
         """
         v = v.reshape(-1)
-        differences, w = np.empty((2, v.size)), self._velocity_arrays(v.size)
+        differences, w = np.empty((len(self._strides), v.size)), self._velocity_arrays(v.size)
         self._differences(v, differences)()
         self._velocities(v, differences, 0, chi, w, self._velocity_arrays(v.size))()
         return w
+
+    def point_faces(self, w, j):
+        """Row j's face velocities out of ``face_velocities`` of a stack."""
+        n = self.cell_count
+        return tuple(wd[j * n : (j + 1) * n - s] for wd, s in zip(w, self._strides))
+
+    def diffusion_outflow_max(self) -> float:
+        """max over cells of sum_faces area / (h * volume), unit diffusivity."""
+        return self._diffusion_outflow_max
+
+    def advective_outflow_max(self, w) -> float:
+        """max over cells of the donor-cell outflow rate sum_f A_f w_out,f / vol."""
+        acc = np.zeros(self.cell_count)
+        for s, wd, (area, vol_in, vol_out) in zip(self._strides, w, self._outflow):
+            acc[:-s] += area * np.maximum(wd, 0.0) / vol_in
+            acc[s:] += area * np.maximum(-wd, 0.0) / vol_out
+        return float(acc.max())
+
+    def _velocity_arrays(self, size, dtype=float):
+        """Uninitialized arrays shaped like the face velocities of ``size`` flat cells."""
+        return tuple(np.empty(size - s, dtype) for s in self._strides)
+
+    def _differences(self, f, faces):
+        subtract, size = np.subtract, f.size
+        directions = tuple((f[s:], f[:-s], t[s:size]) for s, t in zip(self._strides, faces))
+
+        def differences():
+            for f1, f0, t in directions:
+                subtract(f1, f0, t)
+
+        return differences
 
     def _scatter_faces(self, faces):
         out = np.empty(faces[0].size - 1)
@@ -271,6 +309,8 @@ class CartesianMesh2D(_PaddedFluxMesh):
         self.volumes = np.full(self.cell_count, self.hx * self.hy)
         self.domain_volume = float(self.volumes.sum())
         self._diffusion_outflow_max = 2.0 / (self.hx * self.hx) + 2.0 / (self.hy * self.hy)
+        self._strides = (1, self.nx)
+        self._outflow = ((1.0, self.hx, self.hx), (1.0, self.hy, self.hy))
 
     def cell_centers(self):
         """(x, y) coordinates per cell, each a flat array in cell order."""
@@ -287,9 +327,6 @@ class CartesianMesh2D(_PaddedFluxMesh):
         rows = math.prod(shape)
         tx, ty = np.zeros(rows * n + 1), np.zeros(rows * n + nx)
         return tx, ty, ty[: rows * n].reshape(rows, n)[1:, :nx]
-
-    def _velocity_arrays(self, size, dtype=float):
-        return np.empty(size - 1, dtype), np.empty(size - self.nx, dtype)
 
     def _velocities(self, v, faces, start, chi, w, scratch):
         nx, end = self.nx, start + v.size
@@ -309,16 +346,6 @@ class CartesianMesh2D(_PaddedFluxMesh):
             wraps.fill(0.0)  # the pairs that join the end of a row to the start of the next
 
         return velocities
-
-    def _differences(self, f, faces):
-        subtract, nx, size = np.subtract, self.nx, f.size
-        directions = ((f[1:], f[:-1], faces[0][1:size]), (f[nx:], f[:-nx], faces[1][nx:size]))
-
-        def differences():
-            for f1, f0, t in directions:
-                subtract(f1, f0, t)
-
-        return differences
 
     def _diffusive(self, f, faces):
         nx, size = self.nx, f.size
@@ -363,27 +390,6 @@ class CartesianMesh2D(_PaddedFluxMesh):
 
         return scatter
 
-    def point_faces(self, w, j):
-        """Row j's face velocities out of ``face_velocities`` of a stack."""
-        n = self.cell_count
-        wx, wy = w
-        return wx[j * n : (j + 1) * n - 1], wy[j * n : (j + 1) * n - self.nx]
-
-    def diffusion_outflow_max(self) -> float:
-        """max over cells of sum_faces area / (h * volume), unit diffusivity."""
-        return self._diffusion_outflow_max
-
-    def advective_outflow_max(self, w) -> float:
-        """max over cells of the donor-cell outflow rate sum_f A_f w_out,f / vol."""
-        nx = self.nx
-        wx, wy = w
-        acc = np.zeros(self.cell_count)
-        acc[:-1] += np.maximum(wx, 0.0) / self.hx
-        acc[1:] += np.maximum(-wx, 0.0) / self.hx
-        acc[:-nx] += np.maximum(wy, 0.0) / self.hy
-        acc[nx:] += np.maximum(-wy, 0.0) / self.hy
-        return float(acc.max())
-
 
 class RadialShellMesh(_PaddedFluxMesh):
     """Uniform shells of a radially symmetric n_dim-ball, indexed center-out."""
@@ -406,8 +412,8 @@ class RadialShellMesh(_PaddedFluxMesh):
         self.face_area = self.face_r ** (self.n_dim - 1)
         self.volumes = (self.face_r[1:] ** self.n_dim - self.face_r[:-1] ** self.n_dim) / self.n_dim
         self.domain_volume = float(self.volumes.sum())
-        self._inner_area = self.face_area[1:-1]  # interior faces 1..m-1
-        self._vol_in, self._vol_out = self.volumes[:-1], self.volumes[1:]  # cells beside them
+        self._strides = (1,)
+        self._outflow = ((self.face_area[1:-1], self.volumes[:-1], self.volumes[1:]),)  # interior faces
         per_cell = (self.face_area[:-1] + self.face_area[1:]) / (self.h * self.volumes)
         self._diffusion_outflow_max = float(per_cell.max())
 
@@ -423,23 +429,11 @@ class RadialShellMesh(_PaddedFluxMesh):
         area = np.tile(self.face_area[1:], rows)[:-1]
         return np.zeros(rows * self.m + 1), area, np.tile(self.volumes, rows), np.empty(rows * self.m)
 
-    def _velocity_arrays(self, size, dtype=float):
-        return np.empty(size - 1, dtype)
-
     def _velocities(self, v, faces, start, chi, w, scratch):
         if isinstance(chi, np.ndarray):
             chi = chi.reshape(-1)[:-1]
-        dv = faces[0][start + 1 : start + v.size]
+        (w,), (scratch,), dv = w, scratch, faces[0][start + 1 : start + v.size]
         return _velocity(dv, v[1:], v[:-1], chi, w, scratch, self.h * 0.5)
-
-    def _differences(self, f, faces):
-        subtract = np.subtract
-        f1, f0, t = f[1:], f[:-1], faces[0][1 : f.size]
-
-        def differences():
-            subtract(f1, f0, t)
-
-        return differences
 
     def _diffusive(self, f, faces):
         multiply, size = np.multiply, f.size
@@ -452,9 +446,9 @@ class RadialShellMesh(_PaddedFluxMesh):
 
         return diffusive
 
-    def _taxis(self, u, w, faces, start, mask):
+    def _taxis(self, u, w, faces, start, masks):
         multiply, where, greater = np.multiply, np.where, np.greater
-        size, zero = u.size, _operand(0.0)
+        size, zero, (w,), (mask,) = u.size, _operand(0.0), w, masks
         area, u0, u1, t = faces[1][: size - 1], u[:-1], u[1:], faces[0][start + 1 : start + size]
 
         def taxis():
@@ -474,22 +468,6 @@ class RadialShellMesh(_PaddedFluxMesh):
             subtract(out, divide(t0, vol, scratch), out)
 
         return scatter
-
-    def point_faces(self, w, j):
-        """Row j's face velocities out of ``face_velocities`` of a stack."""
-        m = self.m
-        return w[j * m : (j + 1) * m - 1]
-
-    def diffusion_outflow_max(self) -> float:
-        """max over shells of sum_faces area / (h * volume), unit diffusivity."""
-        return self._diffusion_outflow_max
-
-    def advective_outflow_max(self, w: np.ndarray) -> float:
-        """max over shells of the donor-cell outflow rate sum_f A_f w_out,f / vol."""
-        acc = np.zeros(self.m)
-        acc[:-1] += self._inner_area * np.maximum(w, 0.0) / self._vol_in
-        acc[1:] += self._inner_area * np.maximum(-w, 0.0) / self._vol_out
-        return float(acc.max())
 
 
 class StepPlan:

@@ -32,9 +32,15 @@ pass; when it fails, the exact advective limit is computed as before.
 Each limit is taken separately, so in one step a cell can lose the share
 dt * (D_i + A_i) <= 2 * dt_safety of its u (D_i, A_i its diffusive and
 advective outflow rates) and dt * (k D_i + 1) <= 1.5 * dt_safety of its v.
-For dt_safety <= 1/2 these jointly guarantee u >= 0 and v > 0 at every
-accepted step.  Beyond that, a cell where both limits bind can go negative;
-``run`` reports this as status "positivity_lost", a scheme fault, not physics.
+For dt_safety <= 1/2 both shares are at most 1, which guarantees u >= 0 and
+v > 0 at every accepted step.  Above 1/2, ``stable_dt`` skips the screen,
+takes the exact advective limit and caps dt at c / (D_max + A_max) and
+c / (k D_max + 1), c = 1 - 2^-32.  Since D_i <= D_max and A_i <= A_max, both
+shares are then below 1 in every cell, so the guarantee holds on the whole
+accepted range (0, 1]; c < 1 keeps a cell that a step would empty exactly
+from rounding to a negative value.  At dt_safety <= 1/2 the cap is never
+evaluated, so dt keeps its bits there.  A loss of positivity is still
+classified, as status "positivity_lost" (a scheme fault, not physics).
 
 Batches.  ``run_batch`` advances P runs that share a mesh, a scheme and an
 initial state, as one contiguous (2, P, N) stack (u rows, then v rows);
@@ -118,6 +124,11 @@ STATUS_DT_COLLAPSE = "dt_collapse"
 STATUS_POSITIVITY_LOST = "positivity_lost"
 
 _TREL = 1e-12  # relative band for time-target snapping
+
+# Above dt_safety 1/2, the largest share of a cell's u or v that one step may
+# drain: just under all of it, since a cell emptied exactly (a one-cell spike
+# with the cap binding) rounded to -4.4e-16 on 8x8 cells.
+_DRAIN_CAP = 1.0 - 2.0**-32
 
 # Cap on P * N, the cells of one run_batch stack, for callers that batch
 # runs.  Per cell, a batch step on the flat stack cost (2-core x86_64,
@@ -219,30 +230,38 @@ def initial_state(
 def stable_dt(
     state: State | None, params: ModelParams, mesh: Mesh, cfg: SchemeConfig, w=None, v_range=None
 ) -> float:
-    """Safety-scaled minimum of the diffusive, advective, and reaction limits.
+    """Safety-scaled minimum of the diffusive, advective, and reaction limits,
+    capped for positivity when ``cfg.dt_safety`` exceeds 1/2.
 
     ``w`` are the face velocities of ``state.v`` (computed when needed and
     omitted); ``v_range`` is ``(min v, max v)`` (computed when omitted).
     ``state`` is read only to compute those two, so a caller that passes
     ``v_range``, and ``w`` when chi != 0, may pass None.  The advective limit
     is skipped when the screen in the module docstring shows that it cannot
-    bind.  The caller additionally caps the result so output times are hit
-    exactly.
+    bind.  Above dt_safety 1/2 the screen is skipped, the exact advective
+    outflow maximum A_max is always taken, and dt is capped at
+    c / (D_max + A_max) and c / (k D_max + 1), c = ``_DRAIN_CAP``, which
+    keeps u >= 0 and v > 0 (module docstring).  The caller additionally
+    caps the result so output times are hit exactly.
     """
-    k_scale = max(1.0, params.k)
-    limit = 1.0 / (k_scale * mesh.diffusion_outflow_max())
+    k_scale, d_max, adv = max(1.0, params.k), mesh.diffusion_outflow_max(), 0.0
+    capped = cfg.dt_safety > 0.5
+    limit = 1.0 / (k_scale * d_max)
     if params.chi != 0.0:
         if v_range is None:
             v_range = float(state.v.min()), float(state.v.max())
         v_min, v_max = v_range
         # written as `not <=` so that a NaN range takes the exact path
-        if not params.chi * (v_max - v_min) <= 0.5 * k_scale * v_min:
+        if capped or not params.chi * (v_max - v_min) <= 0.5 * k_scale * v_min:
             if w is None:
                 w = mesh.face_velocities(state.v, params.chi)
             adv = mesh.advective_outflow_max(w)
             if adv > 0.0:
                 limit = min(limit, 1.0 / adv)
-    return cfg.dt_safety * min(limit, 0.5)
+    dt = cfg.dt_safety * min(limit, 0.5)
+    if capped:
+        dt = min(dt, _DRAIN_CAP / (d_max + adv), _DRAIN_CAP / (params.k * d_max + 1.0))
+    return dt
 
 
 def step(

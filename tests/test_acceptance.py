@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import chemolab.cli as cli
 from chemolab.cli import main
 from chemolab.diagnostics import (
     MonitorConfig,
@@ -35,7 +36,7 @@ from chemolab.exponents import (
 )
 from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State
 from chemolab.runconfig import bootstrap_pairs
-from chemolab.solver import SchemeConfig, initial_state, run, step
+from chemolab.solver import SchemeConfig, initial_state, run, run_batch, step
 
 from conftest import sample_admissible_chik, sample_window_triple
 
@@ -61,13 +62,71 @@ def criterion(num, text):
 # ---------------------------------------------------------------------------
 
 
+REFERENCE_CFG = """\
+[model]
+chi = 0.5
+k = 1
+n = 2
+geometry = cartesian2d
+Lx = 2
+Ly = 2
+nx = 64
+ny = 64
+
+[initial]
+kind = gaussian
+amplitude = 1.5
+v0_base = 1
+v0_min = 0.1
+
+[scheme]
+t_end = 10
+output_interval = 0.1
+
+[monitors]
+q_list = 1, 2
+pr_source = bootstrap
+theta = 0.5
+"""
+
+
 @pytest.fixture(scope="module")
-def run_2d():
+def reference_cli(tmp_path_factory):
+    """``chemolab run`` on REFERENCE_CFG, once: its exit code, its output
+    directory, and the arguments and reports of its ``run_solver`` call."""
+    outdir = tmp_path_factory.mktemp("reference")
+    cfg = outdir / "reference.cfg"
+    cfg.write_text(REFERENCE_CFG, encoding="utf-8")
+    calls = []
+
+    def recording(*args):
+        reports = run_batch(*args)
+        calls.append((args, reports))
+        return reports
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_solver", recording)
+        code = main(["run", str(cfg), "--outdir", str(outdir)])
+    [(args, reports)] = calls
+    return code, outdir, args, reports
+
+
+@pytest.fixture(scope="module")
+def run_2d(reference_cli):
+    """The 64x64 reference run, computed once through the CLI: its report,
+    after checking that the CLI built the inputs that the library calls
+    below build, the initial u and v to the bit."""
     mesh = CartesianMesh2D(2.0, 2.0, 64, 64)
     init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0, v0_min=0.1)
     params = ModelParams(chi=0.5, k=1.0, n=2)
     monitors = MonitorConfig(q_list=(1.0, 2.0), pr_pairs=bootstrap_pairs(params, 0.5))
-    report = run(init, params, mesh, SchemeConfig(t_end=10.0, output_interval=0.1), monitors)
+    scheme = SchemeConfig(t_end=10.0, output_interval=0.1)
+    _, _, (cli_init, params_seq, cli_mesh, cli_scheme, monitors_seq), (report,) = reference_cli
+    assert type(cli_mesh) is CartesianMesh2D
+    assert (cli_mesh.lx, cli_mesh.ly, cli_mesh.nx, cli_mesh.ny) == (mesh.lx, mesh.ly, mesh.nx, mesh.ny)
+    assert params_seq == [params] and monitors_seq == [monitors] and cli_scheme == scheme
+    assert cli_init.u.tobytes() == init.u.tobytes() and cli_init.v.tobytes() == init.v.tobytes()
+    assert cli_init.t == init.t
     return report, monitors, mesh, params, init
 
 
@@ -303,48 +362,19 @@ def test_criterion_8_small_state_oracles(rng):
 # ---------------------------------------------------------------------------
 
 
-REFERENCE_CFG = """\
-[model]
-chi = 0.5
-k = 1
-n = 2
-geometry = cartesian2d
-Lx = 2
-Ly = 2
-nx = 64
-ny = 64
-
-[initial]
-kind = gaussian
-amplitude = 1.5
-v0_base = 1
-v0_min = 0.1
-
-[scheme]
-t_end = 10
-output_interval = 0.1
-
-[monitors]
-q_list = 1, 2
-pr_source = bootstrap
-theta = 0.5
-"""
-
-
 @criterion("5/6 via CLI", "the reference 64x64 scenario exits 0 and matches the library run")
-def test_reference_scenario_through_the_cli(run_2d, tmp_path):
-    report, monitors, _, _, _ = run_2d
-    cfg = tmp_path / "reference.cfg"
-    cfg.write_text(REFERENCE_CFG, encoding="utf-8")
-    assert main(["run", str(cfg), "--outdir", str(tmp_path)]) == 0
-    text = (tmp_path / "report.txt").read_text()
+def test_reference_scenario_through_the_cli(run_2d, reference_cli):
+    report = run_2d[0]
+    code, outdir, _, _ = reference_cli
+    assert code == 0
+    text = (outdir / "report.txt").read_text()
     assert "status: completed" in text
     assert "gronwall: pass" in text
     assert "dissipation: pass" in text
     assert "min_v_floor: pass" in text
-    # the CLI run is the same computation: its mass column must equal the
-    # library run's masses digit for digit
-    lines = (tmp_path / "timeseries.csv").read_text().strip().splitlines()
+    # run_2d checked that the CLI run is the library's computation: its mass
+    # column must equal the run's masses digit for digit
+    lines = (outdir / "timeseries.csv").read_text().strip().splitlines()
     csv_masses = [line.split(",")[1] for line in lines[1:]]
     lib_masses = [f"{row.mass:.17g}" for row in report.series]
     assert csv_masses == lib_masses

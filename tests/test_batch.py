@@ -23,7 +23,7 @@ from chemolab.runconfig import parse_sweep_spec
 from chemolab.solver import BATCH_CELLS, SchemeConfig, initial_state, run, run_batch
 
 from test_config_cli import CART_CONFIG, SWEEP_SMALL, write_config
-from test_fused_step import RecordingPool, fake_report
+from test_fused_step import RecordingPool, double_stable_dt, fake_report
 
 # ---------------------------------------------------------------------------
 # oracle: the kernels that accumulate each operator separately into zeros
@@ -66,6 +66,7 @@ def sep_radial_laplacian(mesh, f):
 
 
 def sep_radial_chemotactic_divergence(mesh, u, w):
+    (w,) = w
     flux = mesh.face_area[1:-1] * w * np.where(w > 0.0, u[:-1], u[1:])
     out = np.zeros(mesh.m)
     out[:-1] += flux / mesh.volumes[:-1]
@@ -140,9 +141,8 @@ def plan_step(plan, dt):
 
 
 def same_faces(a, b):
-    """Face velocities, a pair of arrays on a rectangle, compared by bytes."""
-    pairs = zip(a, b, strict=True) if isinstance(a, tuple) else [(a, b)]
-    return all(same_bytes(x, y) for x, y in pairs)
+    """Face velocities, one array per direction, compared by bytes."""
+    return all(same_bytes(x, y) for x, y in zip(a, b, strict=True))
 
 
 @mesh_params
@@ -167,10 +167,7 @@ def test_batched_face_velocities_match_rows(make_mesh, rng):
     w = mesh.face_velocities(v, chi)
     for j, c in enumerate((0.4, 0.0, 3.0)):
         one = mesh.face_velocities(v[j].copy(), c)
-        wj = mesh.point_faces(w, j)
-        pairs = zip(wj, one) if isinstance(one, tuple) else [(wj, one)]
-        for batch, row in pairs:
-            assert same_bytes(batch, row)
+        assert same_faces(mesh.point_faces(w, j), one)
 
 
 ISOLATION_MESHES = [
@@ -336,30 +333,34 @@ def test_point_that_stops_early_leaves_the_batch(make_mesh, batch_sizes):
     assert [r.steps for r in reports[:3]] == [1000] * 3 and len(reports[0].series) == 1001
 
 
-def test_positivity_loss_inside_a_batch_matches_run():
-    # the one-cell spike of test_fused_step loses positivity at dt_safety 0.6
+def test_positivity_loss_inside_a_batch_matches_run(monkeypatch):
+    # the one-cell spike of test_fused_step loses positivity with the
+    # uncapped steps of dt_safety 0.6, injected at 0.3
+    double_stable_dt(monkeypatch)
     mesh = CartesianMesh2D(1.0, 1.0, 8, 8)
     u = np.zeros(64)
     u[27] = 1.0
     v = np.full(64, 3.0)
     v[27] = 1.0
     params_seq = [ModelParams(chi=chi, k=1.0, n=2) for chi in (1.0, 0.0)]
-    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=0.6)
+    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=0.3)
     reports, _ = assert_batch_matches_runs(State(u, v), params_seq, mesh, cfg, [None, None])
     assert [r.status for r in reports] == ["positivity_lost", "completed"]
 
 
-def test_point_that_loses_positivity_leaves_a_batch_that_carries_on(batch_sizes):
-    # the spike at dt_safety 0.55: chi = 1 and chi = 0.5 share the first dt,
-    # so they take the first step as one batch; after it only the chi = 1
-    # point has lost positivity, and only it stops
+def test_point_that_loses_positivity_leaves_a_batch_that_carries_on(monkeypatch, batch_sizes):
+    # the spike with the uncapped steps of dt_safety 0.55, injected at 0.275:
+    # chi = 1 and chi = 0.5 share the first dt, so they take the first step
+    # as one batch; after it only the chi = 1 point has lost positivity, and
+    # only it stops
+    double_stable_dt(monkeypatch)
     mesh = CartesianMesh2D(1.0, 1.0, 8, 8)
     u = np.zeros(64)
     u[27] = 1.0
     v = np.full(64, 3.0)
     v[27] = 1.0
     params_seq = [ModelParams(chi=chi, k=1.0, n=2) for chi in (1.0, 0.5)]
-    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=0.55)
+    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=0.275)
     reports, sizes = assert_batch_matches_runs(State(u, v), params_seq, mesh, cfg, [None, None], batch_sizes)
     assert [r.status for r in reports] == ["positivity_lost", "completed"]
     assert [r.steps for r in reports] == [0, len(sizes)]

@@ -101,7 +101,7 @@ def stepped(mesh, chis, ks, steps, dt):
         plan.face_velocities()
         plan.advance(dt)
     plan.face_velocities()
-    return plan.uv.copy(), [np.concatenate(f if isinstance(f, tuple) else (f,)) for f in plan.point_faces]
+    return plan.uv.copy(), [np.concatenate(f) for f in plan.point_faces]
 
 
 STEP_CASES = [

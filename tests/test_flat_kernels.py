@@ -1,5 +1,7 @@
-"""The flat Cartesian kernels against the 2-D-view kernels they replace, and
-the advective screen in ``stable_dt`` against the plain dt formula."""
+"""The flat Cartesian kernels against the 2-D-view kernels they replace, the
+radial outflow maximum against its own formula, the one face layout of both
+meshes, and the advective screen in ``stable_dt`` against the plain dt
+formula."""
 
 import numpy as np
 import pytest
@@ -118,6 +120,56 @@ class TestFlatCartesianKernels:
         v = rng.uniform(0.1, 5.0, cart.cell_count)
         flat = cart.advective_outflow_max(cart.face_velocities(v, 0.7))
         assert flat == view_advective_outflow_max(cart, view_face_velocities(cart, v, 0.7))
+
+
+# ---------------------------------------------------------------------------
+# the radial outflow maximum and the face layout of both meshes
+# ---------------------------------------------------------------------------
+
+
+def radial_advective_outflow_max(mesh, w):
+    """The donor-cell outflow maximum on shells, each interior face weighted
+    by its area over the volume of the shell it leaves."""
+    (w,) = w
+    area, vol_in, vol_out = mesh.face_area[1:-1], mesh.volumes[:-1], mesh.volumes[1:]
+    acc = np.zeros(mesh.m)
+    acc[:-1] += area * np.maximum(w, 0.0) / vol_in
+    acc[1:] += area * np.maximum(-w, 0.0) / vol_out
+    return float(acc.max())
+
+
+@pytest.mark.parametrize("n_dim, radius, m", [(3, 1.0, 7), (3, 1.0, 37), (3, 2.0, 128), (2, 1.7, 37)])
+def test_radial_advective_outflow_max(n_dim, radius, m, rng):
+    mesh = RadialShellMesh(n_dim, radius, m)
+    for chi in (0.6, 3.0):
+        v = rng.uniform(0.1, 5.0, m)
+        w = mesh.face_velocities(v, chi)
+        assert mesh.advective_outflow_max(w) == radial_advective_outflow_max(mesh, w)
+    w = mesh.face_velocities(steep_state(mesh).v, 5.0)
+    assert mesh.advective_outflow_max(w) == radial_advective_outflow_max(mesh, w)
+
+
+LAYOUTS = [
+    ("cart_9x7", lambda: CartesianMesh2D(1.0, 0.8, 9, 7), (1, 9)),
+    ("cart_4x11", lambda: CartesianMesh2D(1.1, 0.9, 4, 11), (1, 4)),
+    ("radial3_m37", lambda: RadialShellMesh(3, 1.0, 37), (1,)),
+]
+
+
+@pytest.mark.parametrize("points", [1, 3])
+@pytest.mark.parametrize("make_mesh, strides", [c[1:] for c in LAYOUTS], ids=[c[0] for c in LAYOUTS])
+def test_one_flat_face_array_per_direction(make_mesh, strides, points, rng):
+    # direction d of stride s joins the flat pairs (j, j + s): P*N - s faces
+    # of a stack, N - s of each point
+    mesh = make_mesh()
+    n = mesh.cell_count
+    w = mesh.face_velocities(rng.uniform(0.1, 5.0, (points, n)), 0.7)
+    assert type(w) is tuple
+    assert [wd.shape for wd in w] == [(points * n - s,) for s in strides]
+    for j in range(points):
+        faces = mesh.point_faces(w, j)
+        assert type(faces) is tuple
+        assert [wd.shape for wd in faces] == [(n - s,) for s in strides]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import chemolab.cli as cli
+import chemolab.solver as solver
 from chemolab.cli import main
 from chemolab.diagnostics import MonitorConfig, TimeSeries, compute_row
 from chemolab.exponents import ModelParams
@@ -136,13 +137,23 @@ def test_stacked_laplacian_matches_rows(make_mesh, rng):
 def spike_case():
     """u and v concentrated in one cell of an 8x8 mesh: where diffusion and
     taxis both drain that cell, the separate dt limits allow an outflow of
-    dt*(D_i + A_i) = 2*dt_safety of its u."""
+    dt*(D_i + A_i) = 2*dt_safety of its u, which the positivity cap above
+    dt_safety 1/2 keeps below all of it."""
     mesh = CartesianMesh2D(1.0, 1.0, 8, 8)
     u = np.zeros(64)
     u[27] = 1.0
     v = np.full(64, 3.0)
     v[27] = 1.0
     return mesh, State(u, v), ModelParams(chi=1.0, k=1.0, n=2)
+
+
+def double_stable_dt(monkeypatch):
+    """Inject the separate limits' positivity fault: every ``stable_dt``
+    returns twice its value.  At dt_safety s <= 1/2 the cap is not
+    evaluated and 2s is exact, so the steps are, to the bit, those of
+    dt_safety 2s without the cap."""
+    real = solver.stable_dt
+    monkeypatch.setattr(solver, "stable_dt", lambda *args, **kwargs: 2.0 * real(*args, **kwargs))
 
 
 def test_positivity_envelope_holds_at_one_half():
@@ -154,14 +165,62 @@ def test_positivity_envelope_holds_at_one_half():
 
 
 @pytest.mark.parametrize("dt_safety", [0.55, 0.6])
-def test_positivity_loss_has_its_own_status(dt_safety):
+def test_positivity_loss_has_its_own_status(monkeypatch, dt_safety):
+    # the uncapped steps of dt_safety 0.55 and 0.6, injected at half of it
     mesh, init, params = spike_case()
-    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=dt_safety)
+    double_stable_dt(monkeypatch)
+    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=dt_safety / 2)
     report = run(init, params, mesh, cfg)
     assert report.status == "positivity_lost"
     assert report.t_final == 0.0  # the last accepted step
     assert report.steps == 0
     assert len(report.series) == 1
+
+
+@pytest.mark.parametrize("dt_safety", [0.51, 0.55, 0.6, 0.8, 1.0])
+def test_spike_keeps_positivity_above_one_half(dt_safety):
+    mesh, init, params = spike_case()
+    cfg = SchemeConfig(t_end=0.05, output_interval=0.01, dt_safety=dt_safety)
+    report = run(init, params, mesh, cfg)
+    assert report.status == "completed"
+    assert report.min_v_over_run > 0.0
+
+
+def random_steep_state(mesh, rng, spike):
+    """A one-cell spike of u on a v with a dip there, or u and v spread over
+    many decades, with u = 0 in about 30 % of the cells."""
+    n = mesh.cell_count
+    if spike:
+        j = rng.integers(n)
+        u = np.zeros(n)
+        u[j] = rng.uniform(0.5, 5.0)
+        v = np.full(n, rng.uniform(1.0, 5.0))
+        v[j] = rng.uniform(0.05, 1.0)
+        return State(u, v)
+    u = np.exp(rng.normal(0.0, 3.0, n)) * (rng.uniform(size=n) < 0.7)
+    return State(u, np.exp(rng.normal(0.0, 2.0, n)))
+
+
+STEEP_MESHES = [
+    ("cart_8x8", lambda: CartesianMesh2D(1.0, 1.0, 8, 8)),
+    ("cart_9x7", lambda: CartesianMesh2D(1.0, 0.8, 9, 7)),
+    ("radial3_m16", lambda: RadialShellMesh(3, 1.0, 16)),
+]
+
+
+@pytest.mark.parametrize("dt_safety", [0.51, 0.6, 0.8, 1.0])
+@pytest.mark.parametrize("make_mesh", [m for _, m in STEEP_MESHES], ids=[n for n, _ in STEEP_MESHES])
+def test_no_accepted_dt_safety_loses_positivity(make_mesh, dt_safety):
+    # without the cap, 22 of these 96 runs lost positivity in their first two steps
+    mesh = make_mesh()
+    rng = np.random.default_rng(7)
+    n = mesh.n_dim if mesh.geometry == "radial" else 2
+    cfg = SchemeConfig(t_end=0.01, output_interval=0.01, dt_safety=dt_safety)
+    for i in range(8):
+        init = random_steep_state(mesh, rng, spike=i % 2 == 0)
+        params = ModelParams(chi=float(rng.uniform(0.2, 5.0)), k=float(rng.uniform(0.2, 3.0)), n=n)
+        report = run(init, params, mesh, cfg)
+        assert report.status == "completed", (i, params)
 
 
 def fake_report(status):

@@ -1,0 +1,109 @@
+"""Compare chemolab's outputs at a base revision with the working tree's, byte for byte.
+
+    python tools/same_outputs.py --base HEAD~
+
+The base revision is exported (``git archive``) into a temporary directory.
+On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
+``src``:
+
+* the inputs of the four perfbench workloads at seeds 0 and 11, written by
+  ``perfbench/workloads.scenario`` of the working tree, through
+  ``python -m chemolab.cli``;
+* the five demos under ``demos/``.
+
+It compares every ``timeseries.csv``, ``report.txt`` and
+``sweep_summary.csv``, and the stdout and the exit code of every
+invocation.  Each difference goes to stderr; one verdict line goes to
+stdout.  The exit code is 0 when everything is identical and 1 otherwise.
+
+The base is exported rather than checked out as a ``git worktree``, so an
+interrupted comparison leaves nothing registered in the repository.  Only
+the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("run2d", "radial3", "monitor_dense", "sweep")
+SEEDS = (0, 11)
+OUTPUTS = ("timeseries.csv", "report.txt", "sweep_summary.csv")
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the files of ``rev`` under ``dest``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def invocations() -> list[tuple[str, list[str], dict[str, str]]]:
+    """(name, arguments after the interpreter, input files) of every run; a
+    demo's script path is relative to the tree that runs it."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import scenario
+
+    runs = []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            case = scenario(workload, seed)
+            argv = ["-m", "chemolab.cli", case.command, case.input_name, "--outdir", "out"]
+            runs.append((f"{workload} seed {seed}", argv, {case.input_name: case.input_text}))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        runs.append((f"demos/{demo.name}", [f"demos/{demo.name}"], {}))
+    return runs
+
+
+def outputs(tree: Path, argv: list[str], files: dict[str, str], workdir: Path) -> dict[str, bytes | None]:
+    """Run one invocation on ``tree`` in the empty directory ``workdir``: its
+    exit code, its stdout and each output file (None where it wrote none)."""
+    workdir.mkdir(parents=True)
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    if argv[0].startswith("demos/"):
+        argv = [str(tree / argv[0])]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, *argv], cwd=workdir, env=env, capture_output=True)
+    found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout}
+    for name in OUTPUTS:
+        path = workdir / "out" / name
+        found[name] = path.read_bytes() if path.exists() else None
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="the revision to compare with (default HEAD)")
+    args = parser.parse_args(argv)
+    runs = invocations()
+    differences = []
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        base = Path(tmp) / "base"
+        export(args.base, base)
+        for i, (name, run_argv, files) in enumerate(runs):
+            before = outputs(base, run_argv, files, Path(tmp) / f"base-{i}")
+            after = outputs(ROOT, run_argv, files, Path(tmp) / f"tree-{i}")
+            for what in before:
+                if before[what] != after[what]:
+                    differences.append(f"{name}: {what} differs")
+                    print(differences[-1], file=sys.stderr)
+    scope = f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, and the demos)"
+    if differences:
+        print(f"DIFFERENT: {len(differences)} output(s) of {scope} differ from {args.base}")
+        return 1
+    print(f"SAME: every output of {scope} is byte-identical to {args.base}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
