@@ -31,23 +31,24 @@ The on-disk format is a strict sectioned key = value text file::
     theta = 0.5
     tolerance_rel = 0.05
 
-Blank lines and lines starting with ``#`` or ``;`` are ignored.  Unknown
-sections or keys, duplicates, bad value types, non-finite numbers (list
-entries included), and out-of-range values are all rejected with the
-offending 1-based line number.  A radial geometry uses ``R`` and ``m``
+Blank lines and lines starting with ``#`` or ``;`` are ignored; a value
+cannot carry a trailing comment.  A radial geometry uses ``R`` and ``m``
 instead of the four Cartesian keys; explicit monitor pairs use
-``pr_source = explicit`` plus ``pr_pairs = p:r, p:r, ...``.
+``pr_source = explicit`` plus ``pr_pairs = p:r, p:r, ...``.  Sweep
+documents add a ``[sweep]`` section with axis definitions (``chi_values``
+or ``chi_range = start:stop:step``, same for ``k``), ``parallelism``, and
+an optional ``max_points`` cap.
 
-Sweep documents carry the same four sections plus a ``[sweep]`` section with
-axis definitions (``chi_values`` or ``chi_range = start:stop:step``, same
-for ``k``), ``parallelism``, and an optional ``max_points`` cap.  A range
-with more than ``max_points`` values is rejected, with its line number,
-before any of them is built.
-
-Each value is checked once, where it enters: the readers below check a
-document's values, and the constructors that the ``build_*`` functions call
-check those of a ``RunConfig`` built in code.  ``RunConfig`` itself checks
-only the rules that tie its fields together.
+The key table below is the format's one declaration: each key's section,
+field, kind and range rule.  One loop reads every section from it, and the
+serializer writes its keys.  An absent optional key is not passed on, so it
+takes ``RunConfig``'s (or ``SweepSpec``'s) own default.  Unknown sections or
+keys, duplicates, bad value types, non-finite numbers (list entries
+included), out-of-range values, and a range with more than ``max_points``
+values are rejected with their 1-based line number, before anything is
+built.  A ``RunConfig`` built in code is checked by ``__post_init__`` for
+the rules that tie its fields together, and by the constructors that the
+``build_*`` functions call for its values.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ from .solver import SchemeConfig, initial_state
 GEOMETRIES = ("cartesian2d", "radial")
 INITIAL_KINDS = ("constant_cosine", "gaussian")
 PR_SOURCES = ("bootstrap", "explicit")
+_FLOATS = "a list of floats"  # the two list kinds of the key table
+_PAIRS = "a list of p:r pairs"
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +74,9 @@ PR_SOURCES = ("bootstrap", "explicit")
 # ---------------------------------------------------------------------------
 
 
-def _scan(text: str):
-    """Split a document into {section: {key: (raw_value, line)}} plus section lines."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    section_lines: dict[str, int] = {}
+def _scan(text: str) -> dict[str, tuple[int, dict[str, tuple[str, int]]]]:
+    """Split a document into {section: (line, {key: (raw_value, line)})}."""
+    sections: dict[str, tuple[int, dict[str, tuple[str, int]]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -86,9 +88,8 @@ def _scan(text: str):
                 raise ConfigError("empty section name", lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", lineno)
-            sections[name] = {}
-            section_lines[name] = lineno
-            current = name
+            sections[name] = (lineno, {})
+            current = sections[name][1]
             continue
         if current is None:
             raise ConfigError(f"entry before any [section]: {line!r}", lineno)
@@ -98,10 +99,10 @@ def _scan(text: str):
         key = key.strip()
         if not key:
             raise ConfigError("empty key", lineno)
-        if key in sections[current]:
-            raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = (value.strip(), lineno)
-    return sections, section_lines
+        if key in current:
+            raise ConfigError(f"duplicate key {key!r} in [{name}]", lineno)
+        current[key] = (value.strip(), lineno)
+    return sections
 
 
 def _finite(text: str, what: str, line: int) -> float:
@@ -115,85 +116,59 @@ def _finite(text: str, what: str, line: int) -> float:
     return value
 
 
-class _Section:
-    def __init__(self, name: str, entries: dict[str, tuple[str, int]], line: int):
-        self.name = name
-        self.entries = dict(entries)
-        self.line = line
-
-    def take(self, key: str):
-        return self.entries.pop(key, None)
-
-    def _raw(self, key: str, required: bool):
-        item = self.take(key)
-        if item is None:
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key {key!r}", self.line)
-            return None
-        return item
-
-    def get_float(self, key, required=False, default=None, check=None, describe=""):
-        item = self._raw(key, required)
-        if item is None:
-            return default
-        raw, line = item
-        value = _finite(raw, key, line)
-        if check is not None and not check(value):
-            raise ConfigError(f"{key} = {raw} is out of range ({describe})", line)
-        return value
-
-    def get_int(self, key, required=False, default=None, check=None, describe=""):
-        item = self._raw(key, required)
-        if item is None:
-            return default
-        raw, line = item
+def _value(key: str, raw: str, line: int, kind, rule, text: str):
+    """The value of ``key = raw`` at ``line``, read as ``kind``; each number
+    read, a list's entries included, must pass ``rule``."""
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {raw!r}", line)
+        return raw
+    if kind is int:
         try:
             value = int(raw)
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {raw!r}", line) from None
-        if check is not None and not check(value):
-            raise ConfigError(f"{key} = {raw} is out of range ({describe})", line)
+    elif kind is float:
+        value = _finite(raw, key, line)
+    else:
+        return tuple(_entry(key, tok, line, kind, rule, text) for tok in raw.replace(",", " ").split())
+    if rule is not None and not rule(value):
+        raise ConfigError(f"{key} = {raw} is out of range ({text})", line)
+    return value
+
+
+def _entry(key: str, tok: str, line: int, kind, rule, text: str):
+    """One entry of a list value: a number that passes ``rule``, or a pair p:r."""
+    what = f"{key} entry"
+    if kind is _FLOATS:
+        value = _finite(tok, what, line)
+        if not rule(value):
+            raise ConfigError(f"{what} {tok} is out of range ({text})", line)
         return value
+    left, sep, right = tok.partition(":")
+    if not sep:
+        raise ConfigError(f"{key} entries must look like p:r, got {tok!r}", line)
+    return _finite(left, what, line), _finite(right, what, line)
 
-    def get_choice(self, key, choices, required=False, default=None):
-        item = self._raw(key, required)
-        if item is None:
-            return default
-        raw, line = item
-        if raw not in choices:
-            raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {raw!r}", line)
-        return raw
 
-    def get_float_list(self, key, required=False, default=(), check=None, describe=""):
-        item = self._raw(key, required)
-        if item is None:
-            return tuple(default) if default is not None else None
-        raw, line = item
-        values = []
-        for tok in raw.replace(",", " ").split():
-            v = _finite(tok, f"{key} entry", line)
-            if check is not None and not check(v):
-                raise ConfigError(f"{key} entry {tok} is out of range ({describe})", line)
-            values.append(v)
-        return tuple(values)
+def _take(sec, row, out: dict) -> int | None:
+    """Move ``row``'s key out of ``sec = (name, line, entries)`` into ``out``,
+    under the row's field; return the key's line, or None when it is absent."""
+    key, field, kind, required, rule, text = row
+    name, line, entries = sec
+    if key not in entries:
+        if required:
+            raise ConfigError(f"[{name}] is missing required key {key!r}", line)
+        return None
+    raw, at = entries.pop(key)
+    out[field] = _value(key, raw, at, kind, rule, text)
+    return at
 
-    def get_pair_list(self, key, required=False):
-        item = self._raw(key, required)
-        if item is None:
-            return None
-        raw, line = item
-        pairs = []
-        for tok in raw.replace(",", " ").split():
-            left, sep, right = tok.partition(":")
-            if not sep:
-                raise ConfigError(f"{key} entries must look like p:r, got {tok!r}", line)
-            what = f"{key} entry"
-            pairs.append((_finite(left, what, line), _finite(right, what, line)))
-        return tuple(pairs)
 
-    def reject_leftovers(self):
-        for key, (_, line) in self.entries.items():
-            raise ConfigError(f"unknown key {key!r} in [{self.name}]", line)
+def _reject_unknown(sec) -> None:
+    name, _, entries = sec
+    for key, (_, line) in entries.items():
+        raise ConfigError(f"unknown key {key!r} in [{name}]", line)
 
 
 # ---------------------------------------------------------------------------
@@ -260,107 +235,91 @@ class RunConfig:
             raise ConfigError("; ".join(problems))
 
 
-def _read_model(sec: _Section) -> dict:
-    out = dict(
-        chi=sec.get_float("chi", required=True, check=lambda v: v >= 0, describe="chi >= 0"),
-        k=sec.get_float("k", required=True, check=lambda v: v > 0, describe="k > 0"),
-        n=sec.get_int("n", required=True, check=lambda v: v >= 2, describe="n >= 2"),
-        geometry=sec.get_choice("geometry", GEOMETRIES, required=True),
-    )
-    if out["geometry"] == "cartesian2d":
-        if out["n"] != 2:
-            raise ConfigError("cartesian2d geometry requires n = 2", sec.line)
-        out["lx"] = sec.get_float("Lx", required=True, check=lambda v: v > 0, describe="Lx > 0")
-        out["ly"] = sec.get_float("Ly", required=True, check=lambda v: v > 0, describe="Ly > 0")
-        out["nx"] = sec.get_int("nx", required=True, check=lambda v: v >= 4, describe="nx >= 4")
-        out["ny"] = sec.get_int("ny", required=True, check=lambda v: v >= 4, describe="ny >= 4")
-    else:
-        out["radius"] = sec.get_float("R", required=True, check=lambda v: v > 0, describe="R > 0")
-        out["shells"] = sec.get_int("m", required=True, check=lambda v: v >= 4, describe="m >= 4")
-    sec.reject_leftovers()
-    return out
-
-
-def _read_initial(sec: _Section) -> dict:
-    out = dict(
-        kind=sec.get_choice("kind", INITIAL_KINDS, default="constant_cosine"),
-        amplitude=sec.get_float(
-            "amplitude", default=1.0, check=lambda v: v >= 0, describe="amplitude >= 0"
-        ),
-        v0_base=sec.get_float("v0_base", default=1.0),
-        v0_min=sec.get_float("v0_min", default=0.1, check=lambda v: v > 0, describe="v0_min > 0"),
-    )
-    sec.reject_leftovers()
-    return out
-
-
-def _read_scheme(sec: _Section) -> dict:
-    out = dict(
-        dt_safety=sec.get_float(
-            "dt_safety", default=0.4, check=lambda v: 0 < v <= 1, describe="0 < dt_safety <= 1"
-        ),
-        dt_min=sec.get_float("dt_min", default=1e-10, check=lambda v: v > 0, describe="dt_min > 0"),
-        t_end=sec.get_float("t_end", required=True, check=lambda v: v > 0, describe="t_end > 0"),
-        blowup_factor=sec.get_float(
-            "blowup_factor", default=1e6, check=lambda v: v > 1, describe="blowup_factor > 1"
-        ),
-        output_interval=sec.get_float(
-            "output_interval",
-            required=True,
-            check=lambda v: v > 0,
-            describe="output_interval > 0",
-        ),
-    )
-    sec.reject_leftovers()
-    return out
-
-
-def _read_monitors(sec: _Section) -> dict:
-    out = dict(
-        q_list=sec.get_float_list("q_list", default=(), check=lambda v: v >= 1, describe="q >= 1"),
-        pr_source=sec.get_choice("pr_source", PR_SOURCES, default="bootstrap"),
-        theta=sec.get_float(
-            "theta", default=0.5, check=lambda v: 0 < v < 1, describe="0 < theta < 1"
-        ),
-        tolerance_rel=sec.get_float(
-            "tolerance_rel", default=0.05, check=lambda v: v > 0, describe="tolerance_rel > 0"
-        ),
-    )
-    pairs_item = sec.get_pair_list("pr_pairs")
-    if out["pr_source"] == "explicit":
-        if pairs_item is None:
-            raise ConfigError("pr_source = explicit requires pr_pairs", sec.line)
-        out["pr_pairs"] = pairs_item
-    elif pairs_item is not None:
-        raise ConfigError("pr_pairs is only valid with pr_source = explicit", sec.line)
-    sec.reject_leftovers()
-    return out
-
-
-_RUN_SECTIONS = {
-    "model": (_read_model, True),
-    "initial": (_read_initial, False),
-    "scheme": (_read_scheme, True),
-    "monitors": (_read_monitors, False),
+# The key table, in reading order.  A row is (key, field, kind, required,
+# rule, rule text); a kind is float, int, a tuple of choices, _FLOATS or
+# _PAIRS, and the rule tests each number read.  A section is required when
+# one of its keys is.  A geometry's keys follow [model]'s own.
+_KEYS = {
+    "model": (
+        ("chi", "chi", float, True, lambda v: v >= 0, "chi >= 0"),
+        ("k", "k", float, True, lambda v: v > 0, "k > 0"),
+        ("n", "n", int, True, lambda v: v >= 2, "n >= 2"),
+        ("geometry", "geometry", GEOMETRIES, True, None, ""),
+    ),
+    "initial": (
+        ("kind", "kind", INITIAL_KINDS, False, None, ""),
+        ("amplitude", "amplitude", float, False, lambda v: v >= 0, "amplitude >= 0"),
+        ("v0_base", "v0_base", float, False, None, ""),
+        ("v0_min", "v0_min", float, False, lambda v: v > 0, "v0_min > 0"),
+    ),
+    "scheme": (
+        ("dt_safety", "dt_safety", float, False, lambda v: 0 < v <= 1, "0 < dt_safety <= 1"),
+        ("dt_min", "dt_min", float, False, lambda v: v > 0, "dt_min > 0"),
+        ("t_end", "t_end", float, True, lambda v: v > 0, "t_end > 0"),
+        ("blowup_factor", "blowup_factor", float, False, lambda v: v > 1, "blowup_factor > 1"),
+        ("output_interval", "output_interval", float, True, lambda v: v > 0, "output_interval > 0"),
+    ),
+    "monitors": (
+        ("q_list", "q_list", _FLOATS, False, lambda v: v >= 1, "q >= 1"),
+        ("pr_source", "pr_source", PR_SOURCES, False, None, ""),
+        ("theta", "theta", float, False, lambda v: 0 < v < 1, "0 < theta < 1"),
+        ("tolerance_rel", "tolerance_rel", float, False, lambda v: v > 0, "tolerance_rel > 0"),
+        ("pr_pairs", "pr_pairs", _PAIRS, False, None, ""),
+    ),
 }
+_GEOMETRY_KEYS = {
+    "cartesian2d": (
+        ("Lx", "lx", float, True, lambda v: v > 0, "Lx > 0"),
+        ("Ly", "ly", float, True, lambda v: v > 0, "Ly > 0"),
+        ("nx", "nx", int, True, lambda v: v >= 4, "nx >= 4"),
+        ("ny", "ny", int, True, lambda v: v >= 4, "ny >= 4"),
+    ),
+    "radial": (
+        ("R", "radius", float, True, lambda v: v > 0, "R > 0"),
+        ("m", "shells", int, True, lambda v: v >= 4, "m >= 4"),
+    ),
+}
+_SWEEP_KEYS = (
+    ("max_points", "max_points", int, False, lambda v: v >= 1, "max_points >= 1"),
+    ("chi_values", "chi_values", _FLOATS, False, lambda v: v >= 0, "chi >= 0"),
+    ("k_values", "k_values", _FLOATS, False, lambda v: v > 0, "k > 0"),
+    ("parallelism", "parallelism", int, False, lambda v: v >= 1, "parallelism >= 1"),
+)
 
 
-def _sections_to_kwargs(sections, section_lines, known) -> dict:
-    kwargs: dict = {}
-    for name, (reader, required) in known.items():
-        if name in sections:
-            sec = _Section(name, sections.pop(name), section_lines[name])
-            kwargs.update(reader(sec))
-        elif required:
-            raise ConfigError(f"missing required section [{name}]")
-    for name in sections:
-        raise ConfigError(f"unknown section [{name}]", section_lines[name])
-    return kwargs
+def _read_run(sections) -> dict:
+    """``RunConfig``'s keyword arguments from the run sections of a scanned
+    document, which it empties; an unknown section left in it is an error."""
+    out: dict = {}
+    for name, rows in _KEYS.items():
+        if name not in sections:
+            if any(row[3] for row in rows):
+                raise ConfigError(f"missing required section [{name}]")
+            continue
+        sec = (name, *sections.pop(name))
+        lines = {row[1]: _take(sec, row, out) for row in rows}
+        # the rules that tie keys together
+        if name == "model":
+            if out["geometry"] == "cartesian2d" and out["n"] != 2:
+                raise ConfigError("cartesian2d geometry requires n = 2", sec[1])
+            for row in _GEOMETRY_KEYS[out["geometry"]]:
+                _take(sec, row, out)
+        elif name == "initial" and out.get("kind", RunConfig.kind) == "constant_cosine":
+            if out.get("amplitude", RunConfig.amplitude) > 1:
+                why = "constant_cosine amplitude must be <= 1 to keep u nonnegative"
+                raise ConfigError(f"{why}, got {out['amplitude']}", lines["amplitude"])
+        elif name == "monitors" and (out.get("pr_source") == "explicit") != ("pr_pairs" in out):
+            if "pr_pairs" in out:
+                raise ConfigError("pr_pairs is only valid with pr_source = explicit", sec[1])
+            raise ConfigError("pr_source = explicit requires pr_pairs", sec[1])
+        _reject_unknown(sec)
+    for name, (line, _) in sections.items():
+        raise ConfigError(f"unknown section [{name}]", line)
+    return out
 
 
 def parse_run_config(text: str) -> RunConfig:
-    sections, section_lines = _scan(text)
-    return RunConfig(**_sections_to_kwargs(sections, section_lines, _RUN_SECTIONS))
+    return RunConfig(**_read_run(_scan(text)))
 
 
 def load_run_config(path) -> RunConfig:
@@ -370,35 +329,17 @@ def load_run_config(path) -> RunConfig:
 
 def serialize_run_config(cfg: RunConfig) -> str:
     """Canonical text form; parsing it back yields an identical RunConfig."""
-    lines = ["[model]", f"chi = {cfg.chi!r}", f"k = {cfg.k!r}", f"n = {cfg.n}",
-             f"geometry = {cfg.geometry}"]
-    if cfg.geometry == "cartesian2d":
-        lines += [f"Lx = {cfg.lx!r}", f"Ly = {cfg.ly!r}", f"nx = {cfg.nx}", f"ny = {cfg.ny}"]
-    else:
-        lines += [f"R = {cfg.radius!r}", f"m = {cfg.shells}"]
-    lines += [
-        "",
-        "[initial]",
-        f"kind = {cfg.kind}",
-        f"amplitude = {cfg.amplitude!r}",
-        f"v0_base = {cfg.v0_base!r}",
-        f"v0_min = {cfg.v0_min!r}",
-        "",
-        "[scheme]",
-        f"dt_safety = {cfg.dt_safety!r}",
-        f"dt_min = {cfg.dt_min!r}",
-        f"t_end = {cfg.t_end!r}",
-        f"blowup_factor = {cfg.blowup_factor!r}",
-        f"output_interval = {cfg.output_interval!r}",
-        "",
-        "[monitors]",
-    ]
-    if cfg.q_list:
-        lines.append("q_list = " + ", ".join(repr(q) for q in cfg.q_list))
-    lines.append(f"pr_source = {cfg.pr_source}")
-    if cfg.pr_source == "explicit":
-        lines.append("pr_pairs = " + ", ".join(f"{p!r}:{r!r}" for p, r in cfg.pr_pairs))
-    lines += [f"theta = {cfg.theta!r}", f"tolerance_rel = {cfg.tolerance_rel!r}", ""]
+    lines = []
+    for name, rows in _KEYS.items():
+        lines.append(f"[{name}]")
+        for key, field, kind, *_ in rows + (_GEOMETRY_KEYS[cfg.geometry] if name == "model" else ()):
+            value = getattr(cfg, field)
+            if kind is _PAIRS and cfg.pr_source != "explicit":
+                continue  # pr_pairs is only valid with pr_source = explicit
+            if kind in (_FLOATS, _PAIRS):
+                value = ", ".join(":".join(map(repr, v)) if kind is _PAIRS else repr(v) for v in value)
+            lines.append(f"{key} = {value!r}" if kind is float else f"{key} = {value}".rstrip())
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -504,16 +445,13 @@ class SweepSpec:
         return [(chi, k) for chi in self.chi_values for k in self.k_values]
 
 
-def _read_axis(sec: _Section, name: str, fallback: float, max_points: int, nonneg: bool):
-    check = (lambda v: v >= 0) if nonneg else (lambda v: v > 0)
-    values = sec.get_float_list(
-        f"{name}_values",
-        default=None,
-        check=check,
-        describe=f"{name} {'>= 0' if nonneg else '> 0'}",
-    )
-    item = sec.take(f"{name}_range")
-    if values is not None and item is not None:
+def _read_axis(sec, row, out: dict, fallback: float, max_points: int) -> None:
+    """Put one axis into ``out``: its ``*_values`` row, its ``*_range``, or
+    else ``(fallback,)``."""
+    _take(sec, row, out)
+    field, rule, name = row[1], row[4], row[0].removesuffix("_values")
+    item = sec[2].pop(f"{name}_range", None)
+    if field in out and item is not None:
         raise ConfigError(f"give {name}_values or {name}_range, not both", item[1])
     if item is not None:
         raw, line = item
@@ -528,38 +466,29 @@ def _read_axis(sec: _Section, name: str, fallback: float, max_points: int, nonne
             raise ConfigError(
                 f"{name}_range has more than {max_points} values, cap is {max_points} points", line
             )
-        values = tuple(start + i * step_w for i in range(int(math.floor(span)) + 1))
-        if not all(math.isfinite(v) and check(v) for v in values):
+        out[field] = tuple(start + i * step_w for i in range(int(math.floor(span)) + 1))
+        if not all(math.isfinite(v) and rule(v) for v in out[field]):
             raise ConfigError(f"{name}_range leaves the valid domain", line)
-    if values is None:
-        return (fallback,)
-    if not values:
-        raise ConfigError("empty sweep", sec.line)
-    return values
+    out.setdefault(field, (fallback,))
+    if not out[field]:
+        raise ConfigError("empty sweep", sec[1])
 
 
 def parse_sweep_spec(text: str) -> SweepSpec:
-    sections, section_lines = _scan(text)
+    sections = _scan(text)
     if "sweep" not in sections:
         raise ConfigError("missing required section [sweep]")
-    sweep_sec = _Section("sweep", sections.pop("sweep"), section_lines["sweep"])
-    base = RunConfig(**_sections_to_kwargs(sections, section_lines, _RUN_SECTIONS))
-    max_points = sweep_sec.get_int(
-        "max_points", default=10_000, check=lambda v: v >= 1, describe="max_points >= 1"
-    )
-    chi_values = _read_axis(sweep_sec, "chi", base.chi, max_points, nonneg=True)
-    k_values = _read_axis(sweep_sec, "k", base.k, max_points, nonneg=False)
-    parallelism = sweep_sec.get_int(
-        "parallelism", default=1, check=lambda v: v >= 1, describe="parallelism >= 1"
-    )
-    sweep_sec.reject_leftovers()
-    return SweepSpec(
-        base=base,
-        chi_values=chi_values,
-        k_values=k_values,
-        parallelism=parallelism,
-        max_points=max_points,
-    )
+    sec = ("sweep", *sections.pop("sweep"))
+    base = RunConfig(**_read_run(sections))
+    cap, chi, k, parallelism = _SWEEP_KEYS
+    out: dict = {}
+    _take(sec, cap, out)
+    max_points = out.get("max_points", SweepSpec.max_points)
+    _read_axis(sec, chi, out, base.chi, max_points)
+    _read_axis(sec, k, out, base.k, max_points)
+    _take(sec, parallelism, out)
+    _reject_unknown(sec)
+    return SweepSpec(base=base, **out)
 
 
 def load_sweep_spec(path) -> SweepSpec:

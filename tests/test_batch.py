@@ -6,6 +6,7 @@ Everything is compared by bytes (``tobytes`` or packed floats), so a
 different NaN payload or, where the claim is bit-identity, a different sign
 of zero counts as a difference."""
 
+import dataclasses
 import math
 import multiprocessing
 import struct
@@ -587,9 +588,17 @@ def test_points_that_fail_to_build_keep_their_rows(tmp_path, monkeypatch):
     assert all(math.isfinite(p.chi) for task in tasks for p in task[3])
 
 
-def test_shared_inputs_that_fail_to_build_fail_every_row(tmp_path):
-    # constant_cosine needs amplitude <= 1; the config reader does not check it
+def test_shared_inputs_that_fail_to_build_fail_every_row(tmp_path, monkeypatch, capsys):
+    # constant_cosine needs amplitude <= 1: a document is refused where it is
+    # read, so the spec that fails to build is one built in code
     text = SWEEP_SMALL.replace("kind = gaussian", "kind = constant_cosine")
-    lines = sweep_lines(tmp_path, "out", text)
+    line = text.splitlines().index("amplitude = 1.5") + 1
+    doc = write_config(tmp_path, text, "doc.cfg")
+    assert main(["sweep", str(doc), "--outdir", str(tmp_path / "doc")]) == 1
+    assert f"line {line}: constant_cosine amplitude must be <= 1" in capsys.readouterr().err
+    spec = parse_sweep_spec(SWEEP_SMALL)
+    spec = dataclasses.replace(spec, base=dataclasses.replace(spec.base, kind="constant_cosine"))
+    monkeypatch.setattr(cli, "load_sweep_spec", lambda path: spec)
+    lines = sweep_lines(tmp_path, "out", SWEEP_SMALL)
     assert len(lines) == 5
     assert all(line.split(b",")[4:] == [b"error:DomainError", b"nan", b"nan"] for line in lines[1:])

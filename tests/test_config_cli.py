@@ -1,8 +1,11 @@
 """Configuration parsing, serialization round-trips, and the CLI surface."""
 
+import dataclasses
 import io
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from chemolab.diagnostics import MonitorConfig, TimeSeries
 from chemolab.errors import ConfigError, DomainError
 from chemolab.runconfig import (
     RunConfig,
+    SweepSpec,
     build_initial,
     build_mesh,
     build_params,
@@ -71,6 +75,66 @@ output_interval = 0.1
 pr_source = explicit
 pr_pairs = 2.5:0.75
 """
+
+# Every key at a value other than its default; the radial form swaps the
+# four Cartesian keys for R and m.
+FULL_CART = """\
+[model]
+chi = 0.25
+k = 1.5
+n = 2
+geometry = cartesian2d
+Lx = 3
+Ly = 1.5
+nx = 12
+ny = 10
+
+[initial]
+kind = gaussian
+amplitude = 0.75
+v0_base = 2
+v0_min = 0.25
+
+[scheme]
+dt_safety = 0.3
+dt_min = 1e-9
+t_end = 0.7
+blowup_factor = 1e5
+output_interval = 0.05
+
+[monitors]
+q_list = 1, 3
+pr_source = explicit
+theta = 0.25
+tolerance_rel = 0.1
+pr_pairs = 2.5:0.75, 2:0.5
+"""
+
+FULL_RADIAL = FULL_CART.replace(
+    "n = 2\ngeometry = cartesian2d\nLx = 3\nLy = 1.5\nnx = 12\nny = 10",
+    "n = 3\ngeometry = radial\nR = 1.5\nm = 12",
+)
+
+FULL_SWEEP_TAIL = """\
+
+[sweep]
+max_points = 500
+chi_values = 0.2, 0.4
+k_values = 1, 2
+parallelism = 2
+"""
+
+# A value just outside each range rule, one per range-checked key.
+RANGE_FAULTS = [
+    ("chi", "-1e-12"), ("k", "0"), ("n", "1"), ("Lx", "0"), ("Ly", "-1e-12"),
+    ("nx", "3"), ("ny", "3"), ("R", "0"), ("m", "3"), ("amplitude", "-1e-12"),
+    ("v0_min", "0"), ("dt_safety", "1.0000000000000002"), ("dt_min", "0"), ("t_end", "0"),
+    ("blowup_factor", "1"), ("output_interval", "0"), ("q_list", "1, 0.99"), ("theta", "1"),
+    ("tolerance_rel", "0"), ("max_points", "0"), ("parallelism", "0"),
+    ("chi_values", "0.2, -1e-12"), ("k_values", "1, 0"),
+]
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestParsing:
@@ -132,6 +196,37 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 8.*out of range"):
             parse_run_config(CART_CONFIG.replace("nx = 16", "nx = 2"))
 
+    @pytest.mark.parametrize("key, bad", RANGE_FAULTS)
+    def test_each_range_rule_reports_its_keys_line(self, key, bad):
+        sweep = key in ("max_points", "parallelism", "chi_values", "k_values")
+        text = (FULL_RADIAL if key in ("R", "m") else FULL_CART) + (FULL_SWEEP_TAIL if sweep else "")
+        lines = text.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+        lines[at] = f"{key} = {bad}"
+        with pytest.raises(ConfigError, match="out of range") as err:
+            (parse_sweep_spec if sweep else parse_run_config)("\n".join(lines) + "\n")
+        assert err.value.line == at + 1 and key in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["kind = constant_cosine\n", ""])
+    def test_constant_cosine_amplitude_above_one_reports_its_line(self, kind, tmp_path, capsys):
+        # the kind given, or left to its default
+        text = CART_CONFIG.replace("kind = gaussian\n", kind)
+        line = text.splitlines().index("amplitude = 1.5") + 1
+        with pytest.raises(ConfigError, match="constant_cosine amplitude must be <= 1") as err:
+            parse_run_config(text)
+        assert err.value.line == line
+        path = write_config(tmp_path, text)
+        assert main(["run", str(path), "--outdir", str(tmp_path / "out")]) == 1
+        assert f"line {line}: constant_cosine amplitude" in capsys.readouterr().err
+        assert parse_run_config(text.replace("amplitude = 1.5", "amplitude = 1")).amplitude == 1.0
+
+    def test_readme_config_examples_parse_as_written(self):
+        run_block, sweep_block = re.findall(r"```ini\n(.*?)```", README.read_text("utf-8"), re.S)
+        cfg = parse_run_config(run_block)
+        assert cfg.geometry == "cartesian2d" and cfg.kind == "gaussian" and cfg.q_list == (1.0, 2.0)
+        spec = parse_sweep_spec(run_block + "\n" + sweep_block)
+        assert spec.base == cfg and len(spec.points) == 9 and spec.parallelism == 4
+
     def test_pr_pairs_only_with_explicit_source(self):
         text = CART_CONFIG.replace("pr_source = bootstrap", "pr_source = bootstrap\npr_pairs = 2:0.5")
         with pytest.raises(ConfigError, match="pr_pairs"):
@@ -146,10 +241,28 @@ class TestParsing:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("text", [CART_CONFIG, RADIAL_CONFIG])
+    @pytest.mark.parametrize("text", [CART_CONFIG, RADIAL_CONFIG, FULL_CART, FULL_RADIAL])
     def test_serialize_parse_identity(self, text):
         cfg = parse_run_config(text)
         assert parse_run_config(serialize_run_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("text", [FULL_CART, FULL_RADIAL])
+    def test_full_documents_set_every_key_off_its_default(self, text):
+        cfg = parse_run_config(text)
+        other_geometry = {"cartesian2d": {"radius", "shells"}, "radial": {"lx", "ly", "nx", "ny"}}
+        fields = [f for f in dataclasses.fields(RunConfig) if f.name not in other_geometry[cfg.geometry]]
+        assert all(getattr(cfg, f.name) != f.default for f in fields)
+        assert cfg.pr_pairs == ((2.5, 0.75), (2.0, 0.5)) and cfg.q_list == (1.0, 3.0)
+
+    def test_every_field_has_exactly_one_table_row(self):
+        from chemolab.runconfig import _GEOMETRY_KEYS, _KEYS, _SWEEP_KEYS
+
+        run_rows = [row for rows in (*_KEYS.values(), *_GEOMETRY_KEYS.values()) for row in rows]
+        assert sorted(row[1] for row in run_rows) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        sweep_fields = sorted(f.name for f in dataclasses.fields(SweepSpec) if f.name != "base")
+        assert sorted(row[1] for row in _SWEEP_KEYS) == sweep_fields
+        keys = [row[0] for row in run_rows + list(_SWEEP_KEYS)]
+        assert len(keys) == len(set(keys))
 
     def test_awkward_floats_survive(self):
         cfg = parse_run_config(CART_CONFIG.replace("chi = 0.5", "chi = 0.1234567890123456"))

@@ -9,11 +9,13 @@ On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
 * the inputs of the four perfbench workloads at seeds 0 and 11, written by
   ``perfbench/workloads.scenario`` of the working tree, through
   ``python -m chemolab.cli``;
-* the five demos under ``demos/``.
+* the five demos under ``demos/``;
+* ``run`` and ``sweep`` on each malformed document of ``MALFORMED``, so
+  that error text and exit codes are compared too.
 
 It compares every ``timeseries.csv``, ``report.txt`` and
-``sweep_summary.csv``, and the stdout and the exit code of every
-invocation.  Each difference goes to stderr; one verdict line goes to
+``sweep_summary.csv``, and the stdout, the stderr and the exit code of
+every invocation.  Each difference goes to stderr; one verdict line goes to
 stdout.  The exit code is 0 when everything is identical and 1 otherwise.
 
 The base is exported rather than checked out as a ``git worktree``, so an
@@ -36,6 +38,49 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("run2d", "radial3", "monitor_dense", "sweep")
 SEEDS = (0, 11)
 OUTPUTS = ("timeseries.csv", "report.txt", "sweep_summary.csv")
+
+RUN_DOC = """\
+[model]
+chi = 0.5
+k = 1
+n = 2
+geometry = cartesian2d
+Lx = 2
+Ly = 2
+nx = 16
+ny = 16
+
+[initial]
+kind = gaussian
+amplitude = 1.5
+
+[scheme]
+t_end = 0.2
+output_interval = 0.1
+
+[monitors]
+q_list = 1, 2
+pr_source = bootstrap
+"""
+SWEEP_DOC = RUN_DOC + "\n[sweep]\nchi_values = 0.4, 0.8\nk_values = 0.5, 1\nparallelism = 1\n"
+
+# (what is wrong, command, document): each document has one fault.
+MALFORMED = (
+    ("a bad number", "run", RUN_DOC.replace("chi = 0.5", "chi = fast")),
+    ("a non-finite list entry", "run", RUN_DOC.replace("q_list = 1, 2", "q_list = 1, inf")),
+    ("an out-of-range value", "run", RUN_DOC.replace("nx = 16", "nx = 3")),
+    ("a missing key", "run", RUN_DOC.replace("t_end = 0.2\n", "")),
+    ("a missing section", "run", RUN_DOC.replace("[scheme]", "[schema]")),
+    ("an unknown key", "run", RUN_DOC.replace("ny = 16", "ny = 16\nnz = 4")),
+    ("an unknown section", "run", RUN_DOC + "\n[plotting]\nstyle = fancy\n"),
+    ("a duplicate key", "run", RUN_DOC.replace("k = 1", "k = 1\nk = 2")),
+    ("a bad choice", "run", RUN_DOC.replace("kind = gaussian", "kind = square")),
+    ("a bad p:r pair", "run", RUN_DOC.replace("bootstrap", "explicit\npr_pairs = 2.5/0.75")),
+    ("explicit pairs missing", "run", RUN_DOC.replace("bootstrap", "explicit")),
+    ("both axis forms", "sweep", SWEEP_DOC.replace("k_values = 0.5, 1", "k_range = 0.5:1:0.5\nk_values = 1")),
+    ("an oversize range", "sweep", SWEEP_DOC.replace("chi_values = 0.4, 0.8", "chi_range = 0:1:1e-6")),
+    ("a bad sweep integer", "sweep", SWEEP_DOC.replace("parallelism = 1", "parallelism = 0")),
+)
 
 
 def export(rev: str, dest: Path) -> None:
@@ -61,12 +106,16 @@ def invocations() -> list[tuple[str, list[str], dict[str, str]]]:
             runs.append((f"{workload} seed {seed}", argv, {case.input_name: case.input_text}))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runs.append((f"demos/{demo.name}", [f"demos/{demo.name}"], {}))
+    for what, command, text in MALFORMED:
+        argv = ["-m", "chemolab.cli", command, "case.cfg", "--outdir", "out"]
+        runs.append((f"{command} with {what}", argv, {"case.cfg": text}))
     return runs
 
 
 def outputs(tree: Path, argv: list[str], files: dict[str, str], workdir: Path) -> dict[str, bytes | None]:
     """Run one invocation on ``tree`` in the empty directory ``workdir``: its
-    exit code, its stdout and each output file (None where it wrote none)."""
+    exit code, its stdout, its stderr and each output file (None where it
+    wrote none)."""
     workdir.mkdir(parents=True)
     for name, text in files.items():
         (workdir / name).write_text(text, encoding="utf-8")
@@ -74,7 +123,7 @@ def outputs(tree: Path, argv: list[str], files: dict[str, str], workdir: Path) -
         argv = [str(tree / argv[0])]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, *argv], cwd=workdir, env=env, capture_output=True)
-    found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout}
+    found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout, "stderr": done.stderr}
     for name in OUTPUTS:
         path = workdir / "out" / name
         found[name] = path.read_bytes() if path.exists() else None
@@ -97,7 +146,10 @@ def main(argv=None) -> int:
                 if before[what] != after[what]:
                     differences.append(f"{name}: {what} differs")
                     print(differences[-1], file=sys.stderr)
-    scope = f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, and the demos)"
+    scope = (
+        f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the demos"
+        f" and {len(MALFORMED)} malformed documents)"
+    )
     if differences:
         print(f"DIFFERENT: {len(differences)} output(s) of {scope} differ from {args.base}")
         return 1
