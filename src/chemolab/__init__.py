@@ -13,7 +13,6 @@ from .diagnostics import (
     CheckVerdict,
     MonitorConfig,
     TimeSeries,
-    TimeSeriesRow,
     compute_row,
     dissipation,
     dissipation_check,

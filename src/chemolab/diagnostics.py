@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,20 +71,6 @@ class MonitorConfig:
         return self
 
 
-@dataclass
-class TimeSeriesRow:
-    """One row of a ``TimeSeries``, as a standalone object."""
-
-    t: float
-    mass: float
-    min_v: float
-    max_u: float
-    lq_norms: dict[float, float] = field(default_factory=dict)
-    energies: dict[tuple[float, float], float] = field(default_factory=dict)
-    dissipations: dict[tuple[float, float], float] = field(default_factory=dict)
-    v_norms: dict[float, float] = field(default_factory=dict)
-
-
 class Columns:
     """The column layout of a time series: ``t, mass, min_v, max_u``, then
     ``||u||_q`` per q of ``q_list``, ``E`` and ``D`` per pair of
@@ -96,47 +82,24 @@ class Columns:
     ``(q, 1/q)`` per norm and ``(p, -r, p + 1, -(r + 1))`` per pair.
     """
 
-    __slots__ = (
-        "q_list", "pr_pairs", "v_orders", "names", "width", "lq", "energy", "dissipation", "v_norm",
-        "u_orders", "pr_orders",
-    )
+    __slots__ = ("v_orders", "names", "width", "lq", "energy", "dissipation", "v_norm", "u_orders", "pr_orders")
 
     def __init__(self, q_list=(), pr_pairs=(), v_orders=()):
-        self.q_list, self.pr_pairs, self.v_orders = tuple(q_list), tuple(pr_pairs), tuple(v_orders)
+        q_list, pr_pairs, self.v_orders = tuple(q_list), tuple(pr_pairs), tuple(v_orders)
         names = ["t", "mass", "min_v", "max_u"]
-        names += [f"u_Lq_{q:.12g}" for q in self.q_list]
-        for p, r in self.pr_pairs:
+        names += [f"u_Lq_{q:.12g}" for q in q_list]
+        for p, r in pr_pairs:
             names += [f"E_{p:.12g}_{r:.12g}", f"D_{p:.12g}_{r:.12g}"]
         names += [f"v_L{s:.12g}" for s in self.v_orders]
         self.names, self.width = names, len(names)
-        first_pair = 4 + len(self.q_list)
-        self.lq = {q: 4 + i for i, q in enumerate(self.q_list)}
-        self.energy = {pair: first_pair + 2 * i for i, pair in enumerate(self.pr_pairs)}
-        self.dissipation = {pair: first_pair + 2 * i + 1 for i, pair in enumerate(self.pr_pairs)}
-        first_v = first_pair + 2 * len(self.pr_pairs)
+        first_pair = 4 + len(q_list)
+        self.lq = {q: 4 + i for i, q in enumerate(q_list)}
+        self.energy = {pair: first_pair + 2 * i for i, pair in enumerate(pr_pairs)}
+        self.dissipation = {pair: first_pair + 2 * i + 1 for i, pair in enumerate(pr_pairs)}
+        first_v = first_pair + 2 * len(pr_pairs)
         self.v_norm = {s: first_v + i for i, s in enumerate(self.v_orders)}
-        self.u_orders = tuple((q, 1.0 / q) for q in self.q_list)
-        self.pr_orders = tuple((p, -r, p + 1.0, -(r + 1.0)) for p, r in self.pr_pairs)
-
-    def row(self, values) -> TimeSeriesRow:
-        """The ``TimeSeriesRow`` of one row's values, in column order."""
-        t, mass, min_v, max_u = values[:4]
-        return TimeSeriesRow(
-            t, mass, min_v, max_u,
-            {q: values[i] for q, i in self.lq.items()},
-            {pair: values[i] for pair, i in self.energy.items()},
-            {pair: values[i] for pair, i in self.dissipation.items()},
-            {s: values[i] for s, i in self.v_norm.items()},
-        )
-
-    def values(self, row: TimeSeriesRow) -> list[float]:
-        """A ``TimeSeriesRow``'s values, in column order."""
-        vals = [row.t, row.mass, row.min_v, row.max_u]
-        vals += [row.lq_norms[q] for q in self.q_list]
-        for pair in self.pr_pairs:
-            vals += [row.energies[pair], row.dissipations[pair]]
-        vals += [row.v_norms[s] for s in self.v_orders]
-        return vals
+        self.u_orders = tuple((q, 1.0 / q) for q in q_list)
+        self.pr_orders = tuple((p, -r, p + 1.0, -(r + 1.0)) for p, r in pr_pairs)
 
 
 class TimeSeries:
@@ -147,8 +110,7 @@ class TimeSeries:
     table, row after row, to which ``compute_row`` appends.  The checks read
     whole columns: ``t``, ``mass``, ``min_v`` and ``max_u``, and
     ``lq_norm(q)``, ``energy(pair)``, ``dissipation(pair)`` and
-    ``v_norm(s)``, each a new list of floats.  Indexing (by a row number or
-    a slice) and iterating give ``TimeSeriesRow`` values built on demand.
+    ``v_norm(s)``, each a new list of floats; ``len`` is the row count.
     """
 
     __slots__ = ("columns", "values")
@@ -159,34 +121,8 @@ class TimeSeries:
         self.columns = columns
         self.values = array("d")
 
-    @classmethod
-    def from_rows(cls, rows) -> "TimeSeries":
-        """The series of ``TimeSeriesRow`` values, its layout taken from the
-        keys of the first row (an empty layout when there is none)."""
-        rows = list(rows)
-        first = rows[0] if rows else TimeSeriesRow(0.0, 0.0, 0.0, 0.0)
-        series = cls(Columns(first.lq_norms, first.energies, first.v_norms))
-        for row in rows:
-            series.values.extend(series.columns.values(row))
-        return series
-
     def __len__(self) -> int:
         return len(self.values) // self.columns.width
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        rows = len(self)
-        if j < 0:
-            j += rows
-        if not 0 <= j < rows:
-            raise IndexError("time series row index out of range")
-        width = self.columns.width
-        return self.columns.row(self.values[j * width : (j + 1) * width])
-
-    def __iter__(self):
-        for j in range(len(self)):
-            yield self[j]
 
     def column(self, index: int) -> list[float]:
         return self.values[index :: self.columns.width].tolist()
@@ -243,8 +179,7 @@ def dissipation(state: State, p: float, r: float, mesh: Mesh) -> float:
 
 def compute_row(state: State, mesh: Mesh, series, extremes=None):
     """Append the row of ``state`` to ``series`` (a ``TimeSeries``): the
-    values of ``lq_norm``, ``energy`` and ``dissipation``, to the bit.  Given
-    a ``MonitorConfig`` instead, return that row as a ``TimeSeriesRow``.
+    values of ``lq_norm``, ``energy`` and ``dissipation``, to the bit.
 
     ``extremes`` is ``(min v, max u)`` of the state when the caller has them
     already (the stepping loop takes them from its post-step scan); without
@@ -256,10 +191,6 @@ def compute_row(state: State, mesh: Mesh, series, extremes=None):
     x**1.0 == x.  When there are (p, r) pairs, v > 0 is read off the row's
     min v, which a NaN in v fails too; a row that raises is not appended.
     """
-    if isinstance(series, MonitorConfig):
-        one = TimeSeries(series)
-        compute_row(state, mesh, one, extremes)
-        return one[0]
     columns, integrate = series.columns, mesh.integrate
     u, v = state.u, state.v
     u_pow = _Powers(u)
@@ -278,7 +209,6 @@ def compute_row(state: State, mesh: Mesh, series, extremes=None):
             raise DomainError(f"norm order must be >= 1, got {s}")
         row.append(integrate(v**s) ** (1.0 / s))
     series.values.extend(row)
-    return None
 
 
 class _Powers(dict):

@@ -202,17 +202,17 @@ class _PaddedFluxMesh:
     face layout (module docstring): ``_strides``, one stride s per face
     direction, and ``_outflow``, per direction the (area, vol_in, vol_out)
     by which a face's outflow leaves cell j and cell j + s (numbers on a
-    rectangle, per-face arrays on shells); ``face_arrays(shape)`` (the
-    zeroed padded face scratch of a stack of ``shape`` rows, one array per
-    direction first, then whatever else its scatter needs); and the kernels
-    whose arithmetic differs: ``_diffusive`` (scale the differences f[j+s]
-    - f[j] that ``_differences`` wrote into diffusive fluxes, in place),
-    ``_velocities`` (the face velocities of v from its differences, which
-    start at flat cell ``start`` of the face scratch), ``_taxis`` (the
-    donor-cell fluxes of u, from flat cell ``start`` of the face scratch
-    on) and ``_scatter`` (zero the pairs that are not faces, write the flat
-    cell rates).  No write touches the pads, so face scratch reused across
-    calls keeps its zero pads.
+    rectangle, the area None for 1; per-face arrays on shells);
+    ``face_arrays(shape)`` (the zeroed padded face scratch of a stack of
+    ``shape`` rows, one array per direction first, then whatever else its
+    scatter needs); and the kernels whose arithmetic differs: ``_diffusive``
+    (scale the differences f[j+s] - f[j] that ``_differences`` wrote into
+    diffusive fluxes, in place), ``_velocities`` (the face velocities of v
+    from its differences, which start at flat cell ``start`` of the face
+    scratch), ``_taxis`` (the donor-cell fluxes of u, from flat cell
+    ``start`` of the face scratch on) and ``_scatter`` (zero the pairs that
+    are not faces, write the flat cell rates).  No write touches the pads, so
+    face scratch reused across calls keeps its zero pads.
     """
 
     def integrate(self, f: np.ndarray) -> float:
@@ -265,8 +265,11 @@ class _PaddedFluxMesh:
         """max over cells of the donor-cell outflow rate sum_f A_f w_out,f / vol."""
         acc = np.zeros(self.cell_count)
         for s, wd, (area, vol_in, vol_out) in zip(self._strides, w, self._outflow):
-            acc[:-s] += area * np.maximum(wd, 0.0) / vol_in
-            acc[s:] += area * np.maximum(-wd, 0.0) / vol_out
+            forward, backward = np.maximum(wd, 0.0), np.maximum(-wd, 0.0)
+            if area is not None:  # None on a rectangle, whose faces have area 1
+                forward, backward = area * forward, area * backward
+            acc[:-s] += forward / vol_in
+            acc[s:] += backward / vol_out
         return float(acc.max())
 
     def _velocity_arrays(self, size, dtype=float):
@@ -310,7 +313,7 @@ class CartesianMesh2D(_PaddedFluxMesh):
         self.domain_volume = float(self.volumes.sum())
         self._diffusion_outflow_max = 2.0 / (self.hx * self.hx) + 2.0 / (self.hy * self.hy)
         self._strides = (1, self.nx)
-        self._outflow = ((1.0, self.hx, self.hx), (1.0, self.hy, self.hy))
+        self._outflow = ((None, self.hx, self.hx), (None, self.hy, self.hy))
 
     def cell_centers(self):
         """(x, y) coordinates per cell, each a flat array in cell order."""

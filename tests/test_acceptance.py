@@ -251,14 +251,14 @@ def test_criterion_4_bootstrap_termination(rng):
 def test_criterion_5_conservation_positivity(run_2d):
     report, monitors, mesh, params, init = run_2d
     assert report.status == "completed"
-    mass0 = report.series[0].mass
-    assert max(abs(row.mass - mass0) for row in report.series) <= 1e-10 * mass0
+    masses = report.series.mass
+    assert max(abs(m - masses[0]) for m in masses) <= 1e-10 * masses[0]
     floor = min_v_floor_check(report.series, tol_rel=1e-8)
     assert floor.passed
     # absolute form of the same bound
-    v0 = report.series[0].min_v
-    for row in report.series:
-        assert row.min_v >= math.exp(-row.t) * v0 - 1e-8
+    min_v = report.series.min_v
+    for t, v in zip(report.series.t, min_v):
+        assert v >= math.exp(-t) * min_v[0] - 1e-8
     assert report.min_v_over_run > 0.0
     # direct short re-integration confirming per-step positivity of u
     state = init
@@ -376,7 +376,7 @@ def test_reference_scenario_through_the_cli(run_2d, reference_cli):
     # column must equal the run's masses digit for digit
     lines = (outdir / "timeseries.csv").read_text().strip().splitlines()
     csv_masses = [line.split(",")[1] for line in lines[1:]]
-    lib_masses = [f"{row.mass:.17g}" for row in report.series]
+    lib_masses = [f"{m:.17g}" for m in report.series.mass]
     assert csv_masses == lib_masses
 
 

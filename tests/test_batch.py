@@ -224,14 +224,12 @@ def test_kernels_on_exact_zeros_differ_at_most_in_zero_signs(make_mesh, rng):
 
 
 def report_bytes(report):
-    """status and step count, then every float of the report in a fixed
-    order, packed."""
+    """status, column names and step count, then every float of the report
+    in a fixed order, the series' table last, packed."""
+    head = f"{report.status}\n{','.join(report.series.columns.names)}\n".encode()
     floats = [report.t_final, report.max_u_over_run, report.min_v_over_run, *report.floor_factors]
-    for row in report.series:
-        floats += [row.t, row.mass, row.min_v, row.max_u]
-        for table in (row.lq_norms, row.energies, row.dissipations, row.v_norms):
-            floats += [x for key in table for x in (*np.ravel(key), table[key])]
-    return report.status.encode() + struct.pack(f"<q{len(floats)}d", report.steps, *floats)
+    floats += report.series.values
+    return head + struct.pack(f"<q{len(floats)}d", report.steps, *floats)
 
 
 def assert_batch_matches_runs(init, params_seq, mesh, cfg, monitors_seq, batch_sizes=()):

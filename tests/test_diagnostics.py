@@ -12,7 +12,6 @@ from chemolab.diagnostics import (
     FLOOR_ULPS_PER_STEP,
     MonitorConfig,
     TimeSeries,
-    TimeSeriesRow,
     compute_row,
     dissipation,
     dissipation_check,
@@ -135,29 +134,34 @@ class TestHolderAndInterpolation:
 
 
 def separate_compute_row(state, mesh, monitors):
-    """compute_row as one lq_norm, energy or dissipation call per quantity."""
-    row = TimeSeriesRow(
-        t=state.t,
-        mass=mesh.integrate(state.u),
-        min_v=float(state.v.min()),
-        max_u=float(state.u.max()),
-    )
-    for q in monitors.q_list:
-        row.lq_norms[q] = lq_norm(state.u, q, mesh)
+    """compute_row as one lq_norm, energy or dissipation call per quantity,
+    the values in column order."""
+    row = [state.t, mesh.integrate(state.u), float(state.v.min()), float(state.u.max())]
+    row += [lq_norm(state.u, q, mesh) for q in monitors.q_list]
     for p, r in monitors.pr_pairs:
-        row.energies[(p, r)] = energy(state, p, r, mesh)
-        row.dissipations[(p, r)] = dissipation(state, p, r, mesh)
-    for s in monitors.v_orders:
-        row.v_norms[s] = lq_norm(state.v, s, mesh)
+        row += [energy(state, p, r, mesh), dissipation(state, p, r, mesh)]
+    row += [lq_norm(state.v, s, mesh) for s in monitors.v_orders]
     return row
 
 
-def row_bytes(row):
-    """Every key and value of a row in a fixed order, packed."""
-    floats = [row.t, row.mass, row.min_v, row.max_u]
-    for table in (row.lq_norms, row.energies, row.dissipations, row.v_norms):
-        floats += [x for key in table for x in (*np.ravel(key), table[key])]
-    return struct.pack(f"<{len(floats)}d", *floats)
+def row_bytes(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def series_of(monitors, rows):
+    """The series laid out for ``monitors`` holding ``rows``, each a
+    sequence of values in column order."""
+    series = TimeSeries(monitors)
+    for row in rows:
+        series.values.extend(row)
+    return series
+
+
+def computed_series(states, mesh, monitors):
+    series = TimeSeries(monitors)
+    for state in states:
+        compute_row(state, mesh, series)
+    return series
 
 
 class TestComputeRow:
@@ -165,12 +169,12 @@ class TestComputeRow:
         mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
         st = random_state(rng, mesh)
         mon = MonitorConfig(q_list=(1.0, 2.0), pr_pairs=((2.0, 0.4), (3.0, 0.9)))
-        row = compute_row(st, mesh, mon)
-        assert row.mass == pytest.approx(mesh.integrate(st.u), rel=1e-14)
-        assert row.min_v == st.v.min() and row.max_u == st.u.max()
-        assert set(row.lq_norms) == {1.0, 2.0}
-        assert set(row.energies) == {(2.0, 0.4), (3.0, 0.9)}
-        assert set(row.v_norms) == {1.6, 2.1}  # p - r per pair
+        series = computed_series([st], mesh, mon)
+        assert series.mass[0] == pytest.approx(mesh.integrate(st.u), rel=1e-14)
+        assert series.min_v == [st.v.min()] and series.max_u == [st.u.max()]
+        assert set(series.columns.lq) == {1.0, 2.0}
+        assert set(series.columns.energy) == {(2.0, 0.4), (3.0, 0.9)}
+        assert set(series.columns.v_norm) == {1.6, 2.1}  # p - r per pair
 
     @pytest.mark.parametrize(
         "mesh",
@@ -185,7 +189,8 @@ class TestComputeRow:
         )
         for _ in range(5):
             st = State(rng.uniform(0.0, 3.0, mesh.cell_count), rng.uniform(0.05, 2.5, mesh.cell_count), 0.3)
-            assert row_bytes(compute_row(st, mesh, mon)) == row_bytes(separate_compute_row(st, mesh, mon))
+            got = computed_series([st], mesh, mon).values
+            assert row_bytes(got) == row_bytes(separate_compute_row(st, mesh, mon))
 
     def test_rejects_nonpositive_chemical_once(self, rng):
         mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
@@ -193,8 +198,8 @@ class TestComputeRow:
         st.v[5] = 0.0
         mon = MonitorConfig(q_list=(2.0,), pr_pairs=((2.0, 0.4), (3.0, 0.9)))
         with pytest.raises(PositivityViolation, match="strictly positive"):
-            compute_row(st, mesh, mon)
-        assert compute_row(st, mesh, MonitorConfig(q_list=(2.0,))).min_v == 0.0  # no pairs, no check
+            computed_series([st], mesh, mon)
+        assert computed_series([st], mesh, MonitorConfig(q_list=(2.0,))).min_v == [0.0]  # no pairs, no check
 
     def test_rejects_nan_chemical(self, rng):
         mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
@@ -219,23 +224,22 @@ class TestComputeRow:
 
 
 class TestTimeSeries:
-    def test_rows_round_trip_through_the_table(self, rng):
+    def test_columns_of_the_table(self, rng):
         mesh = RadialShellMesh(3, 1.0, 8)
         mon = MonitorConfig(q_list=(1.0, 3.0), pr_pairs=((2.0, 0.4), (3.0, 0.9)))
-        rows = [compute_row(State(*random_state(rng, mesh).uv(), t), mesh, mon) for t in (0.0, 0.5, 1.0)]
-        series = TimeSeries.from_rows(rows)
+        states = [State(*random_state(rng, mesh).uv(), t) for t in (0.0, 0.5, 1.0)]
+        series = computed_series(states, mesh, mon)
         assert series.columns.names == [
             "t", "mass", "min_v", "max_u", "u_Lq_1", "u_Lq_3",
             "E_2_0.4", "D_2_0.4", "E_3_0.9", "D_3_0.9", "v_L1.6", "v_L2.1",
         ]
         assert len(series) == 3 and len(series.values) == 3 * 12
-        assert list(series) == rows
-        assert series[-1] == rows[2] and series[::2] == [rows[0], rows[2]]
+        assert series.values.tolist() == [x for st in states for x in separate_compute_row(st, mesh, mon)]
         assert series.t == [0.0, 0.5, 1.0]
-        assert series.energy((3.0, 0.9)) == [row.energies[(3.0, 0.9)] for row in rows]
-        assert series.v_norm(2.1) == [row.v_norms[2.1] for row in rows]
-        with pytest.raises(IndexError):
-            series[3]
+        assert series.lq_norm(3.0) == [lq_norm(st.u, 3.0, mesh) for st in states]
+        assert series.energy((3.0, 0.9)) == [energy(st, 3.0, 0.9, mesh) for st in states]
+        assert series.dissipation((2.0, 0.4)) == [dissipation(st, 2.0, 0.4, mesh) for st in states]
+        assert series.v_norm(2.1) == [lq_norm(st.v, 2.1, mesh) for st in states]
 
     def test_a_run_of_2000_rows_keeps_8_bytes_per_value(self):
         from chemolab.exponents import ModelParams
@@ -260,93 +264,76 @@ class TestTimeSeries:
         assert table <= freed <= 1.5 * table
 
 
-def flat_series(e0, d0, times, pair):
-    rows = []
-    for t in times:
-        rows.append(
-            TimeSeriesRow(
-                t=t, mass=1.0, min_v=1.0, max_u=1.0,
-                energies={pair: e0}, dissipations={pair: d0},
-            )
-        )
-    return rows
+def pair_series(pair, times, energies, dissipations):
+    """A series of ``pair`` alone with the given E and D columns; the mass,
+    min v, max u and v norm columns are 1."""
+    rows = [(t, 1.0, 1.0, 1.0, e, d, 1.0) for t, e, d in zip(times, energies, dissipations, strict=True)]
+    return series_of(MonitorConfig(pr_pairs=(pair,)), rows)
+
+
+def floor_series(times, min_v, mass=1.0, max_u=1.0):
+    """A series of no norm or pair with the given min v column."""
+    return series_of(MonitorConfig(), [(t, mass, m, max_u) for t, m in zip(times, min_v, strict=True)])
 
 
 class TestGronwall:
     def test_flat_series_passes(self):
         pair = (2.0, 0.5)
-        rows = flat_series(3.0, 3.0, np.linspace(0, 2, 11), pair)
-        verdict = gronwall_check(TimeSeries.from_rows(rows), pair, tol=0.05)
+        series = pair_series(pair, np.linspace(0, 2, 11), [3.0] * 11, [3.0] * 11)
+        verdict = gronwall_check(series, pair, tol=0.05)
         assert verdict.passed and verdict.worst <= 1.0
 
     def test_bound_rate_series_fails(self):
         pair = (2.0, 0.5)
         times = np.linspace(0, 4, 21)
-        rows = flat_series(1.0, 1.0, times, pair)
-        for row in rows:
-            row.energies[pair] = math.exp(2 * 0.5 * row.t)  # twice the admissible rate
-        verdict = gronwall_check(TimeSeries.from_rows(rows), pair, tol=0.05)
+        energies = [math.exp(2 * 0.5 * t) for t in times]  # twice the admissible rate
+        verdict = gronwall_check(pair_series(pair, times, energies, [1.0] * 21), pair, tol=0.05)
         assert not verdict.passed
         assert verdict.worst == pytest.approx(math.exp(0.5 * 4.0), rel=1e-12)
 
     def test_growth_just_inside_envelope_passes(self):
         pair = (3.0, 1.0)
         times = np.linspace(0, 2, 9)
-        rows = flat_series(1.0, 1.0, times, pair)
-        for row in rows:
-            row.energies[pair] = 1.02 * math.exp(1.0 * row.t) if row.t > 0 else 1.0
-        assert gronwall_check(TimeSeries.from_rows(rows), pair, tol=0.05).passed
+        energies = [1.02 * math.exp(1.0 * t) if t > 0 else 1.0 for t in times]
+        assert gronwall_check(pair_series(pair, times, energies, [1.0] * 9), pair, tol=0.05).passed
 
 
 class TestDissipationCheck:
     def test_constant_steady_rows_pass(self):
         pair = (2.0, 0.5)
-        rows = flat_series(4.0, 4.0, np.linspace(0, 1, 5), pair)
-        verdict = dissipation_check(TimeSeries.from_rows(rows), pair, tol=0.05)
+        series = pair_series(pair, np.linspace(0, 1, 5), [4.0] * 5, [4.0] * 5)
+        verdict = dissipation_check(series, pair, tol=0.05)
         assert verdict.passed
         assert verdict.worst == pytest.approx(0.0, abs=1e-15)
 
     def test_violating_series_fails(self):
         pair = (2.0, 0.5)
         times = np.linspace(0, 1, 9)
-        rows = flat_series(1.0, 1.0, times, pair)
-        for row in rows:
-            row.energies[pair] = math.exp(3.0 * row.t)  # dE/dt = 3E > rE - rD bounds
-            row.dissipations[pair] = row.energies[pair]
-        assert not dissipation_check(TimeSeries.from_rows(rows), pair, tol=0.05).passed
+        energies = [math.exp(3.0 * t) for t in times]  # dE/dt = 3E > rE - rD bounds
+        assert not dissipation_check(pair_series(pair, times, energies, energies), pair, tol=0.05).passed
 
     def test_decaying_series_passes(self):
         pair = (2.0, 0.5)
         times = np.linspace(0, 1, 9)
-        rows = flat_series(1.0, 1.0, times, pair)
-        for row in rows:
-            row.energies[pair] = math.exp(-row.t)
-            row.dissipations[pair] = 3.0 * row.energies[pair]
-        assert dissipation_check(TimeSeries.from_rows(rows), pair, tol=0.05).passed
+        energies = [math.exp(-t) for t in times]
+        series = pair_series(pair, times, energies, [3.0 * e for e in energies])
+        assert dissipation_check(series, pair, tol=0.05).passed
 
     def test_insufficient_rows(self):
         pair = (2.0, 0.5)
-        rows = flat_series(1.0, 1.0, [0.0, 0.1], pair)
         with pytest.raises(InsufficientRows):
-            dissipation_check(TimeSeries.from_rows(rows), pair)
+            dissipation_check(pair_series(pair, [0.0, 0.1], [1.0] * 2, [1.0] * 2), pair)
 
 
 class TestMinVFloor:
     def test_exponential_decay_with_margin_passes(self):
         times = np.linspace(0, 3, 13)
-        rows = [
-            TimeSeriesRow(t=t, mass=1.0, min_v=1.001 * math.exp(-t), max_u=1.0)
-            for t in times
-        ]
-        rows[0].min_v = 1.0
-        assert min_v_floor_check(TimeSeries.from_rows(rows)).passed
+        min_v = [1.0] + [1.001 * math.exp(-t) for t in times[1:]]
+        assert min_v_floor_check(floor_series(times, min_v)).passed
 
     def test_fast_decay_fails(self):
         times = np.linspace(0, 3, 13)
-        rows = [
-            TimeSeriesRow(t=t, mass=1.0, min_v=math.exp(-2 * t), max_u=1.0) for t in times
-        ]
-        assert not min_v_floor_check(TimeSeries.from_rows(rows)).passed
+        assert not min_v_floor_check(floor_series(times, [math.exp(-2 * t) for t in times])).passed
 
     def test_discrete_floor_has_a_rounding_slack(self):
         # v0 = 2 decaying at 1 - dt per step, dt = 0.01, ten steps per row:
@@ -354,8 +341,7 @@ class TestMinVFloor:
         # a few ulps per step
         steps = 40
         factors = [(1.0 - 0.01) ** (10 * j) for j in range(5)]
-        rows = [TimeSeriesRow(t=0.1 * j, mass=0.0, min_v=2.0 * f, max_u=0.0) for j, f in enumerate(factors)]
-        series = TimeSeries.from_rows(rows)
+        series = floor_series([0.1 * j for j in range(5)], [2.0 * f for f in factors], mass=0.0, max_u=0.0)
         assert not min_v_floor_check(series).passed  # the continuum floor
         assert min_v_floor_check(series, floor_factors=factors, steps=steps).passed
         slack = FLOOR_ULPS_PER_STEP * steps * sys.float_info.epsilon * 2.0
@@ -366,9 +352,8 @@ class TestMinVFloor:
         assert not min_v_floor_check(series, floor_factors=factors, steps=steps).passed
 
     def test_one_floor_factor_per_row(self):
-        rows = [TimeSeriesRow(t=t, mass=1.0, min_v=1.0, max_u=1.0) for t in (0.0, 0.1)]
         with pytest.raises(DomainError, match="one floor factor per row"):
-            min_v_floor_check(TimeSeries.from_rows(rows), floor_factors=[1.0], steps=1)
+            min_v_floor_check(floor_series([0.0, 0.1], [1.0, 1.0]), floor_factors=[1.0], steps=1)
 
 
 class TestSmoothingRatio:
@@ -390,9 +375,8 @@ class TestSmoothingRatio:
             smoothing_ratio([], p_v=1.0, q_u=2.0, n=2)  # q_u > p_v
 
     def test_missing_norms_raise(self):
-        rows = [TimeSeriesRow(t=0.0, mass=1.0, min_v=1.0, max_u=1.0)]
         with pytest.raises(DomainError):
-            smoothing_ratio(TimeSeries.from_rows(rows), p_v=2.0, q_u=1.0, n=2)
+            smoothing_ratio(floor_series([0.0], [1.0]), p_v=2.0, q_u=1.0, n=2)
 
     def test_ratio_bounded_along_a_subthreshold_run(self):
         from chemolab.exponents import ModelParams

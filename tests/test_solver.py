@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import chemolab.meshes as meshes
-from chemolab.diagnostics import MonitorConfig, compute_row, min_v_floor_check
+from chemolab.diagnostics import MonitorConfig, TimeSeries, compute_row, min_v_floor_check
 from chemolab.errors import DomainError
 from chemolab.exponents import ModelParams
 from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State, StepPlan
@@ -272,7 +272,9 @@ class TestStep:
         report = run(start, params, mesh, cfg)
         assert report.steps == 1 and report.min_v_over_run == float(got.v.min())
         assert report.min_v_over_run < unpatched.min_v_over_run
-        assert list(report.series)[-1] == compute_row(got, mesh, MonitorConfig())
+        alone = TimeSeries(MonitorConfig())
+        compute_row(got, mesh, alone)
+        assert report.series.values[-alone.columns.width :] == alone.values
 
     def test_zero_chi_heat_decay(self):
         mesh = CartesianMesh2D(1.0, 1.0, 16, 16)
@@ -338,9 +340,9 @@ class TestRun:
         assert report.t_final == pytest.approx(0.5)
         assert report.max_u_over_run == 1.0
         assert report.min_v_over_run == 1.0
-        masses = [row.mass for row in report.series]
+        masses = report.series.mass
         assert masses == pytest.approx([1.0] * len(masses), rel=1e-14)
-        energies = [row.energies[(2.0, 0.5)] for row in report.series]
+        energies = report.series.energy((2.0, 0.5))
         assert energies == pytest.approx([1.0] * len(energies), rel=1e-14)
 
     def test_output_rows_at_exact_times(self):
@@ -349,7 +351,7 @@ class TestRun:
         params = ModelParams(chi=0.3, k=1.0, n=2)
         cfg = SchemeConfig(t_end=0.33, output_interval=0.1)
         report = run(init, params, mesh, cfg)
-        assert [row.t for row in report.series] == [0.0, 0.1, 0.2, 0.30000000000000004, 0.33]
+        assert report.series.t == [0.0, 0.1, 0.2, 0.30000000000000004, 0.33]
         assert report.status == "completed"
 
     def test_growth_factor_trips_blowup_proxy(self):
@@ -387,8 +389,9 @@ class TestRun:
         a, b = reports
         assert a.status == b.status and a.t_final == b.t_final
         assert a.max_u_over_run == b.max_u_over_run
-        for ra, rb in zip(a.series, b.series):
-            assert ra == rb  # dataclass equality: bit-identical floats
+        assert a.series.columns.names == b.series.columns.names
+        bits_a, bits_b = (np.asarray(r.series.values).view(np.int64) for r in reports)
+        assert len(a.series) == 5 and np.array_equal(bits_a, bits_b)
 
     def test_v_floor_on_realistic_run(self):
         mesh = CartesianMesh2D(2.0, 2.0, 16, 16)
@@ -409,10 +412,10 @@ class TestRun:
         dt = stable_dt(init, params, mesh, cfg)
         report = run(init, params, mesh, cfg)
         assert report.status == "completed"
-        for row in report.series:
-            ideal = math.exp(-row.t)
-            assert row.min_v <= ideal * (1.0 + 1e-12)
-            assert row.min_v >= ideal * math.exp(-row.t * dt / 2.0) * (1.0 - 1e-5)
+        for t, min_v in zip(report.series.t, report.series.min_v):
+            ideal = math.exp(-t)
+            assert min_v <= ideal * (1.0 + 1e-12)
+            assert min_v >= ideal * math.exp(-t * dt / 2.0) * (1.0 - 1e-5)
 
     def test_refinement_agreement_on_smooth_scenario(self):
         params = ModelParams(chi=0.5, k=1.0, n=2)
@@ -422,5 +425,25 @@ class TestRun:
             init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
             report = run(init, params, mesh, SchemeConfig(t_end=1.0, output_interval=0.5))
             assert report.status == "completed"
-            sup_norms[nx] = report.series[-1].max_u
+            sup_norms[nx] = report.series.max_u[-1]
         assert abs(sup_norms[32] - sup_norms[64]) < 0.05 * sup_norms[64]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: at dt_safety 1.0 the 64x64 reference grows a checkerboard in u "
+        "while the run reports completed",
+    )
+    def test_top_of_the_dt_safety_range_stays_accurate_or_says_why(self):
+        # at 1.0 the positivity caps set every dt; a fix keeps max u within
+        # first-order error of the 0.995 run, or names the fault by status
+        mesh = CartesianMesh2D(2.0, 2.0, 64, 64)
+        init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
+        params = ModelParams(chi=0.5, k=1.0, n=2)
+        near, top = (
+            run(init, params, mesh, SchemeConfig(t_end=1.0, output_interval=0.5, dt_safety=safety))
+            for safety in (0.995, 1.0)
+        )
+        assert near.status == "completed" and len(near.series) == 3
+        if top.status == "completed":
+            assert top.series.max_u == pytest.approx(near.series.max_u, rel=1e-3)
