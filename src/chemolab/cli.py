@@ -44,6 +44,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, DomainError, InsufficientRows, NotApplicable
 from .exponents import (
+    BOUNDARY_RTOL,
     ModelParams,
     bootstrap,
     center_ratio_bounds,
@@ -241,7 +242,8 @@ class _SweepPoint:
 
 def _sweep_row(chi: float, k: float, n: int, status: str, max_u: float, worst: float) -> str:
     threshold = chi_star(k, n)
-    below = "true" if chi < threshold * (1.0 - 1e-12) else "false"
+    # is_below_threshold's band; it rejects chi = 0, which a sweep may hold
+    below = "true" if chi < threshold * (1.0 - BOUNDARY_RTOL) else "false"
     return f"{_fmt(chi)},{_fmt(k)},{_fmt(threshold)},{below},{status},{_fmt(max_u)},{_fmt(worst)}"
 
 

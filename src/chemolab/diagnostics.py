@@ -86,6 +86,9 @@ class Columns:
 
     def __init__(self, q_list=(), pr_pairs=(), v_orders=()):
         q_list, pr_pairs, self.v_orders = tuple(q_list), tuple(pr_pairs), tuple(v_orders)
+        for s in self.v_orders:
+            if not s >= 1.0:
+                raise DomainError(f"norm order must be >= 1, got {s}")
         names = ["t", "mass", "min_v", "max_u"]
         names += [f"u_Lq_{q:.12g}" for q in q_list]
         for p, r in pr_pairs:
@@ -171,10 +174,8 @@ def energy(state: State, p: float, r: float, mesh: Mesh) -> float:
 
 
 def dissipation(state: State, p: float, r: float, mesh: Mesh) -> float:
-    """Dissipation partner D_{p,r} = integral( u^(p+1) v^-(r+1) )."""
-    if (state.v <= 0.0).any():
-        raise PositivityViolation("chemical field must be strictly positive")
-    return float(mesh.integrate(state.u ** (p + 1.0) * state.v ** (-(r + 1.0))))
+    """Dissipation partner D_{p,r} = integral( u^(p+1) v^-(r+1) ) = E_{p+1,r+1}."""
+    return energy(state, p + 1.0, r + 1.0, mesh)
 
 
 def compute_row(state: State, mesh: Mesh, series, extremes=None):
@@ -204,9 +205,7 @@ def compute_row(state: State, mesh: Mesh, series, extremes=None):
     for p, minus_r, p_next, minus_r_next in columns.pr_orders:
         row.append(integrate(u_pow[p] * v**minus_r))
         row.append(integrate(u_pow[p_next] * v**minus_r_next))
-    for s in columns.v_orders:  # lq_norm(v, s, mesh), inlined
-        if not s >= 1.0:
-            raise DomainError(f"norm order must be >= 1, got {s}")
+    for s in columns.v_orders:  # lq_norm(v, s, mesh), inlined; Columns checked s >= 1
         row.append(integrate(v**s) ** (1.0 / s))
     series.values.extend(row)
 

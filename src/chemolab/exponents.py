@@ -290,10 +290,7 @@ def bootstrap_gain(x: float, c0: float, c_sup: float, n: int) -> float:
     half_n = n / 2.0
     if x > half_n * (1.0 + BOUNDARY_RTOL):
         raise DomainError(f"x must be <= n/2 = {half_n}, got {x}")
-    if x >= half_n * (1.0 - BOUNDARY_RTOL):
-        return math.inf
-    num = n * ((1.0 - c_sup) * x + (c_sup - c0)) + 2.0 * c0 * x
-    return num / ((n - 2.0 * x) * (1.0 - c0)) - x
+    return _upper(x, c0, c_sup, n) - x
 
 
 def next_p_upper(p_prev: float, c0: float, c_sup: float, n: int) -> float:
@@ -310,10 +307,16 @@ def next_p_upper(p_prev: float, c0: float, c_sup: float, n: int) -> float:
     half_n = n / 2.0
     if p_prev > half_n * (1.0 + BOUNDARY_RTOL):
         raise DomainError(f"p_prev must be <= n/2 = {half_n}, got {p_prev}")
-    if p_prev >= half_n * (1.0 - BOUNDARY_RTOL):
+    return _upper(p_prev, c0, c_sup, n)
+
+
+def _upper(x: float, c0: float, c_sup: float, n: int) -> float:
+    """F(x) of ``next_p_upper`` for checked arguments; ``math.inf`` within
+    the boundary band below n/2."""
+    if x >= n / 2.0 * (1.0 - BOUNDARY_RTOL):
         return math.inf
-    num = n * ((1.0 - c_sup) * p_prev + (c_sup - c0)) + 2.0 * c0 * p_prev
-    return num / ((n - 2.0 * p_prev) * (1.0 - c0))
+    num = n * ((1.0 - c_sup) * x + (c_sup - c0)) + 2.0 * c0 * x
+    return num / ((n - 2.0 * x) * (1.0 - c0))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ x and y (strides 1 and nx) on a rectangle, one radial direction (stride 1)
 on shells.  ``face_velocities`` of a (P, N) stack is a tuple of one flat
 array per direction, P*N - s entries each, on both meshes, and
 ``point_faces(w, j)`` gives point j's as contiguous slices, the arrays it
-gets alone.  The kernels that read only the strides are written once.
+gets alone.  The kernels that read only the strides and spacings are
+written once, the face velocities among them.
 
 Padded faces, one scatter.  Face fluxes go into face arrays padded with zero
 entries beyond both ends of the flat stack, and one scatter turns them into
@@ -198,21 +199,22 @@ class _PaddedFluxMesh:
     cuts the views that its arithmetic reads and writes out of flat arrays
     and returns a function that does the ``out=`` ufunc calls on them each
     time it is called.  The operators below bind per call and call once; a
-    ``StepPlan`` binds once and calls every step.  A subclass supplies its
-    face layout (module docstring): ``_strides``, one stride s per face
-    direction, and ``_outflow``, per direction the (area, vol_in, vol_out)
-    by which a face's outflow leaves cell j and cell j + s (numbers on a
-    rectangle, the area None for 1; per-face arrays on shells);
-    ``face_arrays(shape)`` (the zeroed padded face scratch of a stack of
-    ``shape`` rows, one array per direction first, then whatever else its
-    scatter needs); and the kernels whose arithmetic differs: ``_diffusive``
-    (scale the differences f[j+s] - f[j] that ``_differences`` wrote into
-    diffusive fluxes, in place), ``_velocities`` (the face velocities of v
-    from its differences, which start at flat cell ``start`` of the face
-    scratch), ``_taxis`` (the donor-cell fluxes of u, from flat cell
-    ``start`` of the face scratch on) and ``_scatter`` (zero the pairs that
-    are not faces, write the flat cell rates).  No write touches the pads, so
-    face scratch reused across calls keeps its zero pads.
+    ``StepPlan`` binds once and calls every step.  A subclass supplies one
+    coordinate layout: ``cell_centers()`` (one flat array per axis),
+    ``extents`` and ``center`` (per axis); its face layout (module
+    docstring): ``_strides`` and ``_spacings``, one stride s and cell
+    spacing per face direction, and ``_outflow``, per direction the (area,
+    vol_in, vol_out) by which a face's outflow leaves cell j and cell j + s
+    (numbers on a rectangle, the area None for 1; per-face arrays on
+    shells); ``face_arrays(shape)`` (the zeroed padded face scratch of a
+    stack of ``shape`` rows, one array per direction first, then whatever
+    else its scatter needs); and the kernels whose expressions run in a
+    different order: ``_diffusive`` (scale the differences f[j+s] - f[j]
+    that ``_differences`` wrote into diffusive fluxes, in place), ``_taxis``
+    (the donor-cell fluxes of u, from flat cell ``start`` of the face
+    scratch on) and ``_scatter`` (zero the pairs that are not faces, write
+    the flat cell rates).  No write touches the pads, so face scratch
+    reused across calls keeps its zero pads.
     """
 
     def integrate(self, f: np.ndarray) -> float:
@@ -272,6 +274,24 @@ class _PaddedFluxMesh:
             acc[s:] += backward / vol_out
         return float(acc.max())
 
+    def _velocities(self, v, faces, start, chi, w, scratch):
+        end, chis = start + v.size, chi.reshape(-1) if isinstance(chi, np.ndarray) else None
+        directions = [
+            _velocity(t[start + s : end], v[s:], v[:-s], chi if chis is None else chis[:-s], wd, sd, h * 0.5)
+            for s, t, wd, sd, h in zip(self._strides, faces, w, scratch, self._spacings)
+        ]
+        if len(directions) == 1:  # shells: no pair joins two mesh rows
+            return directions[0]
+        (x, y), nx = directions, self._strides[1]
+        wraps = w[0][nx - 1 :: nx]
+
+        def velocities():
+            x()
+            y()
+            wraps.fill(0.0)  # the x pairs that join the end of a row to the start of the next
+
+        return velocities
+
     def _velocity_arrays(self, size, dtype=float):
         """Uninitialized arrays shaped like the face velocities of ``size`` flat cells."""
         return tuple(np.empty(size - s, dtype) for s in self._strides)
@@ -312,7 +332,8 @@ class CartesianMesh2D(_PaddedFluxMesh):
         self.volumes = np.full(self.cell_count, self.hx * self.hy)
         self.domain_volume = float(self.volumes.sum())
         self._diffusion_outflow_max = 2.0 / (self.hx * self.hx) + 2.0 / (self.hy * self.hy)
-        self._strides = (1, self.nx)
+        self.extents, self.center = (self.lx, self.ly), (self.lx / 2.0, self.ly / 2.0)
+        self._strides, self._spacings = (1, self.nx), (self.hx, self.hy)
         self._outflow = ((None, self.hx, self.hx), (None, self.hy, self.hy))
 
     def cell_centers(self):
@@ -330,25 +351,6 @@ class CartesianMesh2D(_PaddedFluxMesh):
         rows = math.prod(shape)
         tx, ty = np.zeros(rows * n + 1), np.zeros(rows * n + nx)
         return tx, ty, ty[: rows * n].reshape(rows, n)[1:, :nx]
-
-    def _velocities(self, v, faces, start, chi, w, scratch):
-        nx, end = self.nx, start + v.size
-        if isinstance(chi, np.ndarray):
-            chi = chi.reshape(-1)
-            cx, cy = chi[:-1], chi[:-nx]
-        else:
-            cx = cy = chi
-        (wx, wy), (sx, sy) = w, scratch
-        x = _velocity(faces[0][start + 1 : end], v[1:], v[:-1], cx, wx, sx, self.hx * 0.5)
-        y = _velocity(faces[1][start + nx : end], v[nx:], v[:-nx], cy, wy, sy, self.hy * 0.5)
-        wraps = wx[nx - 1 :: nx]
-
-        def velocities():
-            x()
-            y()
-            wraps.fill(0.0)  # the pairs that join the end of a row to the start of the next
-
-        return velocities
 
     def _diffusive(self, f, faces):
         nx, size = self.nx, f.size
@@ -415,13 +417,15 @@ class RadialShellMesh(_PaddedFluxMesh):
         self.face_area = self.face_r ** (self.n_dim - 1)
         self.volumes = (self.face_r[1:] ** self.n_dim - self.face_r[:-1] ** self.n_dim) / self.n_dim
         self.domain_volume = float(self.volumes.sum())
-        self._strides = (1,)
+        self.extents, self.center = (self.radius,), (0.0,)
+        self._strides, self._spacings = (1,), (self.h,)
         self._outflow = ((self.face_area[1:-1], self.volumes[:-1], self.volumes[1:]),)  # interior faces
         per_cell = (self.face_area[:-1] + self.face_area[1:]) / (self.h * self.volumes)
         self._diffusion_outflow_max = float(per_cell.max())
 
-    def cell_centers(self) -> np.ndarray:
-        return (np.arange(self.m) + 0.5) * self.h
+    def cell_centers(self):
+        """(r,): the radius of each shell's center, a flat array in shell order."""
+        return ((np.arange(self.m) + 0.5) * self.h,)
 
     def face_arrays(self, shape):
         """Zeroed faces of a stack of L = prod(shape) * m shells, (L+1,) with
@@ -431,12 +435,6 @@ class RadialShellMesh(_PaddedFluxMesh):
         rows = math.prod(shape)
         area = np.tile(self.face_area[1:], rows)[:-1]
         return np.zeros(rows * self.m + 1), area, np.tile(self.volumes, rows), np.empty(rows * self.m)
-
-    def _velocities(self, v, faces, start, chi, w, scratch):
-        if isinstance(chi, np.ndarray):
-            chi = chi.reshape(-1)[:-1]
-        (w,), (scratch,), dv = w, scratch, faces[0][start + 1 : start + v.size]
-        return _velocity(dv, v[1:], v[:-1], chi, w, scratch, self.h * 0.5)
 
     def _diffusive(self, f, faces):
         multiply, size = np.multiply, f.size

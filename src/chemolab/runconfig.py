@@ -195,17 +195,17 @@ class RunConfig:
     v0_base: float = 1.0
     v0_min: float = 0.1
     # [scheme]
-    dt_safety: float = 0.4
-    dt_min: float = 1e-10
+    dt_safety: float = SchemeConfig.dt_safety
+    dt_min: float = SchemeConfig.dt_min
     t_end: float = 1.0
-    blowup_factor: float = 1e6
+    blowup_factor: float = SchemeConfig.blowup_factor
     output_interval: float = 0.1
     # [monitors]
     q_list: tuple[float, ...] = ()
     pr_source: str = "bootstrap"
     pr_pairs: tuple[tuple[float, float], ...] = ()
     theta: float = 0.5
-    tolerance_rel: float = 0.05
+    tolerance_rel: float = MonitorConfig.tolerance_rel
 
     def __post_init__(self):
         # Values are checked where they enter (module docstring); these rules

@@ -116,7 +116,7 @@ import numpy as np
 from .diagnostics import MonitorConfig, TimeSeries, compute_row
 from .errors import DomainError
 from .exponents import ModelParams
-from .meshes import CartesianMesh2D, Mesh, RadialShellMesh, State, StepPlan
+from .meshes import Mesh, State, StepPlan
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "suspected_blowup"
@@ -190,9 +190,10 @@ def initial_state(
         that the chemical's production term dominates the O(dt) decay
         deficit of explicit stepping everywhere.
 
-    In both cases v0 = max(v0_base, v0_min), constant; v0_min > 0 enforces
-    strict positivity.  Both profiles have zero normal derivative at the
-    boundary.
+    Each is one formula over the mesh's axes (``cell_centers``, ``extents``
+    and ``center``).  In both cases v0 = max(v0_base, v0_min), constant;
+    v0_min > 0 enforces strict positivity.  Both profiles have zero normal
+    derivative at the boundary.
     """
     if not amplitude >= 0.0:
         raise DomainError(f"amplitude must be nonnegative, got {amplitude}")
@@ -202,27 +203,18 @@ def initial_state(
         )
     if not v0_min > 0.0:
         raise DomainError(f"v0_min must be positive, got {v0_min}")
-    if isinstance(mesh, CartesianMesh2D):
-        x, y = mesh.cell_centers()
-        if kind == "constant_cosine":
-            u = 1.0 + amplitude * np.cos(math.pi * x / mesh.lx) * np.cos(math.pi * y / mesh.ly)
-        elif kind == "gaussian":
-            sigma = min(mesh.lx, mesh.ly) / 4.0
-            d2 = (x - mesh.lx / 2.0) ** 2 + (y - mesh.ly / 2.0) ** 2
-            u = amplitude * np.exp(-d2 / (2.0 * sigma * sigma))
-        else:
-            raise DomainError(f"unknown initial kind {kind!r}")
-    elif isinstance(mesh, RadialShellMesh):
-        r = mesh.cell_centers()
-        if kind == "constant_cosine":
-            u = 1.0 + amplitude * np.cos(math.pi * r / mesh.radius)
-        elif kind == "gaussian":
-            sigma = mesh.radius / 4.0
-            u = amplitude * np.exp(-(r * r) / (2.0 * sigma * sigma))
-        else:
-            raise DomainError(f"unknown initial kind {kind!r}")
-    else:
+    if not isinstance(mesh, Mesh):
         raise DomainError(f"unsupported mesh type {type(mesh).__name__}")
+    coordinates = mesh.cell_centers()
+    if kind == "constant_cosine":
+        cosines = (np.cos(math.pi * x / length) for x, length in zip(coordinates, mesh.extents))
+        u = 1.0 + math.prod(cosines, start=amplitude)
+    elif kind == "gaussian":
+        squares = [(x - c) ** 2 for x, c in zip(coordinates, mesh.center)]
+        sigma = min(mesh.extents) / 4.0
+        u = amplitude * np.exp(-sum(squares[1:], squares[0]) / (2.0 * sigma * sigma))
+    else:
+        raise DomainError(f"unknown initial kind {kind!r}")
     v = np.full(mesh.cell_count, max(v0_base, v0_min))
     return State(u, v, 0.0).validate(mesh)
 

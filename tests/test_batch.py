@@ -309,7 +309,7 @@ def test_mid_run_split_when_the_advective_limit_binds_for_one_chi(make_mesh, big
 def test_point_that_stops_early_leaves_the_batch(make_mesh, batch_sizes):
     mesh = make_mesh()
     if mesh.geometry == "radial":
-        d2 = mesh.cell_centers() ** 2
+        d2 = mesh.cell_centers()[0] ** 2
     else:
         x, y = mesh.cell_centers()
         d2 = (x - 0.5) ** 2 + (y - 0.4) ** 2

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chemolab.cli as cli
 import chemolab.meshes as meshes
 from chemolab.cli import CSV_CHUNK_ROWS, main, timeseries_csv
 from chemolab.diagnostics import MonitorConfig, TimeSeries
 from chemolab.errors import ConfigError, DomainError
+from chemolab.exponents import chi_star, is_below_threshold
 from chemolab.runconfig import (
     RunConfig,
     SweepSpec,
@@ -746,6 +748,19 @@ class TestSweepCli:
         assert rows["0.5"][4] == "completed"
         assert rows["0.90000000000000002"][4] == "error:ConfigError"
         assert rows["0.90000000000000002"][6] == "nan"
+
+
+class TestSweepRowThreshold:
+    @pytest.mark.parametrize("k, n", [(1.0, 2), (1.0, 3), (0.5, 4), (2.0, 6)])
+    @pytest.mark.parametrize("factor", [1.0 - 2e-12, 1.0 - 0.5e-12, 1.0])
+    def test_below_threshold_field_is_the_band_of_is_below_threshold(self, k, n, factor):
+        chi = chi_star(k, n) * factor
+        field = cli._sweep_row(chi, k, n, "completed", 1.0, 0.5).split(",")[3]
+        assert field == ("true" if is_below_threshold(chi, k, n) else "false")
+        assert field == ("true" if factor < 1.0 - 1e-12 else "false")
+
+    def test_chi_zero_is_below_threshold(self):
+        assert cli._sweep_row(0.0, 1.0, 2, "completed", 1.0, 0.5).split(",")[3] == "true"
 
 
 class TestMalformedEntryCli:

@@ -10,6 +10,7 @@ import pytest
 
 from chemolab.diagnostics import (
     FLOOR_ULPS_PER_STEP,
+    Columns,
     MonitorConfig,
     TimeSeries,
     compute_row,
@@ -240,6 +241,12 @@ class TestTimeSeries:
         assert series.energy((3.0, 0.9)) == [energy(st, 3.0, 0.9, mesh) for st in states]
         assert series.dissipation((2.0, 0.4)) == [dissipation(st, 2.0, 0.4, mesh) for st in states]
         assert series.v_norm(2.1) == [lq_norm(st.v, 2.1, mesh) for st in states]
+
+    def test_a_v_order_below_one_is_refused_when_the_layout_is_built(self):
+        with pytest.raises(DomainError, match=r"^norm order must be >= 1, got 0\.75$"):
+            Columns(v_orders=(1.5, 0.75))
+        with pytest.raises(DomainError, match=r"^norm order must be >= 1, got 0\.5$"):
+            TimeSeries(MonitorConfig(pr_pairs=((2.0, 1.5),)))
 
     def test_a_run_of_2000_rows_keeps_8_bytes_per_value(self):
         from chemolab.exponents import ModelParams

@@ -203,7 +203,7 @@ def n_dim(mesh):
 
 
 def coordinate(mesh):
-    return mesh.cell_centers() if mesh.geometry == "radial" else mesh.cell_centers()[0]
+    return mesh.cell_centers()[0]
 
 
 def smooth_state(mesh):

@@ -68,7 +68,7 @@ def steep_state(mesh):
     increments reach the rounding of the update somewhere; the chemical jumps
     by large factors between neighbouring cells."""
     if mesh.geometry == "radial":
-        d2 = mesh.cell_centers() ** 2
+        d2 = mesh.cell_centers()[0] ** 2
     else:
         x, y = mesh.cell_centers()
         d2 = (x - 0.3) ** 2 + (y - 0.5) ** 2

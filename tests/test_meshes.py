@@ -164,7 +164,7 @@ class TestLaplacian:
         errors = {}
         for m in (64, 128):
             mesh = RadialShellMesh(n_dim, radius, m)
-            r = mesh.cell_centers()
+            (r,) = mesh.cell_centers()
             a = math.pi / radius
             exact = -(a**2) * np.cos(a * r) - (n_dim - 1) * a * np.sin(a * r) / r
             f = np.cos(a * r)

@@ -67,7 +67,7 @@ class TestInitialState:
     def test_gaussian_center_and_floor(self):
         mesh = RadialShellMesh(3, 1.0, 16)
         st = initial_state(mesh, "gaussian", 2.0, v0_base=0.02, v0_min=0.1)
-        r = mesh.cell_centers()
+        (r,) = mesh.cell_centers()
         sigma = 1.0 / 4.0
         assert st.u == pytest.approx(2.0 * np.exp(-(r**2) / (2 * sigma**2)), rel=1e-15)
         assert (st.v == 0.1).all()  # floored at v0_min
@@ -76,6 +76,57 @@ class TestInitialState:
         mesh = RadialShellMesh(3, 1.0, 8)
         with pytest.raises(DomainError):
             initial_state(mesh, "tophat", 1.0, 1.0)
+
+    def test_rejects_an_unsupported_mesh_before_the_kind(self):
+        for kind in ("gaussian", "tophat"):
+            with pytest.raises(DomainError, match="^unsupported mesh type object$"):
+                initial_state(object(), kind, 1.0, 1.0)
+        with pytest.raises(DomainError, match="^unknown initial kind 'tophat'$"):
+            initial_state(CartesianMesh2D(1.0, 1.0, 4, 4), "tophat", 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            CartesianMesh2D(2.0, 2.0, 64, 64),
+            CartesianMesh2D(2.0, 2.0, 16, 16),
+            CartesianMesh2D(1.0, 0.8, 9, 7),
+            CartesianMesh2D(3.7, 1.3, 48, 33),
+            RadialShellMesh(3, 1.0, 7),
+            RadialShellMesh(2, 1.5, 37),
+            RadialShellMesh(3, 2.0, 128),
+        ],
+        ids=["cart_64x64", "cart_16x16", "cart_9x7", "cart_48x33", "radial_m7", "radial_m37", "radial_m128"],
+    )
+    @pytest.mark.parametrize(
+        "kind, amplitudes",
+        [("constant_cosine", (0.0, 0.3, 0.5, 1.0)), ("gaussian", (0.0, 1.5, 2.0, 7.25))],
+    )
+    def test_bytes_of_the_per_geometry_formulas(self, mesh, kind, amplitudes):
+        """One formula per kind over ``cell_centers``, ``extents`` and
+        ``center`` gives the bytes of the two per-geometry formulas it
+        replaced, kept here as the reference."""
+        for amplitude in amplitudes:
+            for v0_base, v0_min in ((1.0, 0.1), (0.02, 0.1), (0.5, 0.25)):
+                st = initial_state(mesh, kind, amplitude, v0_base, v0_min)
+                u = per_geometry_initial_u(mesh, kind, amplitude)
+                assert st.u.tobytes() == u.tobytes(), (kind, amplitude)
+                assert st.v.tobytes() == np.full(mesh.cell_count, max(v0_base, v0_min)).tobytes()
+
+
+def per_geometry_initial_u(mesh, kind, amplitude):
+    """u0 of ``initial_state`` as it was written once per geometry."""
+    if isinstance(mesh, CartesianMesh2D):
+        x, y = mesh.cell_centers()
+        if kind == "constant_cosine":
+            return 1.0 + amplitude * np.cos(math.pi * x / mesh.lx) * np.cos(math.pi * y / mesh.ly)
+        sigma = min(mesh.lx, mesh.ly) / 4.0
+        d2 = (x - mesh.lx / 2.0) ** 2 + (y - mesh.ly / 2.0) ** 2
+        return amplitude * np.exp(-d2 / (2.0 * sigma * sigma))
+    (r,) = mesh.cell_centers()
+    if kind == "constant_cosine":
+        return 1.0 + amplitude * np.cos(math.pi * r / mesh.radius)
+    sigma = mesh.radius / 4.0
+    return amplitude * np.exp(-(r * r) / (2.0 * sigma * sigma))
 
 
 class TestStableDt:

@@ -11,10 +11,12 @@ On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
   ``python -m chemolab.cli``;
 * the five demos under ``demos/``;
 * ``run`` and ``sweep`` on each malformed document of ``MALFORMED``, so
-  that error text and exit codes are compared too.
+  that error text and exit codes are compared too;
+* ``exponents`` for each argument set of ``EXPONENTS``: n = 2, 3, 6 and 8,
+  theta = 0.2, a chi above the threshold and a ``--csv`` run.
 
-It compares every ``timeseries.csv``, ``report.txt`` and
-``sweep_summary.csv``, and the stdout, the stderr and the exit code of
+It compares every ``timeseries.csv``, ``report.txt``, ``sweep_summary.csv``
+and ``--csv`` chain file, and the stdout, the stderr and the exit code of
 every invocation.  Each difference goes to stderr; one verdict line goes to
 stdout.  The exit code is 0 when everything is identical and 1 otherwise.
 
@@ -37,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("run2d", "radial3", "monitor_dense", "sweep")
 SEEDS = (0, 11)
-OUTPUTS = ("timeseries.csv", "report.txt", "sweep_summary.csv")
+OUTPUTS = ("out/timeseries.csv", "out/report.txt", "out/sweep_summary.csv", "chain.csv")
 
 RUN_DOC = """\
 [model]
@@ -82,6 +84,19 @@ MALFORMED = (
     ("a bad sweep integer", "sweep", SWEEP_DOC.replace("parallelism = 1", "parallelism = 0")),
 )
 
+# Arguments of ``chemolab exponents``: the bootstrap chain in each dimension
+# class, a smaller theta, one chi above chi_star(1, 3) (exit code 2) and one
+# run that also writes its chain as CSV.
+EXPONENTS = (
+    ["--chi", "0.5", "--k", "1", "--n", "2"],
+    ["--chi", "0.7", "--k", "1", "--n", "3"],
+    ["--chi", "0.3", "--k", "2", "--n", "6"],
+    ["--chi", "0.2", "--k", "0.5", "--n", "8"],
+    ["--chi", "0.3", "--k", "2", "--n", "6", "--theta", "0.2"],
+    ["--chi", "2", "--k", "1", "--n", "3"],
+    ["--chi", "0.4", "--k", "1.5", "--n", "4", "--csv", "chain.csv"],
+)
+
 
 def export(rev: str, dest: Path) -> None:
     """Write the files of ``rev`` under ``dest``."""
@@ -109,6 +124,8 @@ def invocations() -> list[tuple[str, list[str], dict[str, str]]]:
     for what, command, text in MALFORMED:
         argv = ["-m", "chemolab.cli", command, "case.cfg", "--outdir", "out"]
         runs.append((f"{command} with {what}", argv, {"case.cfg": text}))
+    for args in EXPONENTS:
+        runs.append((f"exponents {' '.join(args)}", ["-m", "chemolab.cli", "exponents", *args], {}))
     return runs
 
 
@@ -125,7 +142,7 @@ def outputs(tree: Path, argv: list[str], files: dict[str, str], workdir: Path) -
     done = subprocess.run([sys.executable, *argv], cwd=workdir, env=env, capture_output=True)
     found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout, "stderr": done.stderr}
     for name in OUTPUTS:
-        path = workdir / "out" / name
+        path = workdir / name
         found[name] = path.read_bytes() if path.exists() else None
     return found
 
@@ -147,8 +164,8 @@ def main(argv=None) -> int:
                     differences.append(f"{name}: {what} differs")
                     print(differences[-1], file=sys.stderr)
     scope = (
-        f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the demos"
-        f" and {len(MALFORMED)} malformed documents)"
+        f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the demos,"
+        f" {len(MALFORMED)} malformed documents and {len(EXPONENTS)} exponents runs)"
     )
     if differences:
         print(f"DIFFERENT: {len(differences)} output(s) of {scope} differ from {args.base}")
