@@ -145,8 +145,8 @@ def timeseries_csv(series: TimeSeries, out) -> None:
     """Write ``series`` as CSV to the text stream ``out``: the column names,
     then one line per row, every value with 17 significant digits.  Rows
     are formatted and written ``CSV_CHUNK_ROWS`` at a time."""
-    width, values = series.columns.width, series.values
-    out.write(",".join(series.columns.names) + "\n")
+    width, values = series.width, series.values
+    out.write(",".join(series.names) + "\n")
     chunk = CSV_CHUNK_ROWS * width
     for start in range(0, len(values), chunk):
         texts = [f"{x:.17g}" for x in values[start : start + chunk]]  # _fmt, inlined

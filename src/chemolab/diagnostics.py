@@ -71,64 +71,54 @@ class MonitorConfig:
         return self
 
 
-class Columns:
-    """The column layout of a time series: ``t, mass, min_v, max_u``, then
-    ``||u||_q`` per q of ``q_list``, ``E`` and ``D`` per pair of
-    ``pr_pairs``, and ``||v||_s`` per s of ``v_orders``.
+class TimeSeries:
+    """The rows of one run as one flat float64 table, 8 bytes per value, in
+    the column layout of ``monitors`` (a ``MonitorConfig``).
 
-    ``names`` are the CSV column names; ``lq``, ``energy``, ``dissipation``
-    and ``v_norm`` map each order or pair to its column index; ``u_orders``
-    and ``pr_orders`` are the exponents ``compute_row`` raises u and v to,
-    ``(q, 1/q)`` per norm and ``(p, -r, p + 1, -(r + 1))`` per pair.
+    ``names`` are the CSV names of the ``width`` columns: ``t, mass, min_v,
+    max_u``, then ``||u||_q`` per q of ``q_list``, ``E`` and ``D`` per pair
+    of ``pr_pairs`` and ``||v||_s`` per s of ``v_orders``.  ``index`` maps
+    ``("u", q)``, ``("E", pair)``, ``("D", pair)`` and ``("v", s)`` to a
+    column (the last, where a value repeats).  ``compute_row`` raises u and v
+    to ``u_orders``, ``(q, 1/q)`` per norm, and ``pr_orders``, ``(p, -r,
+    p + 1, -(r + 1))`` per pair, and appends the row to ``values``.  The
+    checks read whole columns, each a new list of floats: ``t``, ``mass``,
+    ``min_v``, ``max_u``, and ``lq_norm(q)``, ``energy(pair)``,
+    ``dissipation(pair)`` and ``v_norm(s)``, which raise ``DomainError`` for
+    what the series does not monitor.  ``len`` is the row count.
     """
 
-    __slots__ = ("v_orders", "names", "width", "lq", "energy", "dissipation", "v_norm", "u_orders", "pr_orders")
+    __slots__ = ("monitors", "names", "width", "index", "u_orders", "pr_orders", "v_orders", "values")
 
-    def __init__(self, q_list=(), pr_pairs=(), v_orders=()):
-        q_list, pr_pairs, self.v_orders = tuple(q_list), tuple(pr_pairs), tuple(v_orders)
+    def __init__(self, monitors: MonitorConfig):
+        q_list, pr_pairs = monitors.q_list, monitors.pr_pairs
+        self.monitors, self.v_orders = monitors, monitors.v_orders
         for s in self.v_orders:
             if not s >= 1.0:
                 raise DomainError(f"norm order must be >= 1, got {s}")
-        names = ["t", "mass", "min_v", "max_u"]
-        names += [f"u_Lq_{q:.12g}" for q in q_list]
+        names = ["t", "mass", "min_v", "max_u"] + [f"u_Lq_{q:.12g}" for q in q_list]
         for p, r in pr_pairs:
             names += [f"E_{p:.12g}_{r:.12g}", f"D_{p:.12g}_{r:.12g}"]
         names += [f"v_L{s:.12g}" for s in self.v_orders]
         self.names, self.width = names, len(names)
-        first_pair = 4 + len(q_list)
-        self.lq = {q: 4 + i for i, q in enumerate(q_list)}
-        self.energy = {pair: first_pair + 2 * i for i, pair in enumerate(pr_pairs)}
-        self.dissipation = {pair: first_pair + 2 * i + 1 for i, pair in enumerate(pr_pairs)}
-        first_v = first_pair + 2 * len(pr_pairs)
-        self.v_norm = {s: first_v + i for i, s in enumerate(self.v_orders)}
+        keys = [("u", q) for q in q_list] + [(kind, pair) for pair in pr_pairs for kind in "ED"]
+        keys += [("v", s) for s in self.v_orders]
+        self.index = {key: i for i, key in enumerate(keys, 4)}
         self.u_orders = tuple((q, 1.0 / q) for q in q_list)
         self.pr_orders = tuple((p, -r, p + 1.0, -(r + 1.0)) for p, r in pr_pairs)
-
-
-class TimeSeries:
-    """The rows of one run as one flat float64 table, 8 bytes per value.
-
-    ``columns`` is the layout (``Columns``), fixed when the series is made
-    from a ``MonitorConfig`` (or from a ``Columns``); ``values`` is the
-    table, row after row, to which ``compute_row`` appends.  The checks read
-    whole columns: ``t``, ``mass``, ``min_v`` and ``max_u``, and
-    ``lq_norm(q)``, ``energy(pair)``, ``dissipation(pair)`` and
-    ``v_norm(s)``, each a new list of floats; ``len`` is the row count.
-    """
-
-    __slots__ = ("columns", "values")
-
-    def __init__(self, columns: "Columns | MonitorConfig"):
-        if isinstance(columns, MonitorConfig):
-            columns = Columns(columns.q_list, columns.pr_pairs, columns.v_orders)
-        self.columns = columns
         self.values = array("d")
 
     def __len__(self) -> int:
-        return len(self.values) // self.columns.width
+        return len(self.values) // self.width
 
     def column(self, index: int) -> list[float]:
-        return self.values[index :: self.columns.width].tolist()
+        return self.values[index :: self.width].tolist()
+
+    def _monitored(self, key) -> list[float]:
+        index = self.index.get(key)
+        if index is None:
+            raise DomainError(f"the series does not monitor {key}")
+        return self.column(index)
 
     @property
     def t(self) -> list[float]:
@@ -147,16 +137,16 @@ class TimeSeries:
         return self.column(3)
 
     def lq_norm(self, q: float) -> list[float]:
-        return self.column(self.columns.lq[q])
+        return self._monitored(("u", q))
 
     def energy(self, pair: tuple[float, float]) -> list[float]:
-        return self.column(self.columns.energy[pair])
+        return self._monitored(("E", pair))
 
     def dissipation(self, pair: tuple[float, float]) -> list[float]:
-        return self.column(self.columns.dissipation[pair])
+        return self._monitored(("D", pair))
 
     def v_norm(self, s: float) -> list[float]:
-        return self.column(self.columns.v_norm[s])
+        return self._monitored(("v", s))
 
 
 def lq_norm(f: np.ndarray, q: float, mesh: Mesh) -> float:
@@ -179,8 +169,9 @@ def dissipation(state: State, p: float, r: float, mesh: Mesh) -> float:
 
 
 def compute_row(state: State, mesh: Mesh, series, extremes=None):
-    """Append the row of ``state`` to ``series`` (a ``TimeSeries``): the
-    values of ``lq_norm``, ``energy`` and ``dissipation``, to the bit.
+    """Append the row of ``state`` to ``series`` (a ``TimeSeries``), in the
+    series' own layout (its ``u_orders``, ``pr_orders`` and ``v_orders``):
+    the values of ``lq_norm``, ``energy`` and ``dissipation``, to the bit.
 
     ``extremes`` is ``(min v, max u)`` of the state when the caller has them
     already (the stepping loop takes them from its post-step scan); without
@@ -192,20 +183,19 @@ def compute_row(state: State, mesh: Mesh, series, extremes=None):
     x**1.0 == x.  When there are (p, r) pairs, v > 0 is read off the row's
     min v, which a NaN in v fails too; a row that raises is not appended.
     """
-    columns, integrate = series.columns, mesh.integrate
-    u, v = state.u, state.v
+    integrate, u, v = mesh.integrate, state.u, state.v
     u_pow = _Powers(u)
     min_v, max_u = extremes if extremes is not None else (float(v.min()), float(u.max()))
     mass = integrate(u)
     row = [state.t, mass, min_v, max_u]
-    for q, inverse in columns.u_orders:
+    for q, inverse in series.u_orders:
         row.append(mass if q == 1.0 else integrate(u_pow[q]) ** inverse)
-    if columns.pr_orders and not min_v > 0.0:
+    if series.pr_orders and not min_v > 0.0:
         raise PositivityViolation("chemical field must be strictly positive")
-    for p, minus_r, p_next, minus_r_next in columns.pr_orders:
+    for p, minus_r, p_next, minus_r_next in series.pr_orders:
         row.append(integrate(u_pow[p] * v**minus_r))
         row.append(integrate(u_pow[p_next] * v**minus_r_next))
-    for s in columns.v_orders:  # lq_norm(v, s, mesh), inlined; Columns checked s >= 1
+    for s in series.v_orders:  # lq_norm(v, s, mesh), inlined; TimeSeries checked s >= 1
         row.append(integrate(v**s) ** (1.0 / s))
     series.values.extend(row)
 
@@ -328,9 +318,7 @@ def min_v_floor_check(
 def floor_gap(series: TimeSeries, floor_factors) -> float:
     """exp(-(t - t_0)) - F at the last row: how far the scheme's v floor
     factor F (see ``min_v_floor_check``) lies below the continuum one, the
-    O(t dt) time error of explicit stepping; nan without ``floor_factors``."""
-    if floor_factors is None:
-        return math.nan
+    O(t dt) time error of explicit stepping."""
     return math.exp(-(series.t[-1] - series.t[0])) - floor_factors[-1]
 
 
@@ -358,8 +346,6 @@ def smoothing_ratio(series: TimeSeries, p_v: float, q_u: float, n: int) -> list[
         raise ExponentConditionError(
             f"(1/{q_u} - 1/{p_v}) * {n}/2 >= 1 violates the smoothing-exponent condition"
         )
-    if q_u not in series.columns.lq or p_v not in series.columns.v_norm:
-        raise DomainError(f"the series does not monitor ||u||_{q_u} and ||v||_{p_v}")
     ratios = []
     running_sup = -math.inf
     for u_norm, v_norm in zip(series.lq_norm(q_u), series.v_norm(p_v)):

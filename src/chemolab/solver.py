@@ -163,15 +163,15 @@ class SchemeConfig:
 
 @dataclass
 class RunReport:
+    """How one run ended, and its rows; the stepping loop fills it as the run goes."""
+
     status: str
     t_final: float
-    max_u_over_run: float
+    max_u_over_run: float  # over every accepted state, as is min_v_over_run
     min_v_over_run: float
     series: TimeSeries
-    steps: int = 0  # the accepted steps, the last of which reached t_final
-    # per row of ``series``, the product of (1 - dt) over the steps before it;
-    # None in a report built without them
-    floor_factors: array | None = None
+    steps: int  # the accepted steps, the last of which reached t_final
+    floor_factors: array  # per row of ``series``, the product of (1 - dt) over the steps before it
 
 
 def initial_state(
@@ -317,51 +317,39 @@ def run(
 
 
 class _Point:
-    """One run of a batch: its inputs, its rows so far (``series``, the last
-    at time ``t_row``, with the floor factor of each row in
-    ``floor_factors``), and how it ended.
-
-    ``v_range`` (min v, max v) and ``max_u`` are the extremes of the point's
-    current state, from the post-step scan (at t = 0, those of the initial
-    state), and every row is computed with its min v and max u from them.
+    """One run of a batch: its ``params``, the ``report`` that the stepping
+    loop fills (a ``RunReport``; its last row is at time ``t_row``), and
+    ``v_range`` (min v, max v) and ``max_u``, the extremes of its current
+    state from the post-step scan (at t = 0, the initial state's), which each
+    row is computed with.
 
     A plain class: creating a dataclass at import cost about 0.7 ms (2-core
     x86_64, Python 3.11), which every CLI invocation pays before its first
     step.
     """
 
-    __slots__ = (
-        "params", "series", "t_row", "floor_factors", "max_u_over_run", "min_v_over_run", "v_range",
-        "max_u", "status", "t_final", "steps",
-    )
+    __slots__ = ("params", "report", "t_row", "v_range", "max_u")
 
     def __init__(self, params, monitors, initial, mesh, max_u0, v_range):
-        self.params, self.series, self.t_row = params, TimeSeries(monitors), initial.t
-        compute_row(initial, mesh, self.series, (v_range[0], max_u0))
-        self.floor_factors = array("d", (1.0,))
-        self.max_u_over_run, self.min_v_over_run = max_u0, v_range[0]
-        self.v_range, self.max_u = v_range, max_u0
-        self.status, self.t_final, self.steps = None, 0.0, 0
+        series = TimeSeries(monitors)
+        compute_row(initial, mesh, series, (v_range[0], max_u0))
+        self.report = RunReport(None, 0.0, max_u0, v_range[0], series, 0, array("d", (1.0,)))
+        self.params, self.t_row, self.v_range, self.max_u = params, initial.t, v_range, max_u0
 
     def emit(self, state: State, mesh: Mesh, floor: float) -> None:
         """Append the row of ``state``, the point's current state, whose
         floor factor is ``floor``."""
         if state.t > self.t_row:
-            compute_row(state, mesh, self.series, (self.v_range[0], self.max_u))
-            self.floor_factors.append(floor)
+            compute_row(state, mesh, self.report.series, (self.v_range[0], self.max_u))
+            self.report.floor_factors.append(floor)
             self.t_row = state.t
 
     def stop(self, status: str, t: float, steps: int) -> None:
         """End the run at time t, ``steps`` accepted steps after it joined
         its last batch."""
-        self.status, self.t_final = status, t
-        self.steps += steps
-
-    def report(self) -> RunReport:
-        return RunReport(
-            self.status, self.t_final, self.max_u_over_run, self.min_v_over_run, self.series, self.steps,
-            self.floor_factors,
-        )
+        report = self.report
+        report.status, report.t_final = status, t
+        report.steps += steps
 
 
 def run_batch(
@@ -374,7 +362,8 @@ def run_batch(
     """``run`` for each of ``params_seq`` (with ``monitors_seq``, None for
     default monitors) from one initial state, mesh and scheme.
 
-    The runs advance together as one (2, P, N) stack; report i is
+    The runs advance together as one (2, P, N) stack, and each point's loop
+    fills its own ``RunReport``, which is returned as it stands; report i is
     bit-identical to ``run(initial, params_seq[i], mesh, cfg,
     monitors_seq[i])`` (see the module docstring).  The caller bounds P * N,
     e.g. by ``BATCH_CELLS``.
@@ -396,7 +385,7 @@ def run_batch(
     pending = [(points, stack, 1, 1.0)]
     while pending:
         _advance(*pending.pop(), mesh, cfg, max_u0, pending)
-    return [point.report() for point in points]
+    return [point.report for point in points]
 
 
 def _advance(batch, state, next_j, floor, mesh, cfg, max_u0, pending) -> None:
@@ -405,7 +394,7 @@ def _advance(batch, state, next_j, floor, mesh, cfg, max_u0, pending) -> None:
     then push one sub-batch per distinct dt onto ``pending``.
 
     ``taken`` counts the steps of this call, once per step for all points; a
-    point adds it to its ``steps`` when it stops or goes on in a sub-batch.
+    point adds it to ``report.steps`` when it stops or goes on in a sub-batch.
     ``floor`` is the product of (1 - dt) over every step since t = 0, which
     all points of a batch share (they have taken the same steps); a
     sub-batch carries it on."""
@@ -437,7 +426,7 @@ def _advance(batch, state, next_j, floor, mesh, cfg, max_u0, pending) -> None:
             for group in groups.values():
                 pending.append(([batch[j] for j in group], State.stacked(uv[:, group], t), next_j, floor))
             for point in batch:
-                point.steps += taken
+                point.report.steps += taken
             return
         if dt0 < dt_min:
             u, v = state.u, state.v
@@ -467,11 +456,11 @@ def _advance(batch, state, next_j, floor, mesh, cfg, max_u0, pending) -> None:
                 point.stop(STATUS_BLOWUP, state.t, taken)
             else:  # a NaN cap: max u0 = 0 with an infinite blowup_factor
                 keep.append(j)
-            point.v_range, point.max_u = (min_v, max_v), max_u
-            if max_u > point.max_u_over_run:
-                point.max_u_over_run = max_u
-            if min_v < point.min_v_over_run:
-                point.min_v_over_run = min_v
+            point.v_range, point.max_u, report = (min_v, max_v), max_u, point.report
+            if max_u > report.max_u_over_run:
+                report.max_u_over_run = max_u
+            if min_v < report.min_v_over_run:
+                report.min_v_over_run = min_v
         if len(keep) < size:
             if not keep:
                 return

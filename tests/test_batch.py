@@ -226,7 +226,7 @@ def test_kernels_on_exact_zeros_differ_at_most_in_zero_signs(make_mesh, rng):
 def report_bytes(report):
     """status, column names and step count, then every float of the report
     in a fixed order, the series' table last, packed."""
-    head = f"{report.status}\n{','.join(report.series.columns.names)}\n".encode()
+    head = f"{report.status}\n{','.join(report.series.names)}\n".encode()
     floats = [report.t_final, report.max_u_over_run, report.min_v_over_run, *report.floor_factors]
     floats += report.series.values
     return head + struct.pack(f"<q{len(floats)}d", report.steps, *floats)

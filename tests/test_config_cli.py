@@ -528,14 +528,14 @@ class TestRunCli:
     @pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS, 3 * CSV_CHUNK_ROWS + 17])
     def test_timeseries_csv_in_chunks_writes_the_bytes_of_one_string(self, rows, rng):
         series = TimeSeries(MonitorConfig(q_list=(1.0, 2.0), pr_pairs=((2.5, 0.75),)))
-        width = series.columns.width
+        width = series.width
         values = rng.standard_normal(rows * width) * 10.0 ** rng.integers(-320, 300, rows * width)
         values[::11] = np.resize([math.nan, -0.0, -math.inf, 0.1], values[::11].size)
         series.values.extend(values.tolist())
         out = io.StringIO()
         timeseries_csv(series, out)
         flat = series.values.tolist()
-        lines = [",".join(series.columns.names)]
+        lines = [",".join(series.names)]
         lines += [",".join([f"{x:.17g}" for x in flat[i : i + width]]) for i in range(0, len(flat), width)]
         assert out.getvalue() == "\n".join(lines) + "\n"
 

@@ -10,7 +10,6 @@ import pytest
 
 from chemolab.diagnostics import (
     FLOOR_ULPS_PER_STEP,
-    Columns,
     MonitorConfig,
     TimeSeries,
     compute_row,
@@ -173,9 +172,9 @@ class TestComputeRow:
         series = computed_series([st], mesh, mon)
         assert series.mass[0] == pytest.approx(mesh.integrate(st.u), rel=1e-14)
         assert series.min_v == [st.v.min()] and series.max_u == [st.u.max()]
-        assert set(series.columns.lq) == {1.0, 2.0}
-        assert set(series.columns.energy) == {(2.0, 0.4), (3.0, 0.9)}
-        assert set(series.columns.v_norm) == {1.6, 2.1}  # p - r per pair
+        assert {q for kind, q in series.index if kind == "u"} == {1.0, 2.0}
+        assert {pair for kind, pair in series.index if kind == "E"} == {(2.0, 0.4), (3.0, 0.9)}
+        assert {s for kind, s in series.index if kind == "v"} == {1.6, 2.1}  # p - r per pair
 
     @pytest.mark.parametrize(
         "mesh",
@@ -230,7 +229,7 @@ class TestTimeSeries:
         mon = MonitorConfig(q_list=(1.0, 3.0), pr_pairs=((2.0, 0.4), (3.0, 0.9)))
         states = [State(*random_state(rng, mesh).uv(), t) for t in (0.0, 0.5, 1.0)]
         series = computed_series(states, mesh, mon)
-        assert series.columns.names == [
+        assert series.names == [
             "t", "mass", "min_v", "max_u", "u_Lq_1", "u_Lq_3",
             "E_2_0.4", "D_2_0.4", "E_3_0.9", "D_3_0.9", "v_L1.6", "v_L2.1",
         ]
@@ -244,9 +243,48 @@ class TestTimeSeries:
 
     def test_a_v_order_below_one_is_refused_when_the_layout_is_built(self):
         with pytest.raises(DomainError, match=r"^norm order must be >= 1, got 0\.75$"):
-            Columns(v_orders=(1.5, 0.75))
+            TimeSeries(MonitorConfig(pr_pairs=((2.0, 0.5), (2.0, 1.25))))  # v orders 0.75 and 1.5
         with pytest.raises(DomainError, match=r"^norm order must be >= 1, got 0\.5$"):
             TimeSeries(MonitorConfig(pr_pairs=((2.0, 1.5),)))
+
+    def test_a_repeated_order_or_pair_keeps_its_columns_and_the_accessors_read_the_last(self, rng):
+        from chemolab.exponents import ModelParams
+        from chemolab.runconfig import parse_run_config, resolve_monitors
+        from test_config_cli import CART_CONFIG
+
+        document = CART_CONFIG.replace("q_list = 1, 2", "q_list = 1, 2, 2").replace(
+            "pr_source = bootstrap", "pr_source = explicit\npr_pairs = 2:0.5, 2:0.5"
+        )
+        monitors = resolve_monitors(parse_run_config(document), ModelParams(chi=0.5, k=1.0, n=2))
+        assert monitors.q_list == (1.0, 2.0, 2.0) and monitors.pr_pairs == ((2.0, 0.5), (2.0, 0.5))
+        mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
+        st = random_state(rng, mesh)
+        series = computed_series([st], mesh, monitors)
+        assert series.names == [
+            "t", "mass", "min_v", "max_u", "u_Lq_1", "u_Lq_2", "u_Lq_2",
+            "E_2_0.5", "D_2_0.5", "E_2_0.5", "D_2_0.5", "v_L1.5",
+        ]
+        assert series.v_orders == (1.5,)  # p - r once, however often the pair repeats
+        assert series.index == {
+            ("u", 1.0): 4, ("u", 2.0): 6, ("E", (2.0, 0.5)): 9, ("D", (2.0, 0.5)): 10, ("v", 1.5): 11,
+        }
+        assert series.values.tolist() == separate_compute_row(st, mesh, monitors)
+        series.values[5], series.values[7], series.values[8] = -1.0, -2.0, -3.0  # the first duplicates
+        assert series.lq_norm(2.0) == [lq_norm(st.u, 2.0, mesh)]
+        assert series.energy((2.0, 0.5)) == [energy(st, 2.0, 0.5, mesh)]
+        assert series.dissipation((2.0, 0.5)) == [dissipation(st, 2.0, 0.5, mesh)]
+
+    def test_an_order_or_pair_not_monitored_is_a_domain_error_naming_it(self):
+        series = pair_series((2.0, 0.5), [0.0, 0.1, 0.2], [1.0] * 3, [1.0] * 3)
+        with pytest.raises(DomainError, match=r"does not monitor \('E', \(2\.5, 0\.75\)\)$"):
+            gronwall_check(series, (2.5, 0.75))
+        with pytest.raises(DomainError, match=r"does not monitor \('E', \(2\.5, 0\.75\)\)$"):
+            dissipation_check(series, (2.5, 0.75))
+        with pytest.raises(DomainError, match=r"does not monitor \('u', 2\.0\)$"):
+            series.lq_norm(2.0)
+        with pytest.raises(DomainError, match=r"does not monitor \('v', 1\.0\)$"):
+            series.v_norm(1.0)
+        assert series.v_norm(1.5) == [1.0] * 3
 
     def test_a_run_of_2000_rows_keeps_8_bytes_per_value(self):
         from chemolab.exponents import ModelParams
@@ -261,7 +299,7 @@ class TestTimeSeries:
         try:
             report = run(init, params, mesh, cfg, mon)
             held = tracemalloc.get_traced_memory()[0]
-            rows, width = len(report.series), report.series.columns.width
+            rows, width = len(report.series), report.series.width
             report.series = None
             freed = held - tracemalloc.get_traced_memory()[0]
         finally:
@@ -352,10 +390,10 @@ class TestMinVFloor:
         assert not min_v_floor_check(series).passed  # the continuum floor
         assert min_v_floor_check(series, floor_factors=factors, steps=steps).passed
         slack = FLOOR_ULPS_PER_STEP * steps * sys.float_info.epsilon * 2.0
-        series.values[2 + 3 * series.columns.width] -= 0.5 * slack
+        series.values[2 + 3 * series.width] -= 0.5 * slack
         verdict = min_v_floor_check(series, floor_factors=factors, steps=steps)
         assert verdict.passed and verdict.worst == pytest.approx(-0.5 * slack, rel=1e-3)
-        series.values[2 + 3 * series.columns.width] -= slack
+        series.values[2 + 3 * series.width] -= slack
         assert not min_v_floor_check(series, floor_factors=factors, steps=steps).passed
 
     def test_one_floor_factor_per_row(self):

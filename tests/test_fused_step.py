@@ -2,6 +2,7 @@
 classification of positivity loss, sweep worker clamping included."""
 
 import multiprocessing
+from array import array
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_fused_run_is_bit_identical_to_plain_loop(make_mesh, chi):
     series, t_final, max_u, min_v = plain_run(init, params, mesh, cfg, monitors)
     assert report.status == "completed"
     assert len(report.series) == 6
-    assert report.series.columns.names == series.columns.names
+    assert report.series.names == series.names
     assert report.series.values == series.values
     assert report.t_final == t_final
     assert report.max_u_over_run == max_u
@@ -231,7 +232,8 @@ def fake_report(status):
         for monitors in monitors_seq:
             series = TimeSeries(monitors)
             compute_row(init, mesh, series)
-            reports.append(RunReport(status, 0.0, series.max_u[0], series.min_v[0], series))
+            report = RunReport(status, 0.0, series.max_u[0], series.min_v[0], series, 0, array("d", [1.0]))
+            reports.append(report)
         return reports
 
     return fake_run

@@ -37,10 +37,10 @@ def rows_twice(monkeypatch):
 
     def compute_row(state, mesh, series, extremes=None):
         assert extremes is not None  # every row of the loop gets its extremes
-        alone = TimeSeries(series.columns)
+        alone = TimeSeries(series.monitors)
         real(State(state.u.copy(), state.v.copy(), state.t), mesh, alone)
         real(state, mesh, series, extremes)
-        rows.append((series.values[-series.columns.width :].tolist(), alone.values.tolist()))
+        rows.append((series.values[-series.width :].tolist(), alone.values.tolist()))
 
     monkeypatch.setattr(solver, "compute_row", compute_row)
     return rows

@@ -325,7 +325,7 @@ class TestStep:
         assert report.min_v_over_run < unpatched.min_v_over_run
         alone = TimeSeries(MonitorConfig())
         compute_row(got, mesh, alone)
-        assert report.series.values[-alone.columns.width :] == alone.values
+        assert report.series.values[-alone.width :] == alone.values
 
     def test_zero_chi_heat_decay(self):
         mesh = CartesianMesh2D(1.0, 1.0, 16, 16)
@@ -440,7 +440,7 @@ class TestRun:
         a, b = reports
         assert a.status == b.status and a.t_final == b.t_final
         assert a.max_u_over_run == b.max_u_over_run
-        assert a.series.columns.names == b.series.columns.names
+        assert a.series.names == b.series.names
         bits_a, bits_b = (np.asarray(r.series.values).view(np.int64) for r in reports)
         assert len(a.series) == 5 and np.array_equal(bits_a, bits_b)
 

@@ -10,6 +10,9 @@ On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
   ``perfbench/workloads.scenario`` of the working tree, through
   ``python -m chemolab.cli``;
 * the five demos under ``demos/``;
+* ``run`` on each document of ``RUN_VARIANTS``: chi = 0, dt_safety 0.8
+  and a radial mesh with a repeated norm order and (p, r) pair, loop paths
+  that the workload inputs do not take;
 * ``run`` and ``sweep`` on each malformed document of ``MALFORMED``, so
   that error text and exit codes are compared too;
 * ``exponents`` for each argument set of ``EXPONENTS``: n = 2, 3, 6 and 8,
@@ -66,6 +69,19 @@ pr_source = bootstrap
 """
 SWEEP_DOC = RUN_DOC + "\n[sweep]\nchi_values = 0.4, 0.8\nk_values = 0.5, 1\nparallelism = 1\n"
 
+# (what it reaches, document): loop paths that no workload input takes.
+RUN_VARIANTS = (
+    ("chi = 0, no taxis and no pairs", RUN_DOC.replace("chi = 0.5", "chi = 0")),
+    ("dt_safety = 0.8, the positivity cap", RUN_DOC.replace("[scheme]", "[scheme]\ndt_safety = 0.8")),
+    (
+        "a radial mesh with a repeated order and pair",
+        RUN_DOC.replace("k = 1\nn = 2", "k = 1.3\nn = 3")
+        .replace("cartesian2d\nLx = 2\nLy = 2\nnx = 16\nny = 16", "radial\nR = 2\nm = 32")
+        .replace("q_list = 1, 2", "q_list = 1, 2, 2")
+        .replace("pr_source = bootstrap", "pr_source = explicit\npr_pairs = 2:0.5, 2:0.5"),
+    ),
+)
+
 # (what is wrong, command, document): each document has one fault.
 MALFORMED = (
     ("a bad number", "run", RUN_DOC.replace("chi = 0.5", "chi = fast")),
@@ -121,6 +137,9 @@ def invocations() -> list[tuple[str, list[str], dict[str, str]]]:
             runs.append((f"{workload} seed {seed}", argv, {case.input_name: case.input_text}))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runs.append((f"demos/{demo.name}", [f"demos/{demo.name}"], {}))
+    for what, text in RUN_VARIANTS:
+        argv = ["-m", "chemolab.cli", "run", "case.cfg", "--outdir", "out"]
+        runs.append((f"run with {what}", argv, {"case.cfg": text}))
     for what, command, text in MALFORMED:
         argv = ["-m", "chemolab.cli", command, "case.cfg", "--outdir", "out"]
         runs.append((f"{command} with {what}", argv, {"case.cfg": text}))
@@ -164,8 +183,8 @@ def main(argv=None) -> int:
                     differences.append(f"{name}: {what} differs")
                     print(differences[-1], file=sys.stderr)
     scope = (
-        f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the demos,"
-        f" {len(MALFORMED)} malformed documents and {len(EXPONENTS)} exponents runs)"
+        f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the demos, {len(RUN_VARIANTS)} run"
+        f" variants, {len(MALFORMED)} malformed documents and {len(EXPONENTS)} exponents runs)"
     )
     if differences:
         print(f"DIFFERENT: {len(differences)} output(s) of {scope} differ from {args.base}")
