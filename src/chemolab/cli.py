@@ -3,15 +3,14 @@
 ``exponents`` prints the threshold quantities and the bootstrap chain for a
 parameter triple.  ``run`` integrates one configured scenario and writes
 ``timeseries.csv`` plus ``report.txt``.  ``sweep`` executes a (chi, k) grid
-of runs, optionally across a worker pool, and writes ``sweep_summary.csv``
-with one row per grid point in deterministic chi-major order regardless of
-the parallelism level (override with the CHEMOLAB_THREADS variable; the pool
-never gets more workers than grid points or CPUs).  A sweep task is a batch:
-grid points that share their first time step advance together as one
-``solver.run_batch`` stack of at most ``solver.BATCH_CELLS`` cells (one point
-when the mesh alone is larger), and each point's row is bit-identical to a
-run of that point alone, so the summary depends neither on the batching nor
-on the parallelism.
+of runs and writes ``sweep_summary.csv``, one row per grid point in chi-major
+order.  Grid points that share their first time step advance together as one
+``solver.run_batch`` task of at most ``solver.BATCH_CELLS`` cells (one point
+when the mesh alone is larger), and the parallelism level (CHEMOLAB_THREADS
+overrides it; never more than the points or CPUs) counts the processes that
+step the tasks: this one and, on Linux only, forked children.  Each row is
+bit-identical to a run of its point alone, so the summary depends neither on
+the batching nor on the parallelism.
 
 All real numbers in CSV output carry 17 significant digits, so files are
 round-trippable and byte-comparable across repeated and parallel runs.
@@ -232,12 +231,18 @@ def cmd_run(args) -> int:
 
 class _SweepPoint:
     """One grid point of a sweep, built once in the parent process; ``index``
-    is its position in the chi-major grid."""
+    is its position in the chi-major grid and ``dt`` its first time step."""
 
-    __slots__ = ("index", "chi", "k", "params", "monitors")
+    __slots__ = ("index", "chi", "k", "params", "monitors", "dt")
 
-    def __init__(self, index: int, chi: float, k: float, params: ModelParams, monitors: MonitorConfig):
-        self.index, self.chi, self.k, self.params, self.monitors = index, chi, k, params, monitors
+    def __init__(
+        self, index: int, chi: float, k: float, params: ModelParams, monitors: MonitorConfig, dt: float
+    ):
+        self.index, self.chi, self.k, self.params, self.monitors, self.dt = index, chi, k, params, monitors, dt
+
+
+def _work(points: list[_SweepPoint]) -> float:
+    return len(points) / points[0].dt  # a batch's work estimate
 
 
 def _sweep_row(chi: float, k: float, n: int, status: str, max_u: float, worst: float) -> str:
@@ -325,23 +330,58 @@ def _plan_sweep(spec: SweepSpec, workers: int):
         except Exception as exc:  # per-point failures stay in-row
             rows[index] = _error_row(chi, k, base.n, exc)
             continue
-        groups.setdefault(dt, []).append(_SweepPoint(index, chi, k, params, monitors))
+        groups.setdefault(dt, []).append(_SweepPoint(index, chi, k, params, monitors, dt))
     if not groups:
         return rows, []
 
     cap = max(1, BATCH_CELLS // mesh.cell_count)
-    batches = []  # (work, dt, points)
-    for dt, members in groups.items():
-        for piece in _split(members, -(-len(members) // cap)):
-            batches.append((len(piece) / dt, dt, piece))
+    batches = [piece for members in groups.values() for piece in _split(members, -(-len(members) // cap))]
     wanted = min(sum(len(members) for members in groups.values()), workers)
     while len(batches) < wanted:
-        largest = max((b for b in batches if len(b[2]) > 1), key=lambda b: b[0])
+        largest = max((b for b in batches if len(b) > 1), key=_work)
         batches.remove(largest)
-        _, dt, members = largest
-        batches += [(len(piece) / dt, dt, piece) for piece in _split(members, 2)]
-    batches.sort(key=lambda b: -b[0])
-    return rows, [(mesh, scheme, initial, members) for _, _, members in batches]
+        batches += _split(largest, 2)
+    batches.sort(key=_work, reverse=True)
+    return rows, [(mesh, scheme, initial, members) for members in batches]
+
+
+def _run_shares(tasks: list, processes: int) -> dict[int, str]:
+    """Each point's row, by grid index, from ``processes`` processes: each
+    task (largest first) goes to the share with the least work so far, this
+    process steps share 0 (the largest task's) and, on Linux only, a forked
+    child steps each other share, sends its rows down a pipe and leaves by
+    ``os._exit``.  Every child is read and reaped, even if this process's
+    share raises; one that fails or sends the wrong row count gives each of
+    its points an ``error:ChildProcessError`` row."""
+    shares, loads = [[] for _ in range(processes)], [0.0] * processes
+    for task in tasks:
+        least = loads.index(min(loads))
+        shares[least].append(task)
+        loads[least] += _work(task[3])
+    here, forked = (shares[:1], shares[1:]) if sys.platform.startswith("linux") else (shares, [])
+    rows, children = {}, []  # children: (pid, read end of its pipe, the points of its share)
+    try:
+        for share in forked:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never returns into the caller
+                try:
+                    with open(write, "wb") as out:
+                        out.write("\n".join(row for task in share for row in _sweep_point(task)).encode())
+                except BaseException:
+                    os._exit(1)
+                os._exit(0)
+            os.close(write)
+            children.append((pid, read, [point for task in share for point in task[3]]))
+        for task in (task for share in here for task in share):
+            rows.update(zip((point.index for point in task[3]), _sweep_point(task)))
+    finally:
+        for pid, read, points in children:
+            with open(read, "rb") as pipe:
+                texts = pipe.read().decode().split("\n")
+            if os.waitpid(pid, 0)[1] != 0 or len(texts) != len(points):
+                texts = [_error_row(p.chi, p.k, p.params.n, ChildProcessError(pid)) for p in points]
+            rows.update(zip((point.index for point in points), texts))
+    return rows
 
 
 def _resolve_parallelism(spec: SweepSpec) -> int:
@@ -361,16 +401,7 @@ def cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.spec)
     workers = min(_resolve_parallelism(spec), len(spec.points), os.cpu_count() or 1)
     rows, tasks = _plan_sweep(spec, workers)
-    processes = min(workers, len(tasks))
-    if processes > 1:
-        import multiprocessing  # here, so that `chemolab run` does not pay for the import
-
-        with multiprocessing.Pool(processes) as pool:
-            results = pool.map(_sweep_point, tasks)
-    else:
-        results = [_sweep_point(t) for t in tasks]
-    for (_, _, _, points), batch_rows in zip(tasks, results):
-        rows.update(zip((point.index for point in points), batch_rows))
+    rows.update(_run_shares(tasks, min(workers, len(tasks))))
     header = "chi,k,chi_star,below_threshold,status,max_u_over_run,worst_gronwall_ratio"
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -414,13 +445,12 @@ def main(argv=None) -> int:
     """Run one command; returns its exit code.
 
     Also registers ``gc.freeze`` to run at exit, after every exit handler
-    registered later (multiprocessing's among them), so that the collection
-    of interpreter shutdown skips the ~22k objects of numpy and chemolab:
-    a ``run`` took 8 ms instead of 28 ms to exit once ``main`` had returned,
-    a ``sweep`` 12 ms instead of 34 ms (medians of 6, 2-core x86_64, Python
-    3.11).  Every file chemolab writes is closed before ``main`` returns,
-    so nothing waits for that collection.  Registered once per process,
-    however often ``main`` is called.
+    registered later, so that the collection of interpreter shutdown skips
+    the ~22k objects of numpy and chemolab: a ``run`` took 8 ms instead of
+    28 ms to exit once ``main`` had returned (medians of 6, 2-core x86_64,
+    Python 3.11).  Every file chemolab writes is closed before ``main``
+    returns, so nothing waits for that collection.  Registered once per
+    process, however often ``main`` is called.
     """
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)

@@ -360,7 +360,8 @@ def run_batch(
     monitors_seq=None,
 ) -> list[RunReport]:
     """``run`` for each of ``params_seq`` (with ``monitors_seq``, None for
-    default monitors) from one initial state, mesh and scheme.
+    default monitors; one entry per parameter set, or a ``DomainError``)
+    from one initial state, mesh and scheme.
 
     The runs advance together as one (2, P, N) stack, and each point's loop
     fills its own ``RunReport``, which is returned as it stands; report i is
@@ -370,6 +371,8 @@ def run_batch(
     """
     if monitors_seq is None:
         monitors_seq = [None] * len(params_seq)
+    if len(monitors_seq) != len(params_seq):
+        raise DomainError(f"{len(params_seq)} parameter sets but {len(monitors_seq)} monitor sets")
     monitors_seq = [m if m is not None else MonitorConfig() for m in monitors_seq]
     initial.validate(mesh)
     for params, monitors in zip(params_seq, monitors_seq):

@@ -8,7 +8,7 @@ of zero counts as a difference."""
 
 import dataclasses
 import math
-import multiprocessing
+import os
 import struct
 
 import numpy as np
@@ -18,13 +18,14 @@ import chemolab.cli as cli
 import chemolab.solver as solver
 from chemolab.cli import main
 from chemolab.diagnostics import MonitorConfig
+from chemolab.errors import DomainError
 from chemolab.exponents import ModelParams
 from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State, StepPlan
 from chemolab.runconfig import parse_sweep_spec
 from chemolab.solver import BATCH_CELLS, SchemeConfig, initial_state, run, run_batch
 
 from test_config_cli import CART_CONFIG, SWEEP_SMALL, write_config
-from test_fused_step import RecordingPool, double_stable_dt, fake_report
+from test_fused_step import double_stable_dt, fake_report, record_parallel_sweeps
 
 # ---------------------------------------------------------------------------
 # oracle: the kernels that accumulate each operator separately into zeros
@@ -282,6 +283,15 @@ def test_batch_of_mixed_chi_and_k_matches_runs(make_mesh, batch_sizes):
     assert set(sizes) == {3, 6}
 
 
+@pytest.mark.parametrize("monitors_seq", [[None], [None] * 3], ids=["fewer", "more"])
+def test_monitor_sets_must_match_the_parameter_sets(monitors_seq):
+    mesh = CartesianMesh2D(1.0, 1.0, 4, 4)
+    params = ModelParams(chi=0.5, k=1.0, n=2)
+    init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
+    with pytest.raises(DomainError, match=f"^2 parameter sets but {len(monitors_seq)} monitor sets$"):
+        run_batch(init, [params, params], mesh, SchemeConfig(t_end=0.01, output_interval=0.01), monitors_seq)
+
+
 def spike_state(mesh):
     u = np.full(mesh.cell_count, 0.5)
     u[mesh.cell_count // 2] = 50.0
@@ -527,14 +537,61 @@ def sweep_lines(tmp_path, name, text):
 
 def test_rows_are_chi_major_whatever_the_task_order(tmp_path, monkeypatch):
     monkeypatch.delenv("CHEMOLAB_THREADS", raising=False)
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+    sizes = record_parallel_sweeps(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     lines = sweep_lines(tmp_path, "out", SWEEP_MIXED)
-    assert RecordingPool.sizes == [2]
+    assert sizes == [2]
     spec = parse_sweep_spec(SWEEP_MIXED)
     got = [(float(line.split(b",")[0]), float(line.split(b",")[1])) for line in lines[1:]]
     assert got == spec.points
+
+
+# SWEEP_MIXED plans three tasks, [3, 7, 11], [0, 1, 4, 5, 8, 9] and [2, 6, 10]
+# (grid indices), largest first: at three processes each is a share of its
+# own, at two the second and third are one child's share.
+@pytest.mark.parametrize(
+    "processes, share", [(2, {0, 1, 2, 4, 5, 6, 8, 9, 10}), (3, {2, 6, 10})], ids=["two", "three"]
+)
+@pytest.mark.parametrize("fault", ["exit code 3", "a row short"])
+def test_a_child_that_fails_gives_its_share_error_rows(tmp_path, monkeypatch, processes, share, fault):
+    monkeypatch.setenv("CHEMOLAB_THREADS", "1")
+    clean = sweep_lines(tmp_path, "clean", SWEEP_MIXED)
+    assert [[p.index for p in task[3]] for task in planned(SWEEP_MIXED, processes)[2]] == [
+        [3, 7, 11], [0, 1, 4, 5, 8, 9], [2, 6, 10]
+    ]
+    parent, real_point = os.getpid(), cli._sweep_point
+
+    def sweep_point(task):
+        rows = real_point(task)
+        if os.getpid() != parent and task[3][0].index == 2:
+            if fault == "exit code 3":
+                os._exit(3)
+            return rows[:-1]
+        return rows
+
+    monkeypatch.setattr(cli, "_sweep_point", sweep_point)
+    monkeypatch.setenv("CHEMOLAB_THREADS", str(processes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: processes)
+    broken = sweep_lines(tmp_path, "broken", SWEEP_MIXED)
+    assert len(broken) == len(clean) == 13
+    for index, (a, b) in enumerate(zip(clean[1:], broken[1:])):
+        if index in share:
+            assert a.split(b",")[:4] == b.split(b",")[:4]
+            assert b.split(b",")[4:] == [b"error:ChildProcessError", b"nan", b"nan"]
+        else:
+            assert a == b
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_without_fork_this_process_steps_every_share(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHEMOLAB_THREADS", "1")
+    clean = sweep_lines(tmp_path, "clean", SWEEP_MIXED)
+    monkeypatch.setattr(cli.sys, "platform", "darwin")
+    monkeypatch.setattr(cli.os, "fork", lambda: pytest.fail("forked off Linux"))
+    monkeypatch.setenv("CHEMOLAB_THREADS", "3")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert sweep_lines(tmp_path, "darwin", SWEEP_MIXED) == clean
 
 
 def test_failing_gronwall_check_stays_in_its_row(tmp_path, monkeypatch):

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from chemolab.cli import main
+from chemolab.cli import _plan_sweep, main
+from chemolab.runconfig import parse_sweep_spec
 
 from test_config_cli import CART_CONFIG, SWEEP_SMALL, write_config
 
@@ -44,10 +45,14 @@ def test_run_keeps_its_exit_code_and_complete_files(tmp_path):
     assert report.endswith("\n") and report.splitlines()[-1].startswith("min_v_floor_gap: ")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_sweep_keeps_its_exit_code_and_complete_summary(tmp_path, threads):
+    # SWEEP_SMALL's four points make three tasks at three processes, so two
+    # forked children step; the process is told it has that many CPUs
+    assert len(_plan_sweep(parse_sweep_spec(SWEEP_SMALL), 3)[1]) == 3
     spec = write_config(tmp_path, SWEEP_SMALL, "sweep.cfg")
-    done = run_cli("sweep", spec, "--outdir", tmp_path / "sub", threads=threads)
+    code = f"import os, sys\nos.cpu_count = lambda: {threads}\nfrom chemolab.cli import main\nsys.exit(main())\n"
+    done = python("-c", code, "sweep", spec, "--outdir", tmp_path / "sub", threads=threads)
     assert done.returncode == 0, done.stderr
     assert main(["sweep", str(spec), "--outdir", str(tmp_path / "here")]) == 0
     summary = (tmp_path / "sub" / "sweep_summary.csv").read_bytes()

@@ -1,7 +1,6 @@
 """The fused explicit step against a replay of the plain one, and the run's
 classification of positivity loss, sweep worker clamping included."""
 
-import multiprocessing
 from array import array
 
 import numpy as np
@@ -250,22 +249,20 @@ def test_positivity_lost_exit_code_and_sweep_row(tmp_path, monkeypatch):
     assert all(line.split(",")[4] == "positivity_lost" for line in lines[1:])
 
 
-class RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, maps serially."""
-
+def record_parallel_sweeps(monkeypatch) -> list[int]:
+    """Replace ``cli._run_shares`` by a stand-in that records the process
+    count of every parallel sweep (more than one process) and steps all of
+    its tasks in this process; returns the record."""
     sizes = []
+    run_shares = cli._run_shares
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    def in_process(tasks, processes):
+        if processes > 1:
+            sizes.append(processes)
+        return run_shares(tasks, 1)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return [fn(t) for t in tasks]
+    monkeypatch.setattr(cli, "_run_shares", in_process)
+    return sizes
 
 
 @pytest.mark.parametrize(
@@ -274,11 +271,10 @@ class RecordingPool:
 )
 def test_sweep_workers_are_clamped(tmp_path, monkeypatch, threads, cpus, expected):
     monkeypatch.setattr(cli, "run_solver", fake_report("completed"))
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    sizes = record_parallel_sweeps(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setenv("CHEMOLAB_THREADS", threads)
     spec = write_config(tmp_path, SWEEP_SMALL, "sweep.cfg")  # 4 points
     assert main(["sweep", str(spec), "--outdir", str(tmp_path / "out")]) == 0
-    assert RecordingPool.sizes == expected
+    assert sizes == expected
     assert len((tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()) == 5

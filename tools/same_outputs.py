@@ -9,6 +9,9 @@ On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
 * the inputs of the four perfbench workloads at seeds 0 and 11, written by
   ``perfbench/workloads.scenario`` of the working tree, through
   ``python -m chemolab.cli``;
+* the ``sweep`` workload's inputs again with ``CHEMOLAB_THREADS`` at each of
+  ``SWEEP_THREADS``: one process steps every point, or three do (the
+  process is told it has three CPUs, so that it does on any host);
 * the five demos under ``demos/``;
 * ``run`` on each document of ``RUN_VARIANTS``: chi = 0, dt_safety 0.8
   and a radial mesh with a repeated norm order and (p, r) pair, loop paths
@@ -42,6 +45,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("run2d", "radial3", "monitor_dense", "sweep")
 SEEDS = (0, 11)
+SWEEP_THREADS = (1, 3)
+# ``python -c`` text: the chemolab CLI in a process that reports {} CPUs, so
+# that the sweep's process count does not depend on the host's
+AS_IF_CPUS = "import os, sys; os.cpu_count = lambda: {}; from chemolab.cli import main; sys.exit(main())"
 OUTPUTS = ("out/timeseries.csv", "out/report.txt", "out/sweep_summary.csv", "chain.csv")
 
 RUN_DOC = """\
@@ -123,9 +130,10 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def invocations() -> list[tuple[str, list[str], dict[str, str]]]:
-    """(name, arguments after the interpreter, input files) of every run; a
-    demo's script path is relative to the tree that runs it."""
+def invocations() -> list[tuple[str, list[str], dict[str, str], dict[str, str]]]:
+    """(name, arguments after the interpreter, input files, environment
+    variables) of every run; a demo's script path is relative to the tree
+    that runs it."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import scenario
 
@@ -134,30 +142,39 @@ def invocations() -> list[tuple[str, list[str], dict[str, str]]]:
         for seed in SEEDS:
             case = scenario(workload, seed)
             argv = ["-m", "chemolab.cli", case.command, case.input_name, "--outdir", "out"]
-            runs.append((f"{workload} seed {seed}", argv, {case.input_name: case.input_text}))
+            runs.append((f"{workload} seed {seed}", argv, {case.input_name: case.input_text}, {}))
+            if workload != "sweep":
+                continue
+            for threads in SWEEP_THREADS:
+                argv_cpus = ["-c", AS_IF_CPUS.format(threads), *argv[2:]]
+                variables = {"CHEMOLAB_THREADS": str(threads)}
+                name = f"{workload} seed {seed} at {threads} process(es)"
+                runs.append((name, argv_cpus, {case.input_name: case.input_text}, variables))
     for demo in sorted((ROOT / "demos").glob("*.py")):
-        runs.append((f"demos/{demo.name}", [f"demos/{demo.name}"], {}))
+        runs.append((f"demos/{demo.name}", [f"demos/{demo.name}"], {}, {}))
     for what, text in RUN_VARIANTS:
         argv = ["-m", "chemolab.cli", "run", "case.cfg", "--outdir", "out"]
-        runs.append((f"run with {what}", argv, {"case.cfg": text}))
+        runs.append((f"run with {what}", argv, {"case.cfg": text}, {}))
     for what, command, text in MALFORMED:
         argv = ["-m", "chemolab.cli", command, "case.cfg", "--outdir", "out"]
-        runs.append((f"{command} with {what}", argv, {"case.cfg": text}))
+        runs.append((f"{command} with {what}", argv, {"case.cfg": text}, {}))
     for args in EXPONENTS:
-        runs.append((f"exponents {' '.join(args)}", ["-m", "chemolab.cli", "exponents", *args], {}))
+        runs.append((f"exponents {' '.join(args)}", ["-m", "chemolab.cli", "exponents", *args], {}, {}))
     return runs
 
 
-def outputs(tree: Path, argv: list[str], files: dict[str, str], workdir: Path) -> dict[str, bytes | None]:
-    """Run one invocation on ``tree`` in the empty directory ``workdir``: its
-    exit code, its stdout, its stderr and each output file (None where it
-    wrote none)."""
+def outputs(
+    tree: Path, argv: list[str], files: dict[str, str], variables: dict[str, str], workdir: Path
+) -> dict[str, bytes | None]:
+    """Run one invocation on ``tree`` in the empty directory ``workdir``, with
+    ``variables`` added to the environment: its exit code, its stdout, its
+    stderr and each output file (None where it wrote none)."""
     workdir.mkdir(parents=True)
     for name, text in files.items():
         (workdir / name).write_text(text, encoding="utf-8")
     if argv[0].startswith("demos/"):
         argv = [str(tree / argv[0])]
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1", **variables)
     done = subprocess.run([sys.executable, *argv], cwd=workdir, env=env, capture_output=True)
     found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout, "stderr": done.stderr}
     for name in OUTPUTS:
@@ -175,15 +192,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         base = Path(tmp) / "base"
         export(args.base, base)
-        for i, (name, run_argv, files) in enumerate(runs):
-            before = outputs(base, run_argv, files, Path(tmp) / f"base-{i}")
-            after = outputs(ROOT, run_argv, files, Path(tmp) / f"tree-{i}")
+        for i, (name, run_argv, files, variables) in enumerate(runs):
+            before = outputs(base, run_argv, files, variables, Path(tmp) / f"base-{i}")
+            after = outputs(ROOT, run_argv, files, variables, Path(tmp) / f"tree-{i}")
             for what in before:
                 if before[what] != after[what]:
                     differences.append(f"{name}: {what} differs")
                     print(differences[-1], file=sys.stderr)
     scope = (
-        f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the demos, {len(RUN_VARIANTS)} run"
+        f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the sweep's at"
+        f" {' and '.join(map(str, SWEEP_THREADS))} processes, the demos, {len(RUN_VARIANTS)} run"
         f" variants, {len(MALFORMED)} malformed documents and {len(EXPONENTS)} exponents runs)"
     )
     if differences:
