@@ -2,15 +2,16 @@
 
 ``exponents`` prints the threshold quantities and the bootstrap chain for a
 parameter triple.  ``run`` integrates one configured scenario and writes
-``timeseries.csv`` plus ``report.txt``.  ``sweep`` executes a (chi, k) grid
-of runs and writes ``sweep_summary.csv``, one row per grid point in chi-major
-order.  Grid points that share their first time step advance together as one
-``solver.run_batch`` task of at most ``solver.BATCH_CELLS`` cells (one point
-when the mesh alone is larger), and the parallelism level (CHEMOLAB_THREADS
-overrides it; never more than the points or CPUs) counts the processes that
-step the tasks: this one and, on Linux only, forked children.  Each row is
-bit-identical to a run of its point alone, so the summary depends neither on
-the batching nor on the parallelism.
+``timeseries.csv`` plus ``report.txt``; on Linux with two CPUs or more, a
+forked process computes the rows beside the stepping (``_RowProcess``).
+``sweep`` executes a (chi, k) grid of runs and writes ``sweep_summary.csv``,
+one row per grid point in chi-major order.  Grid points that share their first
+time step advance together as one ``solver.run_batch`` task of at most
+``solver.BATCH_CELLS`` cells (one point when the mesh alone is larger), and
+the parallelism level (CHEMOLAB_THREADS overrides it; never more than the
+points or CPUs) counts the processes that step the tasks: this one and, on
+Linux only, forked children.  Each row is bit-identical to a run of its point
+alone, so the summary depends neither on the batching nor on the parallelism.
 
 All real numbers in CSV output carry 17 significant digits, so files are
 round-trippable and byte-comparable across repeated and parallel runs.
@@ -29,9 +30,12 @@ import atexit
 import gc
 import math
 import os
+import pickle
 import sys
+from array import array
 from pathlib import Path
 
+from . import solver
 from .diagnostics import (
     MonitorConfig,
     TimeSeries,
@@ -210,7 +214,8 @@ def cmd_run(args) -> int:
     mesh = build_mesh(cfg)
     monitors = resolve_monitors(cfg, params)
     init = build_initial(cfg, mesh)
-    report = run_solver(init, [params], mesh, build_scheme(cfg), [monitors])[0]
+    with _RowProcess() as append_row:
+        report = run_solver(init, [params], mesh, build_scheme(cfg), [monitors], append_row)[0]
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -345,14 +350,29 @@ def _plan_sweep(spec: SweepSpec, workers: int):
     return rows, [(mesh, scheme, initial, members) for members in batches]
 
 
+def _fork(body) -> tuple[int, int]:
+    """(pid, pipe read end) of a forked child that writes the pipe by ``body``, then ``os._exit``s."""
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:  # the child never returns into the caller
+        try:
+            os.close(read)
+            with open(write, "wb") as out:
+                body(out)
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+    os.close(write)
+    return pid, read
+
+
 def _run_shares(tasks: list, processes: int) -> dict[int, str]:
     """Each point's row, by grid index, from ``processes`` processes: each
     task (largest first) goes to the share with the least work so far, this
-    process steps share 0 (the largest task's) and, on Linux only, a forked
-    child steps each other share, sends its rows down a pipe and leaves by
-    ``os._exit``.  Every child is read and reaped, even if this process's
-    share raises; one that fails or sends the wrong row count gives each of
-    its points an ``error:ChildProcessError`` row."""
+    process steps share 0 (the largest task's) and, on Linux only, a
+    ``_fork``-ed child steps each other share and sends its rows.  Every
+    child is read and reaped, even if this process's share raises; one that
+    fails or sends the wrong row count gives each of its points an
+    ``error:ChildProcessError`` row."""
     shares, loads = [[] for _ in range(processes)], [0.0] * processes
     for task in tasks:
         least = loads.index(min(loads))
@@ -362,15 +382,7 @@ def _run_shares(tasks: list, processes: int) -> dict[int, str]:
     rows, children = {}, []  # children: (pid, read end of its pipe, the points of its share)
     try:
         for share in forked:
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child never returns into the caller
-                try:
-                    with open(write, "wb") as out:
-                        out.write("\n".join(row for task in share for row in _sweep_point(task)).encode())
-                except BaseException:
-                    os._exit(1)
-                os._exit(0)
-            os.close(write)
+            pid, read = _fork(lambda out: out.write("\n".join(r for t in share for r in _sweep_point(t)).encode()))
             children.append((pid, read, [point for task in share for point in task[3]]))
         for task in (task for share in here for task in share):
             rows.update(zip((point.index for point in task[3]), _sweep_point(task)))
@@ -382,6 +394,60 @@ def _run_shares(tasks: list, processes: int) -> dict[int, str]:
                 texts = [_error_row(p.chi, p.k, p.params.n, ChildProcessError(pid)) for p in points]
             rows.update(zip((point.index for point in points), texts))
     return rows
+
+
+class _RowProcess:
+    """``run_batch``'s ``append_row`` for a one-point run, or None off Linux
+    or with one CPU.  A forked child computes each row after t = 0 while the
+    series holds zeros in its place; when the run ends it sends back the
+    first exception that a row raised (or None), raised again here, and then
+    the rows, read into those places."""
+
+    def __enter__(self):
+        self.pid = None
+        return self if sys.platform.startswith("linux") and (os.cpu_count() or 1) > 1 else None
+
+    def __call__(self, state, mesh, series, extremes) -> None:
+        if self.pid is None:  # the child computes this row from its copy of the state
+            rows, self.write = os.pipe()
+            self.series, self.start, self.blank = series, len(series.values), array("d", bytes(8 * series.width))
+            self.pid, self.read = _fork(lambda out: self._serve(state, mesh, extremes, rows, out))
+            os.close(rows)
+        elif os.writev(self.write, (array("d", (state.t, *extremes)), state.u, state.v)) < 24 + 16 * state.u.size:
+            raise BrokenPipeError  # a short write: the child died, as when writev raises it
+        series.values.extend(self.blank)
+
+    def _serve(self, state, mesh, extremes, rows, out) -> None:
+        os.close(self.write)
+        series, error, header, uv = self.series, None, array("d", bytes(24)), state.uv()  # uv: a new (2, N) array
+        with open(rows, "rb") as pipe:
+            while True:
+                try:
+                    solver.compute_row(state, mesh, series, extremes)
+                except Exception as exc:  # the first is raised again in the parent
+                    error = error or exc
+                if not (pipe.readinto(header) and pipe.readinto(uv)):
+                    break
+                state.u, state.v, state.t, extremes = uv[0], uv[1], header[0], (header[1], header[2])
+        pickle.dump(error, out)
+        out.write(memoryview(series.values)[self.start :])
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if self.pid is not None:
+            os.close(self.write)
+            lost = ChildProcessError(f"the row process (pid {self.pid}) failed before sending its rows")
+            error = lost if kind is BrokenPipeError else None
+            try:  # a child that failed sent less than a pickle and every row
+                with open(self.read, "rb") as pipe:
+                    if kind is None and (error := pickle.load(pipe)) is None:
+                        with memoryview(self.series.values)[self.start :] as rows:
+                            error = None if pipe.readinto(rows) == rows.nbytes else lost
+            except (EOFError, pickle.UnpicklingError):
+                error = lost
+            finally:
+                os.waitpid(self.pid, 0)
+            if error is not None:
+                raise error from None
 
 
 def _resolve_parallelism(spec: SweepSpec) -> int:

@@ -328,19 +328,20 @@ class _Point:
     step.
     """
 
-    __slots__ = ("params", "report", "t_row", "v_range", "max_u")
+    __slots__ = ("params", "report", "t_row", "v_range", "max_u", "append_row")
 
-    def __init__(self, params, monitors, initial, mesh, max_u0, v_range):
+    def __init__(self, params, monitors, initial, mesh, max_u0, v_range, append_row):
         series = TimeSeries(monitors)
         compute_row(initial, mesh, series, (v_range[0], max_u0))
         self.report = RunReport(None, 0.0, max_u0, v_range[0], series, 0, array("d", (1.0,)))
         self.params, self.t_row, self.v_range, self.max_u = params, initial.t, v_range, max_u0
+        self.append_row = append_row
 
     def emit(self, state: State, mesh: Mesh, floor: float) -> None:
         """Append the row of ``state``, the point's current state, whose
-        floor factor is ``floor``."""
+        floor factor is ``floor``, by ``append_row``."""
         if state.t > self.t_row:
-            compute_row(state, mesh, self.report.series, (self.v_range[0], self.max_u))
+            self.append_row(state, mesh, self.report.series, (self.v_range[0], self.max_u))
             self.report.floor_factors.append(floor)
             self.t_row = state.t
 
@@ -358,6 +359,7 @@ def run_batch(
     mesh: Mesh,
     cfg: SchemeConfig,
     monitors_seq=None,
+    append_row=None,
 ) -> list[RunReport]:
     """``run`` for each of ``params_seq`` (with ``monitors_seq``, None for
     default monitors; one entry per parameter set, or a ``DomainError``)
@@ -367,7 +369,9 @@ def run_batch(
     fills its own ``RunReport``, which is returned as it stands; report i is
     bit-identical to ``run(initial, params_seq[i], mesh, cfg,
     monitors_seq[i])`` (see the module docstring).  The caller bounds P * N,
-    e.g. by ``BATCH_CELLS``.
+    e.g. by ``BATCH_CELLS``.  ``append_row``, called like ``compute_row`` on
+    views that the next step overwrites, appends each row after t = 0; the
+    default, ``compute_row`` at call time, returns the reports complete.
     """
     if monitors_seq is None:
         monitors_seq = [None] * len(params_seq)
@@ -381,7 +385,7 @@ def run_batch(
     max_u0 = float(initial.u.max())
     v_range = float(initial.v.min()), float(initial.v.max())
     points = [
-        _Point(params, monitors, initial, mesh, max_u0, v_range)
+        _Point(params, monitors, initial, mesh, max_u0, v_range, append_row or compute_row)
         for params, monitors in zip(params_seq, monitors_seq)
     ]
     stack = State.stacked(np.stack([initial.uv()] * len(points), axis=1), initial.t)

@@ -93,14 +93,16 @@ theta = 0.5
 @pytest.fixture(scope="module")
 def reference_cli(tmp_path_factory):
     """``chemolab run`` on REFERENCE_CFG, once: its exit code, its output
-    directory, and the arguments and reports of its ``run_solver`` call."""
+    directory, and the arguments (all but the row seam) and reports of its
+    ``run_solver`` call."""
     outdir = tmp_path_factory.mktemp("reference")
     cfg = outdir / "reference.cfg"
     cfg.write_text(REFERENCE_CFG, encoding="utf-8")
     calls = []
 
-    def recording(*args):
-        reports = run_batch(*args)
+    def recording(init, params_seq, mesh, scheme, monitors_seq, append_row=None):
+        args = (init, params_seq, mesh, scheme, monitors_seq)
+        reports = run_batch(*args, append_row)
         calls.append((args, reports))
         return reports
 

@@ -226,7 +226,7 @@ def test_no_accepted_dt_safety_loses_positivity(make_mesh, dt_safety):
 
 
 def fake_report(status):
-    def fake_run(init, params_seq, mesh, cfg, monitors_seq):
+    def fake_run(init, params_seq, mesh, cfg, monitors_seq, append_row=None):
         reports = []
         for monitors in monitors_seq:
             series = TimeSeries(monitors)

@@ -6,7 +6,9 @@ name with span-recording wrappers, and ``perfbench/launch.py`` wraps
 benchmark fail, or a per-layer metric read 0; this test fails instead.
 The stepping loop must also call the wrapped ``solver.step`` and
 ``solver.stable_dt`` once per step, so that the traced ``solver.steps`` is
-the step count that ``report.txt`` gives."""
+the step count that ``report.txt`` gives, and the wrapped
+``solver.compute_row`` once per row of ``timeseries.csv`` when the rows are
+computed in process."""
 
 import collections
 import importlib
@@ -76,7 +78,9 @@ def test_launch_wraps_run_solver():
     assert callable(cli.run_solver)
 
 
-def test_traced_step_calls_are_the_reported_steps(layers, tmp_path):
+def test_traced_step_calls_are_the_reported_steps(layers, tmp_path, monkeypatch):
+    # with one CPU the rows are computed in this process, where they are counted
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     tracer = Counting()
     layers.install(tracer)
     cfg = write_config(tmp_path, RADIAL_CONFIG)
@@ -88,3 +92,5 @@ def test_traced_step_calls_are_the_reported_steps(layers, tmp_path):
     assert steps > 0
     assert tracer.calls["solver.step"] == steps
     assert tracer.calls["solver.stable_dt"] == steps
+    rows = len((tmp_path / "out" / "timeseries.csv").read_text().splitlines()) - 1
+    assert rows > 2 and tracer.calls["diagnostics.compute_row"] == rows

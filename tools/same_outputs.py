@@ -12,6 +12,10 @@ On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
 * the ``sweep`` workload's inputs again with ``CHEMOLAB_THREADS`` at each of
   ``SWEEP_THREADS``: one process steps every point, or three do (the
   process is told it has three CPUs, so that it does on any host);
+* the three ``run`` workloads' inputs again in a process told it has one
+  CPU, which computes its rows itself; on Linux with two CPUs or more the
+  first ``run`` of each computes them in a forked row process, so both row
+  paths are compared with the base;
 * the five demos under ``demos/``;
 * ``run`` on each document of ``RUN_VARIANTS``: chi = 0, dt_safety 0.8
   and a radial mesh with a repeated norm order and (p, r) pair, loop paths
@@ -47,7 +51,8 @@ WORKLOADS = ("run2d", "radial3", "monitor_dense", "sweep")
 SEEDS = (0, 11)
 SWEEP_THREADS = (1, 3)
 # ``python -c`` text: the chemolab CLI in a process that reports {} CPUs, so
-# that the sweep's process count does not depend on the host's
+# that the sweep's process count, and whether a run forks its row process,
+# do not depend on the host's
 AS_IF_CPUS = "import os, sys; os.cpu_count = lambda: {}; from chemolab.cli import main; sys.exit(main())"
 OUTPUTS = ("out/timeseries.csv", "out/report.txt", "out/sweep_summary.csv", "chain.csv")
 
@@ -144,6 +149,9 @@ def invocations() -> list[tuple[str, list[str], dict[str, str], dict[str, str]]]
             argv = ["-m", "chemolab.cli", case.command, case.input_name, "--outdir", "out"]
             runs.append((f"{workload} seed {seed}", argv, {case.input_name: case.input_text}, {}))
             if workload != "sweep":
+                argv_cpus = ["-c", AS_IF_CPUS.format(1), *argv[2:]]
+                name = f"{workload} seed {seed} at 1 CPU"
+                runs.append((name, argv_cpus, {case.input_name: case.input_text}, {}))
                 continue
             for threads in SWEEP_THREADS:
                 argv_cpus = ["-c", AS_IF_CPUS.format(threads), *argv[2:]]
@@ -200,9 +208,10 @@ def main(argv=None) -> int:
                     differences.append(f"{name}: {what} differs")
                     print(differences[-1], file=sys.stderr)
     scope = (
-        f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the sweep's at"
-        f" {' and '.join(map(str, SWEEP_THREADS))} processes, the demos, {len(RUN_VARIANTS)} run"
-        f" variants, {len(MALFORMED)} malformed documents and {len(EXPONENTS)} exponents runs)"
+        f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the 3 run workloads' at 1 CPU,"
+        f" the sweep's at {' and '.join(map(str, SWEEP_THREADS))} processes, the demos,"
+        f" {len(RUN_VARIANTS)} run variants, {len(MALFORMED)} malformed documents"
+        f" and {len(EXPONENTS)} exponents runs)"
     )
     if differences:
         print(f"DIFFERENT: {len(differences)} output(s) of {scope} differ from {args.base}")
