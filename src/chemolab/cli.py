@@ -3,7 +3,9 @@
 ``exponents`` prints the threshold quantities and the bootstrap chain for a
 parameter triple.  ``run`` integrates one configured scenario and writes
 ``timeseries.csv`` plus ``report.txt``; on Linux with two CPUs or more, a
-forked process computes the rows beside the stepping (``_RowProcess``).
+run with at least ``ROW_PROCESS_MIN_ROWS`` rows after t = 0 (counted from
+t_end / output_interval) has a forked process compute them beside the
+stepping (``_RowProcess``).
 ``sweep`` executes a (chi, k) grid of runs and writes ``sweep_summary.csv``,
 one row per grid point in chi-major order.  Grid points that share their first
 time step advance together as one ``solver.run_batch`` task of at most
@@ -143,6 +145,11 @@ def cmd_exponents(args) -> int:
 # at 64 and 1.0 MB at 256, in about 21 ms each (2-core x86_64, Python 3.11).
 CSV_CHUNK_ROWS = 32
 
+# The fewest rows after t = 0 for which ``run`` forks its row process: about
+# where a 64x64-cell run broke even (README, "Command line"), since the fork,
+# the sends and a slower exit cost a few ms that only many rows win back.
+ROW_PROCESS_MIN_ROWS = 1024
+
 
 def timeseries_csv(series: TimeSeries, out) -> None:
     """Write ``series`` as CSV to the text stream ``out``: the column names,
@@ -214,8 +221,9 @@ def cmd_run(args) -> int:
     mesh = build_mesh(cfg)
     monitors = resolve_monitors(cfg, params)
     init = build_initial(cfg, mesh)
-    with _RowProcess() as append_row:
-        report = run_solver(init, [params], mesh, build_scheme(cfg), [monitors], append_row)[0]
+    scheme = build_scheme(cfg)
+    with _RowProcess(math.ceil(scheme.t_end / scheme.output_interval - 1e-9)) as append_row:
+        report = run_solver(init, [params], mesh, scheme, [monitors], append_row)[0]
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -397,15 +405,18 @@ def _run_shares(tasks: list, processes: int) -> dict[int, str]:
 
 
 class _RowProcess:
-    """``run_batch``'s ``append_row`` for a one-point run, or None off Linux
-    or with one CPU.  A forked child computes each row after t = 0 while the
-    series holds zeros in its place; when the run ends it sends back the
-    first exception that a row raised (or None), raised again here, and then
-    the rows, read into those places."""
+    """``run_batch``'s ``append_row`` for a one-point run with ``rows`` rows
+    after t = 0, or None off Linux, with one CPU or with fewer rows than
+    ``ROW_PROCESS_MIN_ROWS``.  A forked child computes each row after t = 0
+    while the series holds zeros in its place; when the run ends it sends
+    back the first exception that a row raised (or None), raised again here,
+    and then the rows, read into those places."""
+
+    def __init__(self, rows: int):
+        self.pid, self.pays = None, rows >= ROW_PROCESS_MIN_ROWS
 
     def __enter__(self):
-        self.pid = None
-        return self if sys.platform.startswith("linux") and (os.cpu_count() or 1) > 1 else None
+        return self if self.pays and sys.platform.startswith("linux") and (os.cpu_count() or 1) > 1 else None
 
     def __call__(self, state, mesh, series, extremes) -> None:
         if self.pid is None:  # the child computes this row from its copy of the state

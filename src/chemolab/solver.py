@@ -52,7 +52,7 @@ stack (a 0-d array when all points share it) and k as a 0-d array or a
 (P, 1) column, and binds every operand of a step once.  One step does each piece of work once for
 the whole batch: the plan computes the chemotactic face velocities from the
 differences of v that it holds (see ``meshes``), and each point's
-contiguous slice of them is handed to its own ``stable_dt``; ``step``,
+contiguous slice of them is handed to its own ``_dt_rule``; ``step``,
 given the plan, scales those differences into the fluxes of lap u and lap
 v, writes the taxis fluxes, scatters them into the rates, adds dt times
 those to the state and writes the differences of the new state, all on one
@@ -68,15 +68,17 @@ Each point's extremes first meet one chained test, 0 <= min u, 0 < min v,
 max u < inf, max v < inf and max u <= blowup_factor * max u0, which every
 NaN fails; a point that passes it is accepted as it stands, and only a point that fails it
 goes through the ordered classification (non-finite, then positivity, then
-the blow-up proxy); every point that passes the test is one that the
+the blow-up proxy), and only such a point makes the loop list the points
+that carry on; every point that passes the test is one that the
 classification accepts, so both give the same status.  The loop does only
 per-step work: the t_end threshold, the next output time and the reductions
-are bound once, the output time again only when it is reached.  On
-``radial3`` (128 shells, 18,432 steps) these, with the array operands of
-``meshes``, made a whole run about 0.84x as long (2-core x86_64, Python
-3.11, numpy 2.4).  No point needs the state before a step once it is taken
-(a point that loses positivity reports only the time before it), so the
-plan keeps one.  Rows are copied out of the stack only when the batch
+are bound once, the output time again when it is reached, and each point's
+dt rule once per plan.  On ``radial3`` (128 shells, 18,432 steps) the first
+three, with the array operands of ``meshes``, made a whole run about 0.84x
+as long; the bound rules and an indexed scan then took a step in process
+from 16.3 to 14.2 us (0.87x, 2-core x86_64, Python 3.11, numpy 2.4).  No
+point needs the state before a step once it is taken (a point that loses
+positivity reports only the time before it), so the plan keeps one.  Rows are copied out of the stack only when the batch
 splits or a point stops and leaves it; the others carry on in a new plan.
 A step builds no ``State`` but the one-point states that rows are computed
 from: ``step`` advances the state it is given.  A point's accepted steps
@@ -87,8 +89,8 @@ float multiply per batch step; every point of a batch has taken the same
 steps since t = 0, so a batch holds one product and a sub-batch carries it
 on, and each row records it (``RunReport.floor_factors``).
 
-Split rule.  A batch steps with one dt, so every point's ``stable_dt`` is
-taken before each step, and when they differ (points with different k, or
+Split rule.  A batch steps with one dt, so every point's dt rule is
+called before each step, and when they differ (points with different k, or
 an advective limit that binds for one chi only) the batch is split into
 sub-batches of equal dt, each continuing from the current state, time and
 output index.  Each point therefore takes exactly the dt sequence of its
@@ -223,7 +225,7 @@ def stable_dt(
     state: State | None, params: ModelParams, mesh: Mesh, cfg: SchemeConfig, w=None, v_range=None
 ) -> float:
     """Safety-scaled minimum of the diffusive, advective, and reaction limits,
-    capped for positivity when ``cfg.dt_safety`` exceeds 1/2.
+    capped for positivity above dt_safety 1/2: one call of a ``_dt_rule``.
 
     ``w`` are the face velocities of ``state.v`` (computed when needed and
     omitted); ``v_range`` is ``(min v, max v)`` (computed when omitted).
@@ -236,24 +238,38 @@ def stable_dt(
     keeps u >= 0 and v > 0 (module docstring).  The caller additionally
     caps the result so output times are hit exactly.
     """
-    k_scale, d_max, adv = max(1.0, params.k), mesh.diffusion_outflow_max(), 0.0
-    capped = cfg.dt_safety > 0.5
-    limit = 1.0 / (k_scale * d_max)
-    if params.chi != 0.0:
-        if v_range is None:
-            v_range = float(state.v.min()), float(state.v.max())
-        v_min, v_max = v_range
-        # written as `not <=` so that a NaN range takes the exact path
-        if capped or not params.chi * (v_max - v_min) <= 0.5 * k_scale * v_min:
-            if w is None:
-                w = mesh.face_velocities(state.v, params.chi)
-            adv = mesh.advective_outflow_max(w)
-            if adv > 0.0:
-                limit = min(limit, 1.0 / adv)
-    dt = cfg.dt_safety * min(limit, 0.5)
+    if params.chi != 0.0 and v_range is None:
+        v_range = float(state.v.min()), float(state.v.max())
+    w = w if w is not None else lambda: mesh.face_velocities(state.v, params.chi)
+    return _dt_rule(params, mesh, cfg)(w, v_range)
+
+
+def _dt_rule(params: ModelParams, mesh: Mesh, cfg: SchemeConfig):
+    """``rule(w, v_range) -> dt``, ``stable_dt`` of one point with its
+    constants (diffusive limit, screen coefficient, caps) bound once.  ``w``,
+    the face velocities or a function of none that computes them, is read
+    only on the exact path; ``v_range``, (min v, max v), only by the screen."""
+    chi, k, safety = params.chi, params.k, cfg.dt_safety
+    d_max, k_scale = mesh.diffusion_outflow_max(), max(1.0, k)
+    limit, screen, capped = 1.0 / (k_scale * d_max), 0.5 * k_scale, safety > 0.5
+    diffusive, v_cap = safety * min(limit, 0.5), _DRAIN_CAP / (k * d_max + 1.0)
+
+    def exact(w):
+        adv = mesh.advective_outflow_max(w() if callable(w) else w)
+        dt = safety * min(limit, 1.0 / adv, 0.5) if adv > 0.0 else diffusive
+        return min(dt, _DRAIN_CAP / (d_max + adv), v_cap) if capped else dt
+
+    if chi == 0.0:
+        dt = min(diffusive, _DRAIN_CAP / d_max, v_cap) if capped else diffusive
+        return lambda w, v_range: dt
     if capped:
-        dt = min(dt, _DRAIN_CAP / (d_max + adv), _DRAIN_CAP / (params.k * d_max + 1.0))
-    return dt
+        return lambda w, v_range: exact(w)
+
+    def rule(w, v_range):  # a NaN range fails the screen and takes the exact path
+        v_min, v_max = v_range
+        return diffusive if chi * (v_max - v_min) <= screen * v_min else exact(w)
+
+    return rule
 
 
 def step(
@@ -416,15 +432,18 @@ def _advance(batch, state, next_j, floor, mesh, cfg, max_u0, pending) -> None:
             size = len(batch)
             plan = StepPlan(mesh, state.uv(), [p.params.chi for p in batch], [p.params.k for p in batch])
             state = State.stacked(plan.uv, state.t)
-            uv, faces = plan.uv, plan.point_faces
+            uv = plan.uv
             flat, starts = uv.reshape(-1), np.arange(0, uv.size, uv.shape[-1])
+            rules = [(_dt_rule(p.params, mesh, cfg), w, p) for p, w in zip(batch, plan.point_faces)]
         t = state.t
         if t >= t_stop:
             for point in batch:
                 point.stop(STATUS_COMPLETED, t, taken)
             return
         plan.face_velocities()
-        dts = [stable_dt(None, point.params, mesh, cfg, w, point.v_range) for point, w in zip(batch, faces)]
+        dts = []  # a loop, not a comprehension, which costs a call in Python 3.11
+        for rule, w, point in rules:
+            dts.append(rule(w, point.v_range))
         dt0 = dts[0]
         if dts.count(dt0) != size:
             groups: dict[float, list[int]] = {}
@@ -441,34 +460,38 @@ def _advance(batch, state, next_j, floor, mesh, cfg, max_u0, pending) -> None:
                 point.emit(State(u[j], v[j], t), mesh, floor)
                 point.stop(STATUS_DT_COLLAPSE, t, taken)
             return
-        dt = min(dt0, t_target - t)
+        gap = t_target - t
+        dt = gap if gap < dt0 else dt0  # min(dt0, gap), without the call
         state = step(state, plan, mesh, cfg, dt)
         floor *= 1.0 - dt
         taken += 1
-        mins, maxs, keep = minimum(flat, starts).tolist(), maximum(flat, starts).tolist(), []
-        scan = zip(batch, mins[:size], mins[size:], maxs[:size], maxs[size:])
-        for j, (point, min_u, min_v, max_u, max_v) in enumerate(scan):
+        mins, maxs, keep = minimum(flat, starts).tolist(), maximum(flat, starts).tolist(), None
+        for j in range(size):
+            point, min_u, min_v, max_u, max_v = batch[j], mins[j], mins[size + j], maxs[j], maxs[size + j]
             # every NaN fails this test; only the points that fail it are classified
             if 0.0 <= min_u and 0.0 < min_v and max_u < inf and max_v < inf and max_u <= max_u_cap:
-                keep.append(j)
-            elif not all(map(math.isfinite, (min_u, min_v, max_u, max_v))):
-                point.stop(STATUS_BLOWUP, state.t, taken)
-                continue
-            elif min_u < 0.0 or min_v <= 0.0:
-                point.stop(STATUS_POSITIVITY_LOST, t, taken - 1)
-                continue
-            elif max_u > max_u_cap:
-                point.v_range, point.max_u = (min_v, max_v), max_u
-                point.emit(State(uv[0, j], uv[1, j], state.t), mesh, floor)
-                point.stop(STATUS_BLOWUP, state.t, taken)
-            else:  # a NaN cap: max u0 = 0 with an infinite blowup_factor
-                keep.append(j)
+                if keep is not None:
+                    keep.append(j)
+            else:
+                keep = list(range(j)) if keep is None else keep  # the points before this one carry on
+                if not all(map(math.isfinite, (min_u, min_v, max_u, max_v))):
+                    point.stop(STATUS_BLOWUP, state.t, taken)
+                    continue
+                if min_u < 0.0 or min_v <= 0.0:
+                    point.stop(STATUS_POSITIVITY_LOST, t, taken - 1)
+                    continue
+                if max_u > max_u_cap:
+                    point.v_range, point.max_u = (min_v, max_v), max_u
+                    point.emit(State(uv[0, j], uv[1, j], state.t), mesh, floor)
+                    point.stop(STATUS_BLOWUP, state.t, taken)
+                else:  # a NaN cap: max u0 = 0 with an infinite blowup_factor
+                    keep.append(j)
             point.v_range, point.max_u, report = (min_v, max_v), max_u, point.report
             if max_u > report.max_u_over_run:
                 report.max_u_over_run = max_u
             if min_v < report.min_v_over_run:
                 report.min_v_over_run = min_v
-        if len(keep) < size:
+        if keep is not None:
             if not keep:
                 return
             batch, plan = [batch[j] for j in keep], None

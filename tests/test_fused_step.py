@@ -150,12 +150,17 @@ def spike_case():
 
 
 def double_stable_dt(monkeypatch):
-    """Inject the separate limits' positivity fault: every ``stable_dt``
-    returns twice its value.  At dt_safety s <= 1/2 the cap is not
-    evaluated and 2s is exact, so the steps are, to the bit, those of
-    dt_safety 2s without the cap."""
-    real = solver.stable_dt
-    monkeypatch.setattr(solver, "stable_dt", lambda *args, **kwargs: 2.0 * real(*args, **kwargs))
+    """Inject the separate limits' positivity fault: every rule that
+    ``solver._dt_rule`` binds returns twice its value.  At dt_safety s <= 1/2
+    the cap is not evaluated and 2s is exact, so the steps are, to the bit,
+    those of dt_safety 2s without the cap."""
+    real = solver._dt_rule
+
+    def doubled(*args):
+        rule = real(*args)
+        return lambda w, v_range: 2.0 * rule(w, v_range)
+
+    monkeypatch.setattr(solver, "_dt_rule", doubled)
 
 
 def test_positivity_envelope_holds_at_one_half():

@@ -4,11 +4,13 @@
 name with span-recording wrappers, and ``perfbench/launch.py`` wraps
 ``chemolab.cli.run_solver``.  A renamed function would make the traced
 benchmark fail, or a per-layer metric read 0; this test fails instead.
-The stepping loop must also call the wrapped ``solver.step`` and
-``solver.stable_dt`` once per step, so that the traced ``solver.steps`` is
-the step count that ``report.txt`` gives, and the wrapped
-``solver.compute_row`` once per row of ``timeseries.csv`` when the rows are
-computed in process."""
+The stepping loop must also call the wrapped ``solver.step`` once per
+step, so that the traced ``solver.steps`` is the step count that
+``report.txt`` gives, and the wrapped ``solver.compute_row`` once per row of
+``timeseries.csv`` when the rows are computed in process.  It makes no
+``solver.stable_dt`` call: it takes each step's dt from the rules that
+``solver._dt_rule`` binds once per batch, which the benchmark does not wrap,
+so their time is counted in ``solver.run``'s own."""
 
 import collections
 import importlib
@@ -91,6 +93,6 @@ def test_traced_step_calls_are_the_reported_steps(layers, tmp_path, monkeypatch)
     steps = int(report["steps"])
     assert steps > 0
     assert tracer.calls["solver.step"] == steps
-    assert tracer.calls["solver.stable_dt"] == steps
+    assert tracer.calls["solver.stable_dt"] == 0
     rows = len((tmp_path / "out" / "timeseries.csv").read_text().splitlines()) - 1
     assert rows > 2 and tracer.calls["diagnostics.compute_row"] == rows

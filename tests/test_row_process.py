@@ -1,10 +1,12 @@
 """``chemolab run`` with its rows computed in a forked row process.
 
-On Linux with at least two CPUs the rows after t = 0 are computed by a child
-that ``cli._RowProcess`` forks at the first of them.  These tests check that
-the files and the exit code do not depend on it, that a row error comes back
-as it is, that a child that dies ends the run with exit code 1 and that no
-child is ever left behind."""
+On Linux with at least two CPUs, a run with ``cli.ROW_PROCESS_MIN_ROWS``
+rows after t = 0 or more has them computed by a child that
+``cli._RowProcess`` forks at the first of them.  These tests check that the
+files and the exit code do not depend on it, that a row error comes back as
+it is, that a child that dies ends the run with exit code 1, that no child
+is ever left behind and that a run with fewer rows never forks.  Every
+document that must fork has exactly ``ROWS`` rows after t = 0."""
 
 import os
 import sys
@@ -17,12 +19,21 @@ from chemolab.cli import main
 from chemolab.errors import DomainError
 
 from test_config_cli import CART_CONFIG, write_config
+from test_scan_rows import collapsing
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the row process is Linux only")
 
+ROWS = cli.ROW_PROCESS_MIN_ROWS
+
+
+def rows_every(t_end, rows):
+    """CART_CONFIG's text with ``t_end`` and ``rows`` rows after t = 0."""
+    text = CART_CONFIG.replace("t_end = 0.5", f"t_end = {t_end!r}")
+    return text.replace("output_interval = 0.1", f"output_interval = {t_end / rows!r}")
+
+
 DENSE_CONFIG = (
-    CART_CONFIG.replace("t_end = 0.5", "t_end = 0.1")
-    .replace("output_interval = 0.1", "output_interval = 0.002")
+    rows_every(0.1, ROWS)
     .replace("pr_source = bootstrap", "pr_source = explicit\npr_pairs = 1.5:0.25, 2:0.5, 2.5:0.75, 3:1")
     .replace("q_list = 1, 2", "q_list = 1, 2, 3, 4")
 )
@@ -85,32 +96,21 @@ def run_at(tmp_path, monkeypatch, cfg, cpus, name):
     return (code, *(path.read_bytes() if path.exists() else None for path in files))
 
 
-def collapsing(real, steps):
-    """``real`` (a ``stable_dt``) for ``steps`` calls, then a collapsed dt."""
-    calls = []
-
-    def stable_dt(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs) if len(calls) <= steps else 1e-12
-
-    return stable_dt
-
-
 @pytest.mark.parametrize(
     "text,collapse,status,code",
     [
         (DENSE_CONFIG, None, "completed", 0),
-        (CART_CONFIG.replace("output_interval = 0.1", "output_interval = 0.01"), 40, "dt_collapse", 5),
+        (rows_every(0.5, ROWS), 40, "dt_collapse", 5),
         (BLOWUP_CONFIG, None, "suspected_blowup", 4),
     ],
     ids=["dense_monitors", "dt_collapse", "suspected_blowup"],
 )
 def test_outputs_do_not_depend_on_the_row_process(tmp_path, monkeypatch, forks, text, collapse, status, code):
     cfg = write_config(tmp_path, text)
-    results, real = [], solver.stable_dt
+    results, real = [], solver._dt_rule
     for cpus in (2, 1):
         if collapse is not None:
-            monkeypatch.setattr(solver, "stable_dt", collapsing(real, collapse))
+            monkeypatch.setattr(solver, "_dt_rule", collapsing(real, collapse))
         results.append(run_at(tmp_path, monkeypatch, cfg, cpus, f"at{cpus}"))
         assert len(forks) == 1  # the run at 2 CPUs forked, the run at 1 did not
     apart, inside = results
@@ -142,21 +142,19 @@ def test_a_row_error_is_raised_again_as_it_is(tmp_path, monkeypatch, forks, caps
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("t_end", ["0.1", "0.01"], ids=["while_stepping", "at_the_end"])
-def test_a_row_process_that_dies_ends_the_run(tmp_path, monkeypatch, forks, capsys, t_end):
-    # with t_end = 0.01 the only row after t = 0 is the one that forks, so
-    # the child's death shows when its rows are read, not on a write
+@pytest.mark.parametrize("last", [False, True], ids=["while_stepping", "at_the_end"])
+def test_a_row_process_that_dies_ends_the_run(tmp_path, monkeypatch, forks, capsys, last):
+    # a child that dies at its first row shows it to a later write; one that
+    # dies at its last row (t = t_end), after every write, when its rows are read
     parent, real = os.getpid(), solver.compute_row
 
-    def compute_row(*args):
-        if os.getpid() != parent:
+    def compute_row(state, *args):
+        if os.getpid() != parent and (not last or state.t == 0.1):
             os._exit(3)
-        return real(*args)
+        return real(state, *args)
 
     monkeypatch.setattr(solver, "compute_row", compute_row)
-    text = CART_CONFIG.replace("t_end = 0.5", f"t_end = {t_end}")
-    text = text.replace("output_interval = 0.1", "output_interval = 0.01")
-    code, csv, report = run_at(tmp_path, monkeypatch, write_config(tmp_path, text), 2, "out")
+    code, csv, report = run_at(tmp_path, monkeypatch, write_config(tmp_path, rows_every(0.1, ROWS)), 2, "out")
     assert code == 1 and csv is None and report is None and len(forks) == 1
     assert capsys.readouterr().err == (
         f"chemolab: error: the row process (pid {forks[0]}) failed before sending its rows\n"
@@ -185,10 +183,21 @@ def test_an_interrupted_run_reaps_its_row_process(tmp_path, monkeypatch, forks):
     [
         (1, DENSE_CONFIG, 0),
         (None, DENSE_CONFIG, 0),
-        (2, CART_CONFIG.replace("dt_min = 1e-10", "dt_min = 1"), 5),  # the only row is at t = 0
+        (2, rows_every(0.5, ROWS).replace("dt_min = 1e-10", "dt_min = 1"), 5),  # the only row is at t = 0
+        (2, rows_every(0.1, ROWS - 1), 0),
     ],
-    ids=["one_cpu", "unknown_cpus", "only_the_first_row"],
+    ids=["one_cpu", "unknown_cpus", "only_the_first_row", "fewer_rows_than_the_threshold"],
 )
 def test_no_fork(tmp_path, monkeypatch, forks, cpus, text, code):
     assert run_at(tmp_path, monkeypatch, write_config(tmp_path, text), cpus, "out")[0] == code
     assert forks == []
+
+
+def test_a_run_below_the_threshold_computes_its_rows_in_process(tmp_path, monkeypatch, forks):
+    # the run2d and radial3 workloads' row counts, and one row short of the threshold
+    for rows in (5, 6, ROWS - 1):
+        cfg = write_config(tmp_path, rows_every(0.5, rows))
+        apart, inside = (run_at(tmp_path, monkeypatch, cfg, cpus, f"{rows}at{cpus}") for cpus in (2, 1))
+        assert forks == [] and apart == inside and apart[0] == 0
+        assert len(apart[1].decode().splitlines()) == 1 + 1 + rows
+    assert_no_child_left()

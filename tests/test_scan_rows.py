@@ -91,16 +91,27 @@ def test_rows_of_a_batch_in_which_one_point_blows_up(rows_twice):
     assert_rows_alike(rows_twice, sum(len(r.series) for r in reports))
 
 
+def collapsing(real, steps):
+    """``real`` (a ``solver._dt_rule``) whose rules give their dt for the
+    first ``steps`` rule calls, counted over all of them, then a collapsed dt."""
+    calls = []
+
+    def dt_rule(*args):
+        rule = real(*args)
+
+        def collapsed(w, v_range):
+            calls.append(None)
+            return rule(w, v_range) if len(calls) <= steps else 1e-12
+
+        return collapsed
+
+    return dt_rule
+
+
 def test_row_of_a_dt_collapse(rows_twice, monkeypatch):
     # dt collapses after seven steps, between two output times: the last row
     # is the state after the seventh step, with the extremes of its scan
-    real, calls = solver.stable_dt, []
-
-    def stable_dt(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs) if len(calls) <= 7 else 1e-12
-
-    monkeypatch.setattr(solver, "stable_dt", stable_dt)
+    monkeypatch.setattr(solver, "_dt_rule", collapsing(solver._dt_rule, 7))
     mesh = CartesianMesh2D(2.0, 2.0, 16, 16)
     init = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
     cfg = SchemeConfig(t_end=0.5, output_interval=0.1)

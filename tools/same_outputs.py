@@ -14,12 +14,17 @@ On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
   process is told it has three CPUs, so that it does on any host);
 * the three ``run`` workloads' inputs again in a process told it has one
   CPU, which computes its rows itself; on Linux with two CPUs or more the
-  first ``run`` of each computes them in a forked row process, so both row
-  paths are compared with the base;
+  first ``monitor_dense`` run, whose 1,500 rows reach
+  ``cli.ROW_PROCESS_MIN_ROWS``, computes them in a forked row process, so
+  both row paths are compared with the base (``run2d`` and ``radial3`` have
+  too few rows to fork);
 * the five demos under ``demos/``;
-* ``run`` on each document of ``RUN_VARIANTS``: chi = 0, dt_safety 0.8
-  and a radial mesh with a repeated norm order and (p, r) pair, loop paths
-  that the workload inputs do not take;
+* ``run`` or ``sweep`` on each document of ``VARIANTS``: chi = 0,
+  dt_safety 0.8, a radial mesh with a repeated norm order and (p, r) pair,
+  chi = 100 (its advective screen fails after the first steps, so dt comes
+  from the exact advective limit) and a sweep of chi = 0.4 and 100, which
+  share their first dt and advance as one batch until it splits on dt: loop
+  paths that the workload inputs do not take;
 * ``run`` and ``sweep`` on each malformed document of ``MALFORMED``, so
   that error text and exit codes are compared too;
 * ``exponents`` for each argument set of ``EXPONENTS``: n = 2, 3, 6 and 8,
@@ -81,16 +86,29 @@ pr_source = bootstrap
 """
 SWEEP_DOC = RUN_DOC + "\n[sweep]\nchi_values = 0.4, 0.8\nk_values = 0.5, 1\nparallelism = 1\n"
 
-# (what it reaches, document): loop paths that no workload input takes.
-RUN_VARIANTS = (
-    ("chi = 0, no taxis and no pairs", RUN_DOC.replace("chi = 0.5", "chi = 0")),
-    ("dt_safety = 0.8, the positivity cap", RUN_DOC.replace("[scheme]", "[scheme]\ndt_safety = 0.8")),
+# (what it reaches, command, document): loop paths that no workload input takes.
+VARIANTS = (
+    ("chi = 0, no taxis and no pairs", "run", RUN_DOC.replace("chi = 0.5", "chi = 0")),
+    ("dt_safety = 0.8, the positivity cap", "run", RUN_DOC.replace("[scheme]", "[scheme]\ndt_safety = 0.8")),
     (
         "a radial mesh with a repeated order and pair",
+        "run",
         RUN_DOC.replace("k = 1\nn = 2", "k = 1.3\nn = 3")
         .replace("cartesian2d\nLx = 2\nLy = 2\nnx = 16\nny = 16", "radial\nR = 2\nm = 32")
         .replace("q_list = 1, 2", "q_list = 1, 2, 2")
         .replace("pr_source = bootstrap", "pr_source = explicit\npr_pairs = 2:0.5, 2:0.5"),
+    ),
+    (
+        "chi = 100, dt from the exact advective limit",
+        "run",
+        RUN_DOC.replace("chi = 0.5", "chi = 100")
+        .replace("pr_source = bootstrap", "pr_source = explicit\npr_pairs ="),
+    ),
+    (
+        "a batch that splits on dt",
+        "sweep",
+        SWEEP_DOC.replace("chi_values = 0.4, 0.8", "chi_values = 0.4, 100")
+        .replace("k_values = 0.5, 1", "k_values = 1"),
     ),
 )
 
@@ -160,9 +178,9 @@ def invocations() -> list[tuple[str, list[str], dict[str, str], dict[str, str]]]
                 runs.append((name, argv_cpus, {case.input_name: case.input_text}, variables))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runs.append((f"demos/{demo.name}", [f"demos/{demo.name}"], {}, {}))
-    for what, text in RUN_VARIANTS:
-        argv = ["-m", "chemolab.cli", "run", "case.cfg", "--outdir", "out"]
-        runs.append((f"run with {what}", argv, {"case.cfg": text}, {}))
+    for what, command, text in VARIANTS:
+        argv = ["-m", "chemolab.cli", command, "case.cfg", "--outdir", "out"]
+        runs.append((f"{command} with {what}", argv, {"case.cfg": text}, {}))
     for what, command, text in MALFORMED:
         argv = ["-m", "chemolab.cli", command, "case.cfg", "--outdir", "out"]
         runs.append((f"{command} with {what}", argv, {"case.cfg": text}, {}))
@@ -210,7 +228,7 @@ def main(argv=None) -> int:
     scope = (
         f"{len(runs)} invocations (the 4 workloads at seeds 0 and 11, the 3 run workloads' at 1 CPU,"
         f" the sweep's at {' and '.join(map(str, SWEEP_THREADS))} processes, the demos,"
-        f" {len(RUN_VARIANTS)} run variants, {len(MALFORMED)} malformed documents"
+        f" {len(VARIANTS)} run and sweep variants, {len(MALFORMED)} malformed documents"
         f" and {len(EXPONENTS)} exponents runs)"
     )
     if differences:
