@@ -3,9 +3,9 @@
 ``exponents`` prints the threshold quantities and the bootstrap chain for a
 parameter triple.  ``run`` integrates one configured scenario and writes
 ``timeseries.csv`` plus ``report.txt``; on Linux with two CPUs or more, a
-run with at least ``ROW_PROCESS_MIN_ROWS`` rows after t = 0 (counted from
-t_end / output_interval) has a forked process compute them beside the
-stepping (``_RowProcess``).
+run whose row work (``row_work``: rows after t = 0 x cells x monitored
+orders) reaches ``ROW_PROCESS_MIN_WORK`` has a forked process compute its
+rows beside the stepping (``_RowProcess``).
 ``sweep`` executes a (chi, k) grid of runs and writes ``sweep_summary.csv``,
 one row per grid point in chi-major order.  Grid points that share their first
 time step advance together as one ``solver.run_batch`` task of at most
@@ -145,10 +145,21 @@ def cmd_exponents(args) -> int:
 # at 64 and 1.0 MB at 256, in about 21 ms each (2-core x86_64, Python 3.11).
 CSV_CHUNK_ROWS = 32
 
-# The fewest rows after t = 0 for which ``run`` forks its row process: about
-# where a 64x64-cell run broke even (README, "Command line"), since the fork,
-# the sends and a slower exit cost a few ms that only many rows win back.
-ROW_PROCESS_MIN_ROWS = 1024
+# The least ``row_work`` for which ``run`` forks its row process: the fork,
+# the sends of u and v and a slower exit cost a few ms that only enough row
+# work wins back.  A 64x64-cell run with bootstrap monitors (2 norms and 1
+# pair) broke even between 768 and 1,024 rows, 9.4M to 12.6M (README,
+# "Command line").
+ROW_PROCESS_MIN_WORK = 10_000_000
+
+
+def row_work(scheme, mesh, monitors: MonitorConfig) -> int:
+    """The row work of a run on ``mesh`` with the ``SchemeConfig`` ``scheme``:
+    rows after t = 0 (t_end / output_interval, rounded up) x cells x
+    monitored orders (the q-norms and (p, r) pairs of ``monitors``), counted
+    before the run starts."""
+    rows = math.ceil(scheme.t_end / scheme.output_interval - 1e-9)
+    return rows * mesh.cell_count * (len(monitors.q_list) + len(monitors.pr_pairs))
 
 
 def timeseries_csv(series: TimeSeries, out) -> None:
@@ -222,7 +233,7 @@ def cmd_run(args) -> int:
     monitors = resolve_monitors(cfg, params)
     init = build_initial(cfg, mesh)
     scheme = build_scheme(cfg)
-    with _RowProcess(math.ceil(scheme.t_end / scheme.output_interval - 1e-9)) as append_row:
+    with _RowProcess(row_work(scheme, mesh, monitors)) as append_row:
         report = run_solver(init, [params], mesh, scheme, [monitors], append_row)[0]
 
     outdir = Path(args.outdir)
@@ -405,15 +416,15 @@ def _run_shares(tasks: list, processes: int) -> dict[int, str]:
 
 
 class _RowProcess:
-    """``run_batch``'s ``append_row`` for a one-point run with ``rows`` rows
-    after t = 0, or None off Linux, with one CPU or with fewer rows than
-    ``ROW_PROCESS_MIN_ROWS``.  A forked child computes each row after t = 0
-    while the series holds zeros in its place; when the run ends it sends
-    back the first exception that a row raised (or None), raised again here,
-    and then the rows, read into those places."""
+    """``run_batch``'s ``append_row`` for a one-point run of row work
+    ``work`` (``row_work``), or None off Linux, with one CPU or with less
+    work than ``ROW_PROCESS_MIN_WORK``.  A forked child computes each row
+    after t = 0 while the series holds zeros in its place; when the run ends
+    it sends back the first exception that a row raised (or None), raised
+    again here, and then the rows, read into those places."""
 
-    def __init__(self, rows: int):
-        self.pid, self.pays = None, rows >= ROW_PROCESS_MIN_ROWS
+    def __init__(self, work: int):
+        self.pid, self.pays = None, work >= ROW_PROCESS_MIN_WORK
 
     def __enter__(self):
         return self if self.pays and sys.platform.startswith("linux") and (os.cpu_count() or 1) > 1 else None

@@ -101,6 +101,31 @@ dt written into a 0-d array; by a constant, 1,060 ns as a float and 715 ns
 as a 0-d array; and ``np.multiply`` looked up at the call added about
 80 ns.
 
+Aligned step buffers.  Every array that a plan writes comes from
+``_aligned``, which puts its first written element at the start of a
+64-byte cache line: ``uv``, the rates, the radial scatter scratch, the face
+velocities, their sum scratch and the upwind masks at element 0, the
+Cartesian x faces and the radial faces at element 1, the Cartesian y faces
+at element nx.  numpy's AVX-512 loops store 64 bytes at a time, and a
+store that does not start a line is split across two, so the passes over
+4,096-12,288 doubles of a 64x64 step, which are limited by their stores,
+cost more wherever malloc happened to put their outputs.  Each buffer
+costs under 64 bytes more.  The u, v and taxis rows of a batch's flat
+stack start on the 64-byte grid only when P*N is a multiple of 8 cells,
+and each point's rows only when N is, as on every mesh of the benchmark;
+rows are not padded onto the grid, since that would change the flat-pair
+layout.  No operand, ufunc, order or call count changed, so every result
+keeps its bits at any alignment (``tests/test_alignment.py`` forces each
+8-byte offset).  On 64x64 cells the differences took 4.8 us
+against 9.5 us at malloc's placement, the taxis fluxes 16.0 against
+19.0 us, the face velocities 14.3 against 15.5 us, the diffusive fluxes
+3.9 against 4.4 us, the scatter 10.3 against 10.5 us and the update 8.3
+against 8.2 us, and the bound step 55.8 against 67.5 us (0.83x); on 32x32
+cells the step took 26.9 against 30.5 us, and on 128 shells, whose arrays
+of a few hundred doubles barely feel split stores, 10.3 against 10.2 us
+(medians of 8 alternating processes, each the median of 15 rounds of 300
+steps, 2-core x86_64 with AVX-512, Python 3.11, numpy 2.4).
+
 Exact reciprocals.  The kernels that divide by a mesh constant (the
 Cartesian diffusive fluxes by hx^2 and hy^2, the Cartesian taxis fluxes by
 hx and hy, the radial diffusive fluxes by h) bind, through ``_scale``, a
@@ -135,6 +160,17 @@ def _operand(x):
     """``x`` as a ufunc operand: an array as it is, a number as a 0-d
     float64 array, which a ufunc takes without converting it on every call."""
     return x if isinstance(x, np.ndarray) else np.array(x, float)
+
+
+def _aligned(size, dtype=float, start=0, zeros=False):
+    """A (size,) array of ``dtype`` (zeroed if ``zeros``) whose element
+    ``start`` begins a 64-byte cache line: a view into a buffer less than
+    64 bytes longer, cut where the address that ``__array_interface__``
+    reports puts that element on the line."""
+    itemsize = np.dtype(dtype).itemsize
+    buffer = (np.zeros if zeros else np.empty)(size + 64 // itemsize - 1, dtype)
+    skip = -(buffer.__array_interface__["data"][0] + start * itemsize) % 64 // itemsize
+    return buffer[skip : skip + size]
 
 
 def _scale(h):
@@ -293,8 +329,9 @@ class _PaddedFluxMesh:
         return velocities
 
     def _velocity_arrays(self, size, dtype=float):
-        """Uninitialized arrays shaped like the face velocities of ``size`` flat cells."""
-        return tuple(np.empty(size - s, dtype) for s in self._strides)
+        """Uninitialized arrays shaped like the face velocities of ``size``
+        flat cells, each starting a 64-byte line."""
+        return tuple(_aligned(size - s, dtype) for s in self._strides)
 
     def _differences(self, f, faces):
         subtract, size = np.subtract, f.size
@@ -346,10 +383,11 @@ class CartesianMesh2D(_PaddedFluxMesh):
     def face_arrays(self, shape):
         """Zeroed faces of a stack of L = prod(shape) * N cells: x faces (L+1,),
         pair (i, i+1) at i+1; y faces (L+nx,), pair (i, i+nx) at i+nx; and the
-        view of the y entries of the pairs that join two stack rows."""
+        view of the y entries of the pairs that join two stack rows.  Entry 1
+        of the x faces and entry nx of the y faces start 64-byte lines."""
         n, nx = self.cell_count, self.nx
         rows = math.prod(shape)
-        tx, ty = np.zeros(rows * n + 1), np.zeros(rows * n + nx)
+        tx, ty = _aligned(rows * n + 1, start=1, zeros=True), _aligned(rows * n + nx, start=nx, zeros=True)
         return tx, ty, ty[: rows * n].reshape(rows, n)[1:, :nx]
 
     def _diffusive(self, f, faces):
@@ -431,10 +469,12 @@ class RadialShellMesh(_PaddedFluxMesh):
         """Zeroed faces of a stack of L = prod(shape) * m shells, (L+1,) with
         pair (i, i+1) at i+1; the area of each pair's face (L-1,) and the
         volume of each shell (L,), tiled over the rows; and (L,) scratch for
-        the scatter."""
+        the scatter.  Entry 1 of the faces and the scratch start 64-byte
+        lines."""
         rows = math.prod(shape)
         area = np.tile(self.face_area[1:], rows)[:-1]
-        return np.zeros(rows * self.m + 1), area, np.tile(self.volumes, rows), np.empty(rows * self.m)
+        size = rows * self.m
+        return _aligned(size + 1, start=1, zeros=True), area, np.tile(self.volumes, rows), _aligned(size)
 
     def _diffusive(self, f, faces):
         multiply, size = np.multiply, f.size
@@ -499,6 +539,14 @@ class StepPlan:
     per call made a 64x64 step loop about 15 % slower (2-core x86_64,
     glibc), because the allocator returned their pages on every free and
     faulted them in again on the next call.
+
+    Every array the plan writes starts its first written element on a
+    64-byte cache line (``_aligned``, under 64 bytes more per buffer), so
+    no vector store of a step is split across two lines; the u, v and taxis
+    rows stay on the grid when P*N is a multiple of 8 cells.  This took a
+    bound 64x64 step from 67.5 to 55.8 us and a 32x32 one from 30.5 to
+    26.9 us, and left 128 shells at 10.2-10.3 us (module docstring,
+    "Aligned step buffers").
     """
 
     __slots__ = ("uv", "point_faces", "face_velocities", "_fluxes", "_update", "_differences")
@@ -512,8 +560,9 @@ class StepPlan:
         if isinstance(chi, np.ndarray):
             chi = np.repeat(chi, n)
         taxis = any(c != 0.0 for c in chis)
-        self.uv = uv.copy()
-        rates = np.empty((3 if taxis else 2, points, n))
+        self.uv = _aligned(uv.size).reshape(uv.shape)
+        self.uv[...] = uv
+        rates = _aligned((3 if taxis else 2) * cells).reshape(-1, points, n)
         faces = mesh.face_arrays(rates.shape[:2])
         flat = self.uv.reshape(-1)
         self._differences = mesh._differences(flat, faces)

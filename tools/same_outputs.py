@@ -14,17 +14,21 @@ On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
   process is told it has three CPUs, so that it does on any host);
 * the three ``run`` workloads' inputs again in a process told it has one
   CPU, which computes its rows itself; on Linux with two CPUs or more the
-  first ``monitor_dense`` run, whose 1,500 rows reach
-  ``cli.ROW_PROCESS_MIN_ROWS``, computes them in a forked row process, so
-  both row paths are compared with the base (``run2d`` and ``radial3`` have
-  too few rows to fork);
+  first ``monitor_dense`` run, whose row work (1,500 rows x 1,024 cells x
+  8 orders) reaches ``cli.ROW_PROCESS_MIN_WORK``, computes them in a forked
+  row process, so both row paths are compared with the base (``run2d`` and
+  ``radial3`` have too little row work to fork);
 * the five demos under ``demos/``;
 * ``run`` or ``sweep`` on each document of ``VARIANTS``: chi = 0,
   dt_safety 0.8, a radial mesh with a repeated norm order and (p, r) pair,
   chi = 100 (its advective screen fails after the first steps, so dt comes
   from the exact advective limit) and a sweep of chi = 0.4 and 100, which
   share their first dt and advance as one batch until it splits on dt: loop
-  paths that the workload inputs do not take;
+  paths that the workload inputs do not take; and meshes whose rows do not
+  keep the step buffers' 64-byte alignment, or that the row-process gate
+  decides on by more than rows: a 9x7 rectangle (63 cells, not a multiple
+  of 8), 37 shells, a sweep of 3 points on 9x7 stepped as one batch, and
+  128 shells with 2,048 rows (forked at the base on two CPUs or more);
 * ``run`` and ``sweep`` on each malformed document of ``MALFORMED``, so
   that error text and exit codes are compared too;
 * ``exponents`` for each argument set of ``EXPONENTS``: n = 2, 3, 6 and 8,
@@ -84,6 +88,7 @@ output_interval = 0.1
 q_list = 1, 2
 pr_source = bootstrap
 """
+RECTANGLE = "cartesian2d\nLx = 2\nLy = 2\nnx = 16\nny = 16"
 SWEEP_DOC = RUN_DOC + "\n[sweep]\nchi_values = 0.4, 0.8\nk_values = 0.5, 1\nparallelism = 1\n"
 
 # (what it reaches, command, document): loop paths that no workload input takes.
@@ -94,7 +99,7 @@ VARIANTS = (
         "a radial mesh with a repeated order and pair",
         "run",
         RUN_DOC.replace("k = 1\nn = 2", "k = 1.3\nn = 3")
-        .replace("cartesian2d\nLx = 2\nLy = 2\nnx = 16\nny = 16", "radial\nR = 2\nm = 32")
+        .replace(RECTANGLE, "radial\nR = 2\nm = 32")
         .replace("q_list = 1, 2", "q_list = 1, 2, 2")
         .replace("pr_source = bootstrap", "pr_source = explicit\npr_pairs = 2:0.5, 2:0.5"),
     ),
@@ -109,6 +114,22 @@ VARIANTS = (
         "sweep",
         SWEEP_DOC.replace("chi_values = 0.4, 0.8", "chi_values = 0.4, 100")
         .replace("k_values = 0.5, 1", "k_values = 1"),
+    ),
+    ("a 9x7 rectangle", "run", RUN_DOC.replace("nx = 16\nny = 16", "nx = 9\nny = 7")),
+    ("37 shells", "run", RUN_DOC.replace("n = 2", "n = 3").replace(RECTANGLE, "radial\nR = 2\nm = 37")),
+    (
+        "a batch of 3 points on 9x7",
+        "sweep",
+        SWEEP_DOC.replace("nx = 16\nny = 16", "nx = 9\nny = 7")
+        .replace("chi_values = 0.4, 0.8", "chi_values = 0.3, 0.6, 0.9")
+        .replace("k_values = 0.5, 1", "k_values = 1"),
+    ),
+    (
+        "128 shells and 2,048 rows",
+        "run",
+        RUN_DOC.replace("n = 2", "n = 3")
+        .replace(RECTANGLE, "radial\nR = 2\nm = 128")
+        .replace("t_end = 0.2\noutput_interval = 0.1", f"t_end = 0.6\noutput_interval = {0.6 / 2048!r}"),
     ),
 )
 
