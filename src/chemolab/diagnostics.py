@@ -30,6 +30,7 @@ from .errors import (
     ExponentConditionError,
     InsufficientRows,
     PositivityViolation,
+    Rule,
 )
 from .exponents import admissible_window
 from .meshes import Mesh, State
@@ -49,12 +50,14 @@ class MonitorConfig:
     pr_pairs: tuple[tuple[float, float], ...] = ()
     tolerance_rel: float = 0.05
 
+    RULES = {
+        "q": Rule(lambda v: v >= 1.0, "q >= 1", float),  # each entry of q_list
+        "tolerance_rel": Rule(lambda v: v > 0.0, "tolerance_rel > 0"),
+    }
+
     def __post_init__(self):
-        if not self.tolerance_rel > 0.0:
-            raise DomainError(f"tolerance_rel must be positive, got {self.tolerance_rel}")
-        for q in self.q_list:
-            if not 1.0 <= q < math.inf:
-                raise DomainError(f"norm orders must be finite and >= 1, got {q}")
+        self.RULES["tolerance_rel"].check(self.tolerance_rel)
+        self.RULES["q"].check(*self.q_list)
 
     @property
     def v_orders(self) -> tuple[float, ...]:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range rule that
+raises one."""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
 
 
 class DomainError(ValueError):
@@ -46,3 +52,34 @@ class ConfigError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class Rule:
+    """A value's range rule: ``test`` and the ``text`` that states it, such as
+    ``0 < dt_safety <= 1``.  ``kind`` int also asks for a whole number, float
+    for a finite one.  Config readers call ``passes`` and word their own
+    error; constructors call ``check``.  A plain class, as a dataclass costs
+    import time (``solver._Point``)."""
+
+    __slots__ = ("test", "text", "kind")
+
+    def __init__(self, test: Callable[[float], bool], text: str, kind: type | None = None):
+        self.test, self.text, self.kind = test, text, kind
+
+    def passes(self, value) -> bool:
+        if self.kind is int and not float(value).is_integer():
+            return False
+        return (self.kind is not float or math.isfinite(value)) and self.test(value)
+
+    def check(self, *values, error: type[ValueError] = DomainError) -> None:
+        """Raise ``error`` unless each of ``values`` passes."""
+        for value in values:
+            if not self.passes(value):
+                kind = {int: "an integer ", float: "a finite "}.get(self.kind, "")
+                raise error(f"need {kind}{self.text}, got {value}")
+
+
+def check_rules(rules: dict, values, error: type[ValueError] = DomainError) -> None:
+    """``rules[name].check(values[name])`` for each name of ``rules``."""
+    for name, rule in rules.items():
+        rule.check(values[name], error=error)

@@ -29,32 +29,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NotApplicable, WindowUndefined
+from .errors import DomainError, NotApplicable, Rule, WindowUndefined, check_rules
 
 # Relative width of the "this is the boundary" band around strict-inequality
 # thresholds (p = p_max, x = n/2, chi = chi_star).
 BOUNDARY_RTOL = 1e-12
 
 
-def _check_k(k: float) -> None:
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"k must be positive and finite, got {k}")
+# The domains of the formulas below, and of ModelParams (k and n)
+_K = Rule(lambda v: v > 0.0, "k > 0", float)
+_N = Rule(lambda v: v >= 2, "n >= 2", int)
+_N3 = Rule(lambda v: v >= 3, "n >= 3", int)
+_P = Rule(lambda v: v > 1.0, "p > 1")
+_X = Rule(lambda v: v >= 1.0, "x >= 1")
+_RATIO_PAIR = Rule(lambda pair: 0.0 < pair[0] <= pair[1] < 1.0, "0 < c0 <= c_sup < 1")
+THETA = Rule(lambda v: 0.0 < v < 1.0, "0 < theta < 1")  # bootstrap's selection fraction
 
 
 def _check_chi_k(chi: float, k: float) -> None:
     if not (chi > 0.0 and math.isfinite(chi)):
         raise DomainError(f"chi must be positive and finite, got {chi}")
-    _check_k(k)
-
-
-def _check_n(n: int, minimum: int = 2) -> None:
-    if int(n) != n or n < minimum:
-        raise DomainError(f"space dimension n must be an integer >= {minimum}, got {n}")
-
-
-def _check_p(p: float) -> None:
-    if not p > 1.0:
-        raise DomainError(f"exponent p must be > 1, got {p}")
+    _K.check(k)
 
 
 @dataclass(frozen=True)
@@ -70,11 +65,10 @@ class ModelParams:
     k: float
     n: int
 
+    RULES = {"chi": Rule(lambda v: v >= 0.0, "chi >= 0", float), "k": _K, "n": _N}
+
     def __post_init__(self):
-        if not (self.chi >= 0.0 and math.isfinite(self.chi)):
-            raise DomainError(f"chi must be >= 0 and finite, got {self.chi}")
-        _check_k(self.k)
-        _check_n(self.n)
+        check_rules(self.RULES, vars(self))
 
 
 def chi_star(k: float, n: int) -> float:
@@ -88,8 +82,8 @@ def chi_star(k: float, n: int) -> float:
     algebraically identical quotient b / (2(a + sqrt(a^2 + b))) is used there
     (a = k - 1, b = 8k/n).
     """
-    _check_k(k)
-    _check_n(n)
+    _K.check(k)
+    _N.check(n)
     a = k - 1.0
     b = 8.0 * k / n
     if a > 0.0:
@@ -151,7 +145,7 @@ class RatioBounds:
     c_sup: float
 
     def __post_init__(self):
-        _check_ratio_pair(self.c0, self.c_sup)
+        _RATIO_PAIR.check((self.c0, self.c_sup))
 
 
 def center_ratio_bounds(chi: float, k: float, n: int) -> RatioBounds:
@@ -162,7 +156,7 @@ def center_ratio_bounds(chi: float, k: float, n: int) -> RatioBounds:
     Requires chi below chi_star(k, n); then both bounds lie in (0, 1), and
     they coincide at 1/2 whenever k = 1.
     """
-    _check_n(n, minimum=3)
+    _N3.check(n)
     if not is_below_threshold(chi, k, n):
         raise NotApplicable(
             f"chi={chi} is not below chi_star({k}, {n})={chi_star(k, n):.12g}"
@@ -180,7 +174,7 @@ def admissibility_quadratic(r: float, p: float, chi: float, k: float) -> float:
     interval.
     """
     _check_chi_k(chi, k)
-    _check_p(p)
+    _P.check(p)
     s = (p - 1.0) * chi + r * (1.0 + k)
     return p * s * s / (4.0 * (p - 1.0)) - p * r * chi - r * (r + 1.0) * k
 
@@ -191,7 +185,7 @@ def admissibility_coeffs(p: float, chi: float, k: float) -> tuple[float, float, 
     a = p(k-1)^2 + 4k,  b = 2p(p-1)chi(k-1) - 4(p-1)k,  c = p(p-1)^2 chi^2.
     """
     _check_chi_k(chi, k)
-    _check_p(p)
+    _P.check(p)
     a = p * (k - 1.0) ** 2 + 4.0 * k
     b = 2.0 * p * (p - 1.0) * chi * (k - 1.0) - 4.0 * (p - 1.0) * k
     c = p * (p - 1.0) ** 2 * chi * chi
@@ -205,7 +199,7 @@ def admissibility_discriminant(p: float, chi: float, k: float) -> float:
     16 (p-1)^2 * (this value); it is positive exactly when p < p_max(chi, k).
     """
     _check_chi_k(chi, k)
-    _check_p(p)
+    _P.check(p)
     return k * k - p * chi * k * (k - 1.0) - p * chi * chi * k
 
 
@@ -254,11 +248,6 @@ def admissible_window(p: float, chi: float, k: float) -> AdmissibleWindow:
     return AdmissibleWindow(p, center - half, center + half)
 
 
-def _check_ratio_pair(c0: float, c_sup: float) -> None:
-    if not (0.0 < c0 <= c_sup < 1.0):
-        raise DomainError(f"need 0 < c0 <= c_sup < 1, got ({c0}, {c_sup})")
-
-
 def bootstrap_gain_quadratic(x: float, c0: float, c_sup: float, n: int) -> float:
     """The quadratic  2(1-c0)x^2 + (2c0 - n(c_sup - c0))x + n(c_sup - c0).
 
@@ -269,10 +258,9 @@ def bootstrap_gain_quadratic(x: float, c0: float, c_sup: float, n: int) -> float
     holds for every ratio pair arising from admissible (chi, k) with n <= 8;
     for n > 8 the sign is reported but nothing is asserted.
     """
-    _check_ratio_pair(c0, c_sup)
-    _check_n(n, minimum=3)
-    if not x >= 1.0:
-        raise DomainError(f"x must be >= 1, got {x}")
+    _RATIO_PAIR.check((c0, c_sup))
+    _N3.check(n)
+    _X.check(x)
     gap = c_sup - c0
     return 2.0 * (1.0 - c0) * x * x + (2.0 * c0 - n * gap) * x + n * gap
 
@@ -283,10 +271,9 @@ def bootstrap_gain(x: float, c0: float, c_sup: float, n: int) -> float:
     Returns ``math.inf`` at x = n/2 (within the boundary band), where the
     upper bound diverges.
     """
-    _check_ratio_pair(c0, c_sup)
-    _check_n(n, minimum=3)
-    if not x >= 1.0:
-        raise DomainError(f"x must be >= 1, got {x}")
+    _RATIO_PAIR.check((c0, c_sup))
+    _N3.check(n)
+    _X.check(x)
     half_n = n / 2.0
     if x > half_n * (1.0 + BOUNDARY_RTOL):
         raise DomainError(f"x must be <= n/2 = {half_n}, got {x}")
@@ -300,10 +287,9 @@ def next_p_upper(p_prev: float, c0: float, c_sup: float, n: int) -> float:
     defined for 1 < p < n/2 and guaranteed > p there (for n <= 8).  Returns
     ``math.inf`` at p = n/2 (boundary band); rejects p <= 1 and p > n/2.
     """
-    _check_ratio_pair(c0, c_sup)
-    _check_n(n, minimum=3)
-    if not p_prev > 1.0:
-        raise DomainError(f"p_prev must be > 1, got {p_prev}")
+    _RATIO_PAIR.check((c0, c_sup))
+    _N3.check(n)
+    _P.check(p_prev)
     half_n = n / 2.0
     if p_prev > half_n * (1.0 + BOUNDARY_RTOL):
         raise DomainError(f"p_prev must be <= n/2 = {half_n}, got {p_prev}")
@@ -365,8 +351,7 @@ def bootstrap(params: ModelParams, theta: float = 0.5, max_steps: int = 50) -> B
     which is never expected for n <= 8 and theta >= 1/2.
     """
     chi, k, n = params.chi, params.k, params.n
-    if not (0.0 < theta < 1.0):
-        raise DomainError(f"theta must be in (0, 1), got {theta}")
+    THETA.check(theta)
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
     if not is_below_threshold(chi, k, n):

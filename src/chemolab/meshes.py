@@ -153,7 +153,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PositivityViolation
+from .errors import DomainError, PositivityViolation, Rule, check_rules
+from .exponents import ModelParams
 
 
 def _operand(x):
@@ -354,11 +355,15 @@ class CartesianMesh2D(_PaddedFluxMesh):
 
     geometry = "cartesian2d"
 
+    RULES = {
+        "lx": Rule(lambda v: v > 0.0, "Lx > 0", float),
+        "ly": Rule(lambda v: v > 0.0, "Ly > 0", float),
+        "nx": Rule(lambda v: v >= 4, "nx >= 4", int),
+        "ny": Rule(lambda v: v >= 4, "ny >= 4", int),
+    }
+
     def __init__(self, lx: float, ly: float, nx: int, ny: int):
-        if not (lx > 0.0 and ly > 0.0):
-            raise DomainError(f"side lengths must be positive, got ({lx}, {ly})")
-        if nx < 4 or ny < 4 or int(nx) != nx or int(ny) != ny:
-            raise DomainError(f"need at least 4x4 integer cells, got ({nx}, {ny})")
+        check_rules(self.RULES, {"lx": lx, "ly": ly, "nx": nx, "ny": ny})
         self.lx = float(lx)
         self.ly = float(ly)
         self.nx = int(nx)
@@ -439,13 +444,14 @@ class RadialShellMesh(_PaddedFluxMesh):
 
     geometry = "radial"
 
+    RULES = {
+        "n_dim": ModelParams.RULES["n"],
+        "radius": Rule(lambda v: v > 0.0, "R > 0", float),
+        "m": Rule(lambda v: v >= 4, "m >= 4", int),
+    }
+
     def __init__(self, n_dim: int, radius: float, m: int):
-        if int(n_dim) != n_dim or n_dim < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {n_dim}")
-        if not radius > 0.0:
-            raise DomainError(f"radius must be positive, got {radius}")
-        if int(m) != m or m < 4:
-            raise DomainError(f"need at least 4 integer shells, got {m}")
+        check_rules(self.RULES, {"n_dim": n_dim, "radius": radius, "m": m})
         self.n_dim = int(n_dim)
         self.radius = float(radius)
         self.m = int(m)

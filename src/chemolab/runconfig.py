@@ -41,26 +41,29 @@ an optional ``max_points`` cap.
 
 The key table below is the format's one declaration: each key's section,
 field, kind and range rule.  One loop reads every section from it, and the
-serializer writes its keys.  An absent optional key is not passed on, so it
-takes ``RunConfig``'s (or ``SweepSpec``'s) own default.  Unknown sections or
-keys, duplicates, bad value types, non-finite numbers (list entries
-included), out-of-range values, and a range with more than ``max_points``
-values are rejected with their 1-based line number, before anything is
-built.  A ``RunConfig`` built in code is checked by ``__post_init__`` for
-the rules that tie its fields together, and by the constructors that the
-``build_*`` functions call for its values.
+serializer writes its keys.  An absent optional key takes ``RunConfig``'s
+(or ``SweepSpec``'s) own default.  Each rule has one home: a range rule (an
+``errors.Rule``) is in the ``RULES`` of the constructor that owns the value,
+in ``solver.INITIAL_RULES`` or is ``exponents.THETA``, and its row points at
+it; the tie rules are ``_check_ties`` and ``solver.check_amplitude``.  The
+reader calls each rule and rejects a fault at its 1-based line before
+anything is built, as it does unknown keys, duplicates, bad or non-finite
+values and ranges of over ``max_points`` values.  A ``RunConfig`` built in
+code calls the tie rules, and each value meets its rule in the constructor
+that its ``build_*`` step calls (theta in ``resolve_monitors``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .diagnostics import MonitorConfig
-from .errors import ConfigError, DomainError, NotApplicable, WindowUndefined
-from .exponents import ModelParams, bootstrap
+from .errors import ConfigError, DomainError, NotApplicable, Rule, WindowUndefined, check_rules
+from .exponents import THETA, ModelParams, bootstrap
 from .meshes import CartesianMesh2D, Mesh, RadialShellMesh, State
-from .solver import SchemeConfig, initial_state
+from .solver import INITIAL_RULES, SchemeConfig, check_amplitude, initial_state
 
 GEOMETRIES = ("cartesian2d", "radial")
 INITIAL_KINDS = ("constant_cosine", "gaussian")
@@ -116,9 +119,9 @@ def _finite(text: str, what: str, line: int) -> float:
     return value
 
 
-def _value(key: str, raw: str, line: int, kind, rule, text: str):
+def _value(key: str, raw: str, line: int, kind, rule):
     """The value of ``key = raw`` at ``line``, read as ``kind``; each number
-    read, a list's entries included, must pass ``rule``."""
+    read, a list's entries included, must pass ``rule`` (a ``Rule`` or None)."""
     if isinstance(kind, tuple):
         if raw not in kind:
             raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {raw!r}", line)
@@ -131,19 +134,19 @@ def _value(key: str, raw: str, line: int, kind, rule, text: str):
     elif kind is float:
         value = _finite(raw, key, line)
     else:
-        return tuple(_entry(key, tok, line, kind, rule, text) for tok in raw.replace(",", " ").split())
-    if rule is not None and not rule(value):
-        raise ConfigError(f"{key} = {raw} is out of range ({text})", line)
+        return tuple(_entry(key, tok, line, kind, rule) for tok in raw.replace(",", " ").split())
+    if rule is not None and not rule.passes(value):
+        raise ConfigError(f"{key} = {raw} is out of range ({rule.text})", line)
     return value
 
 
-def _entry(key: str, tok: str, line: int, kind, rule, text: str):
+def _entry(key: str, tok: str, line: int, kind, rule):
     """One entry of a list value: a number that passes ``rule``, or a pair p:r."""
     what = f"{key} entry"
     if kind is _FLOATS:
         value = _finite(tok, what, line)
-        if not rule(value):
-            raise ConfigError(f"{what} {tok} is out of range ({text})", line)
+        if not rule.passes(value):
+            raise ConfigError(f"{what} {tok} is out of range ({rule.text})", line)
         return value
     left, sep, right = tok.partition(":")
     if not sep:
@@ -154,14 +157,14 @@ def _entry(key: str, tok: str, line: int, kind, rule, text: str):
 def _take(sec, row, out: dict) -> int | None:
     """Move ``row``'s key out of ``sec = (name, line, entries)`` into ``out``,
     under the row's field; return the key's line, or None when it is absent."""
-    key, field, kind, required, rule, text = row
+    key, field, kind, required, rule = row
     name, line, entries = sec
     if key not in entries:
         if required:
             raise ConfigError(f"[{name}] is missing required key {key!r}", line)
         return None
     raw, at = entries.pop(key)
-    out[field] = _value(key, raw, at, kind, rule, text)
+    out[field] = _value(key, raw, at, kind, rule)
     return at
 
 
@@ -203,94 +206,84 @@ class RunConfig:
     # [monitors]
     q_list: tuple[float, ...] = ()
     pr_source: str = "bootstrap"
-    pr_pairs: tuple[tuple[float, float], ...] = ()
+    pr_pairs: tuple[tuple[float, float], ...] | None = None  # given exactly with pr_source = explicit
     theta: float = 0.5
     tolerance_rel: float = MonitorConfig.tolerance_rel
 
     def __post_init__(self):
-        # Values are checked where they enter (module docstring); these rules
-        # tie fields together, so no reader or constructor sees them.
-        cartesian = (self.lx, self.ly, self.nx, self.ny)
-        radial = (self.radius, self.shells)
-        problems = []
-        if self.geometry not in GEOMETRIES:
-            problems.append(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
-        elif self.geometry == "cartesian2d":
-            if self.n != 2:
-                problems.append("cartesian2d geometry requires n = 2")
-            if None in cartesian:
-                problems.append("cartesian2d geometry requires Lx, Ly, nx, ny")
-            if radial != (None, None):
-                problems.append("cartesian2d geometry forbids R and m")
-        else:
-            if None in radial:
-                problems.append("radial geometry requires R and m")
-            if cartesian != (None,) * 4:
-                problems.append("radial geometry forbids Lx, Ly, nx, ny")
-        if self.pr_source not in PR_SOURCES:
-            problems.append(f"pr_source must be one of {PR_SOURCES}, got {self.pr_source!r}")
-        elif self.pr_source == "bootstrap" and self.pr_pairs:
-            problems.append("pr_pairs is only valid with pr_source = explicit")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        # the rules that tie fields together; values meet theirs in build_*
+        _value("geometry", self.geometry, None, GEOMETRIES, None)  # the reader's choice rules
+        _value("pr_source", self.pr_source, None, PR_SOURCES, None)
+        for geometry, rows in _GEOMETRY_KEYS.items():
+            mine = geometry == self.geometry
+            if any((getattr(self, row[1]) is None) == mine for row in rows):
+                keys = ", ".join(row[0] for row in rows)
+                raise ConfigError(f"{self.geometry} geometry {'requires' if mine else 'forbids'} {keys}")
+        _check_ties(vars(self), {})
+
+
+def _check_ties(cfg: dict, starts: dict) -> None:
+    """The rules that tie two sections' values of ``cfg`` (fields by name)
+    together; a document's fault is at its section's line in ``starts``."""
+    if cfg["geometry"] == "cartesian2d" and cfg["n"] != 2:
+        raise ConfigError("cartesian2d geometry requires n = 2", starts.get("model"))
+    if cfg["pr_source"] == "explicit" and cfg["pr_pairs"] is None:
+        raise ConfigError("pr_source = explicit requires pr_pairs", starts.get("monitors"))
+    if cfg["pr_source"] == "bootstrap" and cfg["pr_pairs"] is not None:
+        raise ConfigError("pr_pairs is only valid with pr_source = explicit", starts.get("monitors"))
 
 
 # The key table, in reading order.  A row is (key, field, kind, required,
-# rule, rule text); a kind is float, int, a tuple of choices, _FLOATS or
-# _PAIRS, and the rule tests each number read.  A section is required when
-# one of its keys is.  A geometry's keys follow [model]'s own.
+# rule); a kind is float, int, a tuple of choices, _FLOATS or _PAIRS, and the
+# rule, its owner's, tests each number read.  A section is required when one
+# of its keys is.  A geometry's keys follow [model]'s own.
 _KEYS = {
     "model": (
-        ("chi", "chi", float, True, lambda v: v >= 0, "chi >= 0"),
-        ("k", "k", float, True, lambda v: v > 0, "k > 0"),
-        ("n", "n", int, True, lambda v: v >= 2, "n >= 2"),
-        ("geometry", "geometry", GEOMETRIES, True, None, ""),
+        ("chi", "chi", float, True, ModelParams.RULES["chi"]),
+        ("k", "k", float, True, ModelParams.RULES["k"]),
+        ("n", "n", int, True, ModelParams.RULES["n"]),
+        ("geometry", "geometry", GEOMETRIES, True, None),
     ),
     "initial": (
-        ("kind", "kind", INITIAL_KINDS, False, None, ""),
-        ("amplitude", "amplitude", float, False, lambda v: v >= 0, "amplitude >= 0"),
-        ("v0_base", "v0_base", float, False, None, ""),
-        ("v0_min", "v0_min", float, False, lambda v: v > 0, "v0_min > 0"),
+        ("kind", "kind", INITIAL_KINDS, False, None),
+        ("amplitude", "amplitude", float, False, INITIAL_RULES["amplitude"]),
+        ("v0_base", "v0_base", float, False, None),
+        ("v0_min", "v0_min", float, False, INITIAL_RULES["v0_min"]),
     ),
     "scheme": (
-        ("dt_safety", "dt_safety", float, False, lambda v: 0 < v <= 1, "0 < dt_safety <= 1"),
-        ("dt_min", "dt_min", float, False, lambda v: v > 0, "dt_min > 0"),
-        ("t_end", "t_end", float, True, lambda v: v > 0, "t_end > 0"),
-        ("blowup_factor", "blowup_factor", float, False, lambda v: v > 1, "blowup_factor > 1"),
-        ("output_interval", "output_interval", float, True, lambda v: v > 0, "output_interval > 0"),
+        ("dt_safety", "dt_safety", float, False, SchemeConfig.RULES["dt_safety"]),
+        ("dt_min", "dt_min", float, False, SchemeConfig.RULES["dt_min"]),
+        ("t_end", "t_end", float, True, SchemeConfig.RULES["t_end"]),
+        ("blowup_factor", "blowup_factor", float, False, SchemeConfig.RULES["blowup_factor"]),
+        ("output_interval", "output_interval", float, True, SchemeConfig.RULES["output_interval"]),
     ),
     "monitors": (
-        ("q_list", "q_list", _FLOATS, False, lambda v: v >= 1, "q >= 1"),
-        ("pr_source", "pr_source", PR_SOURCES, False, None, ""),
-        ("theta", "theta", float, False, lambda v: 0 < v < 1, "0 < theta < 1"),
-        ("tolerance_rel", "tolerance_rel", float, False, lambda v: v > 0, "tolerance_rel > 0"),
-        ("pr_pairs", "pr_pairs", _PAIRS, False, None, ""),
+        ("q_list", "q_list", _FLOATS, False, MonitorConfig.RULES["q"]),
+        ("pr_source", "pr_source", PR_SOURCES, False, None),
+        ("theta", "theta", float, False, THETA),
+        ("tolerance_rel", "tolerance_rel", float, False, MonitorConfig.RULES["tolerance_rel"]),
+        ("pr_pairs", "pr_pairs", _PAIRS, False, None),
     ),
 }
 _GEOMETRY_KEYS = {
     "cartesian2d": (
-        ("Lx", "lx", float, True, lambda v: v > 0, "Lx > 0"),
-        ("Ly", "ly", float, True, lambda v: v > 0, "Ly > 0"),
-        ("nx", "nx", int, True, lambda v: v >= 4, "nx >= 4"),
-        ("ny", "ny", int, True, lambda v: v >= 4, "ny >= 4"),
+        ("Lx", "lx", float, True, CartesianMesh2D.RULES["lx"]),
+        ("Ly", "ly", float, True, CartesianMesh2D.RULES["ly"]),
+        ("nx", "nx", int, True, CartesianMesh2D.RULES["nx"]),
+        ("ny", "ny", int, True, CartesianMesh2D.RULES["ny"]),
     ),
     "radial": (
-        ("R", "radius", float, True, lambda v: v > 0, "R > 0"),
-        ("m", "shells", int, True, lambda v: v >= 4, "m >= 4"),
+        ("R", "radius", float, True, RadialShellMesh.RULES["radius"]),
+        ("m", "shells", int, True, RadialShellMesh.RULES["m"]),
     ),
 }
-_SWEEP_KEYS = (
-    ("max_points", "max_points", int, False, lambda v: v >= 1, "max_points >= 1"),
-    ("chi_values", "chi_values", _FLOATS, False, lambda v: v >= 0, "chi >= 0"),
-    ("k_values", "k_values", _FLOATS, False, lambda v: v > 0, "k > 0"),
-    ("parallelism", "parallelism", int, False, lambda v: v >= 1, "parallelism >= 1"),
-)
 
 
 def _read_run(sections) -> dict:
     """``RunConfig``'s keyword arguments from the run sections of a scanned
     document, which it empties; an unknown section left in it is an error."""
     out: dict = {}
+    starts = {name: line for name, (line, _) in sections.items()}
     for name, rows in _KEYS.items():
         if name not in sections:
             if any(row[3] for row in rows):
@@ -298,23 +291,16 @@ def _read_run(sections) -> dict:
             continue
         sec = (name, *sections.pop(name))
         lines = {row[1]: _take(sec, row, out) for row in rows}
-        # the rules that tie keys together
         if name == "model":
-            if out["geometry"] == "cartesian2d" and out["n"] != 2:
-                raise ConfigError("cartesian2d geometry requires n = 2", sec[1])
             for row in _GEOMETRY_KEYS[out["geometry"]]:
                 _take(sec, row, out)
-        elif name == "initial" and out.get("kind", RunConfig.kind) == "constant_cosine":
-            if out.get("amplitude", RunConfig.amplitude) > 1:
-                why = "constant_cosine amplitude must be <= 1 to keep u nonnegative"
-                raise ConfigError(f"{why}, got {out['amplitude']}", lines["amplitude"])
-        elif name == "monitors" and (out.get("pr_source") == "explicit") != ("pr_pairs" in out):
-            if "pr_pairs" in out:
-                raise ConfigError("pr_pairs is only valid with pr_source = explicit", sec[1])
-            raise ConfigError("pr_source = explicit requires pr_pairs", sec[1])
+        elif name == "initial":  # the rule that ties amplitude to kind
+            error = partial(ConfigError, line=lines["amplitude"])
+            check_amplitude(out.get("kind", RunConfig.kind), out.get("amplitude", RunConfig.amplitude), error)
         _reject_unknown(sec)
     for name, (line, _) in sections.items():
         raise ConfigError(f"unknown section [{name}]", line)
+    _check_ties({"pr_source": RunConfig.pr_source, "pr_pairs": None, **out}, starts)
     return out
 
 
@@ -334,8 +320,8 @@ def serialize_run_config(cfg: RunConfig) -> str:
         lines.append(f"[{name}]")
         for key, field, kind, *_ in rows + (_GEOMETRY_KEYS[cfg.geometry] if name == "model" else ()):
             value = getattr(cfg, field)
-            if kind is _PAIRS and cfg.pr_source != "explicit":
-                continue  # pr_pairs is only valid with pr_source = explicit
+            if value is None:
+                continue  # pr_pairs without pr_source = explicit
             if kind in (_FLOATS, _PAIRS):
                 value = ", ".join(":".join(map(repr, v)) if kind is _PAIRS else repr(v) for v in value)
             lines.append(f"{key} = {value!r}" if kind is float else f"{key} = {value}".rstrip())
@@ -390,8 +376,7 @@ def resolve_monitors(cfg: RunConfig, params: ModelParams, missing_ok: bool = Fal
     threshold), in which case the pair set is simply empty.  ``theta`` is
     checked whatever the source of the pairs.
     """
-    if not 0.0 < cfg.theta < 1.0:  # a RunConfig built in code; a document's is checked when read
-        raise ConfigError(f"theta must be in (0, 1), got {cfg.theta}")
+    THETA.check(cfg.theta, error=ConfigError)
     if cfg.pr_source == "bootstrap":
         try:
             if params.chi == 0.0:
@@ -428,11 +413,15 @@ class SweepSpec:
     parallelism: int = 1
     max_points: int = 10_000
 
+    RULES = {
+        "max_points": Rule(lambda v: v >= 1, "max_points >= 1", int),
+        "parallelism": Rule(lambda v: v >= 1, "parallelism >= 1", int),
+    }
+
     def __post_init__(self):
         if not self.chi_values or not self.k_values:
             raise ConfigError("empty sweep")
-        if self.parallelism < 1:
-            raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
+        check_rules(self.RULES, vars(self), ConfigError)
         if len(self.chi_values) * len(self.k_values) > self.max_points:
             raise ConfigError(
                 f"sweep has {len(self.chi_values) * len(self.k_values)} points, "
@@ -443,6 +432,14 @@ class SweepSpec:
     def points(self) -> list[tuple[float, float]]:
         """chi-major, k-minor deterministic ordering."""
         return [(chi, k) for chi in self.chi_values for k in self.k_values]
+
+
+_SWEEP_KEYS = (
+    ("max_points", "max_points", int, False, SweepSpec.RULES["max_points"]),
+    ("chi_values", "chi_values", _FLOATS, False, ModelParams.RULES["chi"]),
+    ("k_values", "k_values", _FLOATS, False, ModelParams.RULES["k"]),
+    ("parallelism", "parallelism", int, False, SweepSpec.RULES["parallelism"]),
+)
 
 
 def _read_axis(sec, row, out: dict, fallback: float, max_points: int) -> None:
@@ -467,11 +464,9 @@ def _read_axis(sec, row, out: dict, fallback: float, max_points: int) -> None:
                 f"{name}_range has more than {max_points} values, cap is {max_points} points", line
             )
         out[field] = tuple(start + i * step_w for i in range(int(math.floor(span)) + 1))
-        if not all(math.isfinite(v) and rule(v) for v in out[field]):
+        if not all(map(rule.passes, out[field])):
             raise ConfigError(f"{name}_range leaves the valid domain", line)
     out.setdefault(field, (fallback,))
-    if not out[field]:
-        raise ConfigError("empty sweep", sec[1])
 
 
 def parse_sweep_spec(text: str) -> SweepSpec:
@@ -488,7 +483,10 @@ def parse_sweep_spec(text: str) -> SweepSpec:
     _read_axis(sec, k, out, base.k, max_points)
     _take(sec, parallelism, out)
     _reject_unknown(sec)
-    return SweepSpec(base=base, **out)
+    try:
+        return SweepSpec(base=base, **out)
+    except ConfigError as exc:  # an empty axis, or more points than max_points
+        raise ConfigError(str(exc), sec[1]) from None
 
 
 def load_sweep_spec(path) -> SweepSpec:

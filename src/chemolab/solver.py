@@ -116,7 +116,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import MonitorConfig, TimeSeries, compute_row
-from .errors import DomainError
+from .errors import DomainError, Rule, check_rules
 from .exponents import ModelParams
 from .meshes import Mesh, State, StepPlan
 
@@ -150,17 +150,16 @@ class SchemeConfig:
     dt_min: float = 1e-10
     blowup_factor: float = 1e6
 
+    RULES = {
+        "dt_safety": Rule(lambda v: 0.0 < v <= 1.0, "0 < dt_safety <= 1"),
+        "dt_min": Rule(lambda v: v > 0.0, "dt_min > 0"),
+        "t_end": Rule(lambda v: v > 0.0, "t_end > 0", float),
+        "blowup_factor": Rule(lambda v: v > 1.0, "blowup_factor > 1"),
+        "output_interval": Rule(lambda v: v > 0.0, "output_interval > 0"),
+    }
+
     def __post_init__(self):
-        if not 0.0 < self.dt_safety <= 1.0:
-            raise DomainError(f"dt_safety must be in (0, 1], got {self.dt_safety}")
-        if not self.dt_min > 0.0:
-            raise DomainError(f"dt_min must be positive, got {self.dt_min}")
-        if not self.t_end > 0.0:
-            raise DomainError(f"t_end must be positive, got {self.t_end}")
-        if not self.blowup_factor > 1.0:
-            raise DomainError(f"blowup_factor must exceed 1, got {self.blowup_factor}")
-        if not self.output_interval > 0.0:
-            raise DomainError(f"output_interval must be positive, got {self.output_interval}")
+        check_rules(self.RULES, vars(self))
 
 
 @dataclass
@@ -174,6 +173,18 @@ class RunReport:
     series: TimeSeries
     steps: int  # the accepted steps, the last of which reached t_final
     floor_factors: array  # per row of ``series``, the product of (1 - dt) over the steps before it
+
+
+INITIAL_RULES = {
+    "amplitude": Rule(lambda v: v >= 0.0, "amplitude >= 0"),
+    "v0_min": Rule(lambda v: v > 0.0, "v0_min > 0"),
+}
+
+
+def check_amplitude(kind: str, amplitude: float, error=DomainError) -> None:
+    """Raise ``error`` where ``amplitude`` is too large for ``kind``: constant_cosine u0 >= 0 needs <= 1."""
+    if kind == "constant_cosine" and amplitude > 1.0:
+        raise error(f"constant_cosine amplitude must be <= 1 to keep u nonnegative, got {amplitude}")
 
 
 def initial_state(
@@ -197,14 +208,8 @@ def initial_state(
     v0_min > 0 enforces strict positivity.  Both profiles have zero normal
     derivative at the boundary.
     """
-    if not amplitude >= 0.0:
-        raise DomainError(f"amplitude must be nonnegative, got {amplitude}")
-    if kind == "constant_cosine" and amplitude > 1.0:
-        raise DomainError(
-            f"constant_cosine amplitude must be <= 1 to keep u nonnegative, got {amplitude}"
-        )
-    if not v0_min > 0.0:
-        raise DomainError(f"v0_min must be positive, got {v0_min}")
+    check_rules(INITIAL_RULES, {"amplitude": amplitude, "v0_min": v0_min})
+    check_amplitude(kind, amplitude)
     if not isinstance(mesh, Mesh):
         raise DomainError(f"unsupported mesh type {type(mesh).__name__}")
     coordinates = mesh.cell_centers()

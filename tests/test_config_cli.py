@@ -1,5 +1,6 @@
 """Configuration parsing, serialization round-trips, and the CLI surface."""
 
+import ast
 import dataclasses
 import io
 import math
@@ -15,8 +16,11 @@ import chemolab.meshes as meshes
 from chemolab.cli import CSV_CHUNK_ROWS, main, timeseries_csv
 from chemolab.diagnostics import MonitorConfig, TimeSeries
 from chemolab.errors import ConfigError, DomainError
-from chemolab.exponents import chi_star, is_below_threshold
+from chemolab.exponents import THETA, ModelParams, chi_star, is_below_threshold
 from chemolab.runconfig import (
+    _GEOMETRY_KEYS,
+    _KEYS,
+    _SWEEP_KEYS,
     RunConfig,
     SweepSpec,
     build_initial,
@@ -28,6 +32,7 @@ from chemolab.runconfig import (
     resolve_monitors,
     serialize_run_config,
 )
+from chemolab.solver import INITIAL_RULES, SchemeConfig
 
 CART_CONFIG = """\
 [model]
@@ -135,6 +140,35 @@ RANGE_FAULTS = [
     ("tolerance_rel", "0"), ("max_points", "0"), ("parallelism", "0"),
     ("chi_values", "0.2, -1e-12"), ("k_values", "1, 0"),
 ]
+# The in-range neighbour of each, or a small value inside an open bound; the
+# sweep's max_points is its own point count, the least that also passes the cap.
+IN_RANGE = {
+    "chi": "0", "k": "1e-12", "n": "2", "Lx": "1e-12", "Ly": "1e-12", "nx": "4", "ny": "4", "R": "1e-12",
+    "m": "4", "amplitude": "0", "v0_min": "1e-12", "dt_safety": "1", "dt_min": "1e-12", "t_end": "1e-12",
+    "blowup_factor": "1.0000000000000002", "output_interval": "1e-12", "q_list": "1, 1",
+    "theta": "0.9999999999999999", "tolerance_rel": "1e-12", "max_points": "4", "parallelism": "1",
+    "chi_values": "0.2, 0", "k_values": "1, 1e-12",
+}
+SWEEP_KEYS = ("max_points", "parallelism", "chi_values", "k_values")
+RUN_ROWS = [row for rows in (*_KEYS.values(), *_GEOMETRY_KEYS.values()) for row in rows]
+FIELDS = {row[0]: row[1] for row in RUN_ROWS}
+
+
+def document(key, raw):
+    """FULL_CART (FULL_RADIAL for R and m), with the sweep tail for a sweep
+    key, where ``key = raw`` replaces the key's line; and that line's number."""
+    text = (FULL_RADIAL if key in ("R", "m") else FULL_CART) + (FULL_SWEEP_TAIL if key in SWEEP_KEYS else "")
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[at] = f"{key} = {raw}"
+    return "\n".join(lines) + "\n", at + 1
+
+
+def code_built(key, raw):
+    """FULL_CART, or FULL_RADIAL for R, m and n, with the field of run key
+    ``key`` set to the value ``raw`` in code, where no reader rule sees it."""
+    cfg = parse_run_config(FULL_RADIAL if key in ("R", "m", "n") else FULL_CART)
+    return dataclasses.replace(cfg, **{FIELDS[key]: ast.literal_eval(raw)})
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -200,14 +234,12 @@ class TestParsing:
 
     @pytest.mark.parametrize("key, bad", RANGE_FAULTS)
     def test_each_range_rule_reports_its_keys_line(self, key, bad):
-        sweep = key in ("max_points", "parallelism", "chi_values", "k_values")
-        text = (FULL_RADIAL if key in ("R", "m") else FULL_CART) + (FULL_SWEEP_TAIL if sweep else "")
-        lines = text.splitlines()
-        at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
-        lines[at] = f"{key} = {bad}"
+        parse = parse_sweep_spec if key in SWEEP_KEYS else parse_run_config
+        text, line = document(key, bad)
         with pytest.raises(ConfigError, match="out of range") as err:
-            (parse_sweep_spec if sweep else parse_run_config)("\n".join(lines) + "\n")
-        assert err.value.line == at + 1 and key in str(err.value)
+            parse(text)
+        assert err.value.line == line and key in str(err.value)
+        parse(document(key, IN_RANGE[key])[0])
 
     @pytest.mark.parametrize("kind", ["kind = constant_cosine\n", ""])
     def test_constant_cosine_amplitude_above_one_reports_its_line(self, kind, tmp_path, capsys):
@@ -257,14 +289,32 @@ class TestRoundTrip:
         assert cfg.pr_pairs == ((2.5, 0.75), (2.0, 0.5)) and cfg.q_list == (1.0, 3.0)
 
     def test_every_field_has_exactly_one_table_row(self):
-        from chemolab.runconfig import _GEOMETRY_KEYS, _KEYS, _SWEEP_KEYS
-
-        run_rows = [row for rows in (*_KEYS.values(), *_GEOMETRY_KEYS.values()) for row in rows]
-        assert sorted(row[1] for row in run_rows) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert sorted(row[1] for row in RUN_ROWS) == sorted(f.name for f in dataclasses.fields(RunConfig))
         sweep_fields = sorted(f.name for f in dataclasses.fields(SweepSpec) if f.name != "base")
         assert sorted(row[1] for row in _SWEEP_KEYS) == sweep_fields
-        keys = [row[0] for row in run_rows + list(_SWEEP_KEYS)]
+        keys = [row[0] for row in RUN_ROWS + list(_SWEEP_KEYS)]
         assert len(keys) == len(set(keys))
+
+    def test_each_range_rule_is_the_one_its_constructor_checks(self):
+        # a rule written into the table again would be a new object
+        owned = {
+            **{field: ModelParams.RULES[field] for field in ("chi", "k", "n")},
+            **meshes.CartesianMesh2D.RULES,
+            "radius": meshes.RadialShellMesh.RULES["radius"],
+            "shells": meshes.RadialShellMesh.RULES["m"],
+            **INITIAL_RULES,
+            **SchemeConfig.RULES,
+            "q_list": MonitorConfig.RULES["q"],
+            "theta": THETA,
+            "tolerance_rel": MonitorConfig.RULES["tolerance_rel"],
+            **SweepSpec.RULES,
+            "chi_values": ModelParams.RULES["chi"],
+            "k_values": ModelParams.RULES["k"],
+        }
+        ruled = {row[1]: row[4] for row in RUN_ROWS + list(_SWEEP_KEYS) if row[4] is not None}
+        assert ruled.keys() == owned.keys()
+        assert all(ruled[field] is owned[field] for field in owned)
+        assert meshes.RadialShellMesh.RULES["n_dim"] is ModelParams.RULES["n"]
 
     def test_awkward_floats_survive(self):
         cfg = parse_run_config(CART_CONFIG.replace("chi = 0.5", "chi = 0.1234567890123456"))
@@ -364,9 +414,23 @@ def _monitors(cfg):
     return resolve_monitors(cfg, build_params(cfg))
 
 
+# The step that checks a run key's value in a RunConfig built in code: the
+# builder whose constructor owns the key's range rule, or resolve_monitors.
+BUILDERS = {
+    **dict.fromkeys(("chi", "k", "n"), build_params),
+    **dict.fromkeys(("Lx", "Ly", "nx", "ny", "R", "m"), build_mesh),
+    **dict.fromkeys(("amplitude", "v0_min"), _initial),
+    **dict.fromkeys(("dt_safety", "dt_min", "t_end", "blowup_factor", "output_interval"), build_scheme),
+    **dict.fromkeys(("q_list", "theta", "tolerance_rel"), _monitors),
+}
+
+
 class TestDirectRunConfig:
-    """A RunConfig built in code checks only the rules that tie its fields
-    together; each value is checked by the constructor its build_* calls."""
+    """A RunConfig built in code checks the rules that tie its fields
+    together, with the functions that the reader calls for them.  Each value
+    is checked by the constructor that its build_* step calls (monitor values
+    by resolve_monitors), with the rule that the key table points at, so a
+    value fails in code exactly where it fails in a document."""
 
     @pytest.mark.parametrize(
         "base, fault",
@@ -379,6 +443,7 @@ class TestDirectRunConfig:
             (DIRECT_RADIAL, dict(lx=2.0)),
             (DIRECT_CART, dict(pr_source="both")),
             (DIRECT_CART, dict(pr_pairs=((2.0, 0.5),))),
+            (DIRECT_CART, dict(pr_source="explicit")),
         ],
     )
     def test_cross_field_fault_is_a_config_error(self, base, fault):
@@ -386,45 +451,42 @@ class TestDirectRunConfig:
             RunConfig(**{**base, **fault})
 
     @pytest.mark.parametrize(
-        "base, fault, build",
-        [
-            (DIRECT_CART, dict(chi=-0.5), build_params),
-            (DIRECT_CART, dict(chi=math.inf), build_params),
-            (DIRECT_CART, dict(k=0.0), build_params),
-            (DIRECT_RADIAL, dict(n=1), build_params),
-            (DIRECT_CART, dict(nx=2), build_mesh),
-            (DIRECT_CART, dict(ly=-1.0), build_mesh),
-            (DIRECT_RADIAL, dict(shells=2), build_mesh),
-            (DIRECT_CART, dict(dt_safety=1.5), build_scheme),
-            (DIRECT_CART, dict(dt_min=0.0), build_scheme),
-            (DIRECT_CART, dict(t_end=0.0), build_scheme),
-            (DIRECT_CART, dict(blowup_factor=1.0), build_scheme),
-            (DIRECT_CART, dict(output_interval=-0.1), build_scheme),
-            (DIRECT_CART, dict(kind="square"), _initial),
-            (DIRECT_CART, dict(amplitude=-1.0), _initial),
-            (DIRECT_CART, dict(v0_min=0.0), _initial),
-        ],
+        "key, bad", [f for f in RANGE_FAULTS if BUILDERS.get(f[0]) not in (None, _monitors)]
     )
-    def test_out_of_range_value_fails_in_its_builder(self, base, fault, build):
-        cfg = RunConfig(**{**base, **fault})
-        with pytest.raises(DomainError):
-            build(cfg)
+    def test_out_of_range_value_fails_in_its_builder(self, key, bad):
+        rule = next(row[4] for row in RUN_ROWS if row[0] == key)
+        with pytest.raises(DomainError, match=re.escape(rule.text)):
+            BUILDERS[key](code_built(key, bad))
+        BUILDERS[key](parse_run_config(document(key, IN_RANGE[key])[0]))
 
     @pytest.mark.parametrize(
-        "fault",
-        [
-            dict(q_list=(0.5,)),
-            dict(tolerance_rel=0.0),
-            dict(theta=1.0),
-            # theta is checked even where no bootstrap chain reads it
-            dict(theta=1.0, pr_source="explicit", pr_pairs=((2.5, 0.75),)),
-            dict(theta=0.0, chi=0.0),
-        ],
+        "base, fault, build",
+        [(DIRECT_CART, dict(chi=math.inf), build_params), (DIRECT_CART, dict(kind="square"), _initial)],
     )
-    def test_out_of_range_monitor_value_is_a_config_error(self, fault):
-        cfg = RunConfig(**{**DIRECT_CART, **fault})
-        with pytest.raises(ConfigError):
-            _monitors(cfg)
+    def test_non_finite_or_unknown_value_fails_in_its_builder(self, base, fault, build):
+        with pytest.raises(DomainError):
+            build(RunConfig(**{**base, **fault}))
+
+    @pytest.mark.parametrize("key, bad", [f for f in RANGE_FAULTS if BUILDERS.get(f[0]) is _monitors])
+    def test_out_of_range_monitor_value_is_a_config_error(self, key, bad):
+        # FULL_CART's pairs are explicit: theta is checked where no chain reads it
+        rule = next(row[4] for row in RUN_ROWS if row[0] == key)
+        with pytest.raises(ConfigError, match=re.escape(rule.text)):
+            _monitors(code_built(key, bad))
+        _monitors(parse_run_config(document(key, IN_RANGE[key])[0]))
+
+    @pytest.mark.parametrize("fault", [dict(theta=1.0), dict(theta=0.0, chi=0.0)])
+    def test_theta_is_checked_with_or_without_a_chain(self, fault):
+        with pytest.raises(ConfigError, match=re.escape(THETA.text)):
+            _monitors(RunConfig(**{**DIRECT_CART, **fault}))
+
+    @pytest.mark.parametrize("key", ["max_points", "parallelism"])
+    def test_out_of_range_sweep_value_fails_in_sweep_spec(self, key):
+        # SweepSpec checks max_points >= 1 before its cap on the point count
+        spec = parse_sweep_spec(FULL_CART + FULL_SWEEP_TAIL)
+        with pytest.raises(ConfigError, match=f"^need an integer {key} >= 1, got 0$"):
+            dataclasses.replace(spec, **{key: 0})
+        dataclasses.replace(spec, **{key: int(IN_RANGE[key])})
 
 
 class TestExponentsCli:

@@ -116,6 +116,11 @@ class TestGeometry:
             RadialShellMesh(3, 0.0, 8)
         with pytest.raises(DomainError):
             RadialShellMesh(3, 1.0, 3)
+        # an infinite side or radius gave infinite cells or NaN volumes
+        with pytest.raises(DomainError):
+            CartesianMesh2D(1.0, float("inf"), 8, 8)
+        with pytest.raises(DomainError):
+            RadialShellMesh(3, float("inf"), 8)
 
 
 # ---------------------------------------------------------------------------

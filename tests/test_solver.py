@@ -42,6 +42,8 @@ class TestSchemeConfig:
             SchemeConfig(t_end=1.0, output_interval=0.1, blowup_factor=1.0)
         with pytest.raises(DomainError):
             SchemeConfig(t_end=1.0, output_interval=0.1, dt_min=0.0)
+        with pytest.raises(DomainError):  # a run to t_end = inf of a steady state never returned
+            SchemeConfig(t_end=math.inf, output_interval=0.1)
 
 
 class TestInitialState:

@@ -149,6 +149,20 @@ MALFORMED = (
     ("both axis forms", "sweep", SWEEP_DOC.replace("k_values = 0.5, 1", "k_range = 0.5:1:0.5\nk_values = 1")),
     ("an oversize range", "sweep", SWEEP_DOC.replace("chi_values = 0.4, 0.8", "chi_range = 0:1:1e-6")),
     ("a bad sweep integer", "sweep", SWEEP_DOC.replace("parallelism = 1", "parallelism = 0")),
+    ("a tie rule, n = 3 on cartesian2d", "run", RUN_DOC.replace("n = 2", "n = 3")),
+    ("pr_pairs under bootstrap", "run", RUN_DOC.replace("bootstrap", "bootstrap\npr_pairs = 2:0.5")),
+    (
+        "the constant_cosine amplitude cap",
+        "run",
+        RUN_DOC.replace("kind = gaussian", "kind = constant_cosine"),
+    ),
+    ("an out-of-range list entry", "run", RUN_DOC.replace("q_list = 1, 2", "q_list = 1, 0.5")),
+    (
+        "a range that leaves the domain",
+        "sweep",
+        SWEEP_DOC.replace("chi_values = 0.4, 0.8", "chi_range = -1:0:0.5"),
+    ),
+    ("an out-of-range axis value", "sweep", SWEEP_DOC.replace("k_values = 0.5, 1", "k_values = 0")),
 )
 
 # Arguments of ``chemolab exponents``: the bootstrap chain in each dimension
