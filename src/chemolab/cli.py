@@ -479,7 +479,7 @@ def _resolve_parallelism(spec: SweepSpec) -> int:
             value = int(env)
         except ValueError:
             raise ConfigError(f"CHEMOLAB_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
+        if not SweepSpec.RULES["parallelism"].test(value):
             raise ConfigError(f"CHEMOLAB_THREADS must be >= 1, got {value}")
         return value
     return spec.parallelism

@@ -97,7 +97,7 @@ class TimeSeries:
         q_list, pr_pairs = monitors.q_list, monitors.pr_pairs
         self.monitors, self.v_orders = monitors, monitors.v_orders
         for s in self.v_orders:
-            if not s >= 1.0:
+            if not MonitorConfig.RULES["q"].test(s):
                 raise DomainError(f"norm order must be >= 1, got {s}")
         names = ["t", "mass", "min_v", "max_u"] + [f"u_Lq_{q:.12g}" for q in q_list]
         for p, r in pr_pairs:
@@ -154,7 +154,7 @@ class TimeSeries:
 
 def lq_norm(f: np.ndarray, q: float, mesh: Mesh) -> float:
     """(integral |f|^q)^(1/q) with cell volumes as weights; q = 1 is the mass."""
-    if not q >= 1.0:
+    if not MonitorConfig.RULES["q"].test(q):
         raise DomainError(f"norm order must be >= 1, got {q}")
     return float(mesh.integrate(f**q) ** (1.0 / q))
 

@@ -72,21 +72,23 @@ except, at most, the sign of an exact zero.
 The step plan.  Each kernel (pair differences, diffusive scaling, face
 velocities, taxis fluxes, scatter) is written once, as a mesh method
 ``_<kernel>`` that cuts its views out of the flat arrays and returns a
-function doing the ``out=`` arithmetic on them.  The face velocities read
-the differences of v that the difference kernel wrote, and the diffusive
-kernel scales the differences into fluxes in place, so v is differenced
-once per step for both.  The operators above bind per call and call once.
+function doing the ``out=`` arithmetic on them.  The face-velocity kernel
+calls the difference kernel and reads the differences of v that it wrote,
+and the diffusive kernel scales the differences into fluxes in place, so v
+is differenced once per step for both.  The operators above bind per call
+and call once.
 ``StepPlan`` is the one explicit step: the stepping loop builds one per
 batch, and the public ``solver.step`` one per call, on a single point.  It
 owns the batch state, the rates and all scratch, binds every kernel to them
 when it is built, and then steps by calling the bound kernels, on the same
-flat layout, so its states have the operators' bits.  The plan always holds the
-differences of its current state: it writes them when it is built, and
-each ``advance(dt)`` scales them into fluxes and ends by writing those of
-the new state, which the next ``face_velocities()`` reads.  With a taxis
-term and k = 1, a step (``face_velocities()`` and ``advance(dt)``) is 19
-numpy calls on radial shells and 28 on a rectangle, one more each for
-k != 1 (``tests/test_call_counts.py`` counts them).  On 128 radial shells
+flat layout, so its states have the operators' bits.  The plan keeps
+nothing between steps but its state: a step is ``face_velocities()``,
+which differences the state as it is now (and, with a taxis term, writes
+the face velocities), then ``advance(dt)``, which scales those differences
+into fluxes and updates the state, so a write to the state between steps
+is stepped from.  With a taxis term and k = 1, a step is 19 numpy calls on
+radial shells and 28 on a rectangle, one more each for k != 1
+(``tests/test_call_counts.py`` counts them).  On 128 radial shells
 these act on a few hundred doubles, so the fixed cost of a call, not the
 arithmetic, sets the cost of a step.  So every operand that a binder hands
 to a ufunc is an array: a shared chi, h/2, 1/h or h, 1/h^2 or h^2, k and
@@ -185,21 +187,6 @@ def _scale(h):
     return np.divide, _operand(h)
 
 
-def _velocity(dv, v1, v0, chi, w, scratch, half_h):
-    """Bind the face velocities chi * dv / (half_h * (v1 + v0)) into ``w``,
-    ``dv`` the differences v1 - v0 that ``_differences`` wrote."""
-    multiply, add, divide = np.multiply, np.add, np.divide
-    chi, half_h = _operand(chi), _operand(half_h)
-
-    def velocity():
-        multiply(chi, dv, w)
-        add(v1, v0, scratch)
-        multiply(half_h, scratch, scratch)
-        divide(w, scratch, w)
-
-    return velocity
-
-
 def euler_update(rates, uv, k):
     """Bind the forward-Euler update of the state ``uv = (u, v)`` from its
     rates ``rates`` (rows lap u, lap v and, if there is a third, the taxis
@@ -287,7 +274,6 @@ class _PaddedFluxMesh:
         """
         v = v.reshape(-1)
         differences, w = np.empty((len(self._strides), v.size)), self._velocity_arrays(v.size)
-        self._differences(v, differences)()
         self._velocities(v, differences, 0, chi, w, self._velocity_arrays(v.size))()
         return w
 
@@ -311,21 +297,29 @@ class _PaddedFluxMesh:
             acc[s:] += backward / vol_out
         return float(acc.max())
 
-    def _velocities(self, v, faces, start, chi, w, scratch):
-        end, chis = start + v.size, chi.reshape(-1) if isinstance(chi, np.ndarray) else None
+    def _velocities(self, f, faces, start, chi, w, scratch):
+        """Bind the differences of the flat array ``f`` into ``faces`` and
+        then the face velocities chi * dv / (h/2 * (v1 + v0)) of its cells
+        from ``start`` on (v, with dv = v1 - v0) into ``w``."""
+        multiply, add, divide = np.multiply, np.add, np.divide
+        differences, v, end = self._differences(f, faces), f[start:], f.size
+        chi = chi.reshape(-1) if isinstance(chi, np.ndarray) else _operand(chi)
         directions = [
-            _velocity(t[start + s : end], v[s:], v[:-s], chi if chis is None else chis[:-s], wd, sd, h * 0.5)
+            (t[start + s : end], v[s:], v[:-s], chi[:-s] if chi.ndim else chi, wd, sd, _operand(h * 0.5))
             for s, t, wd, sd, h in zip(self._strides, faces, w, scratch, self._spacings)
         ]
-        if len(directions) == 1:  # shells: no pair joins two mesh rows
-            return directions[0]
-        (x, y), nx = directions, self._strides[1]
-        wraps = w[0][nx - 1 :: nx]
+        # the x pairs that join the end of a mesh row to the start of the next: none on shells
+        wraps = [w[0][nx - 1 :: nx] for nx in self._strides[1:]]
 
         def velocities():
-            x()
-            y()
-            wraps.fill(0.0)  # the x pairs that join the end of a row to the start of the next
+            differences()
+            for dv, v1, v0, chi, w, scratch, half_h in directions:
+                multiply(chi, dv, w)
+                add(v1, v0, scratch)
+                multiply(half_h, scratch, scratch)
+                divide(w, scratch, w)
+            for wrap in wraps:
+                wrap.fill(0.0)
 
         return velocities
 
@@ -535,11 +529,11 @@ class StepPlan:
     radial shells 16.7 us against 19.3 us with Python-float operands and
     ``np.<ufunc>`` calls, and on 32x32 cells 48.6 us against 54.3 us
     (medians of 20 interleaved rounds, 2-core x86_64, Python 3.11, numpy
-    2.4).  A step is ``face_velocities()`` (from the differences of v that
-    the plan holds; a no-op when every chi is 0) and then ``advance(dt)``.
-    The plan holds the differences of u and v over the flat pairs of its
-    current state: it writes them when it is built and at the end of each
-    ``advance``, so write ``uv`` only through ``advance``.
+    2.4).  A step is ``face_velocities()``, which writes the differences of
+    u and v over the flat pairs of the current state and, when some chi is
+    not 0, the face velocities from those of v, and then ``advance(dt)``.
+    The plan keeps no value derived from ``uv`` from one step to the next,
+    so ``uv`` may be written between steps.
 
     Reusing the arrays matters beyond the saved slicing: fresh face arrays
     per call made a 64x64 step loop about 15 % slower (2-core x86_64,
@@ -555,7 +549,7 @@ class StepPlan:
     "Aligned step buffers").
     """
 
-    __slots__ = ("uv", "point_faces", "face_velocities", "_fluxes", "_update", "_differences")
+    __slots__ = ("uv", "point_faces", "face_velocities", "_fluxes", "_update")
 
     def __init__(self, mesh: "Mesh", uv: np.ndarray, chis, ks):
         """Plan the steps of the (2, P, N) batch state ``uv`` (copied in)
@@ -571,16 +565,14 @@ class StepPlan:
         rates = _aligned((3 if taxis else 2) * cells).reshape(-1, points, n)
         faces = mesh.face_arrays(rates.shape[:2])
         flat = self.uv.reshape(-1)
-        self._differences = mesh._differences(flat, faces)
-        self._differences()
         fluxes = [mesh._diffusive(flat, faces)]
         if taxis:  # the face velocities, the scratch of their sums, the upwind masks
             w, scratch, masks = (mesh._velocity_arrays(cells, dtype) for dtype in (float, float, bool))
-            self.face_velocities = mesh._velocities(flat[cells:], faces, cells, chi, w, scratch)
+            self.face_velocities = mesh._velocities(flat, faces, cells, chi, w, scratch)
             self.point_faces = [mesh.point_faces(w, j) for j in range(points)]
             fluxes.append(mesh._taxis(flat[:cells], w, faces, 2 * cells, masks))
         else:
-            self.face_velocities = _no_velocities
+            self.face_velocities = mesh._differences(flat, faces)
             self.point_faces = [None] * points
         fluxes.append(mesh._scatter(faces, rates.reshape(-1)))
         self._fluxes = tuple(fluxes)
@@ -588,22 +580,15 @@ class StepPlan:
 
     def advance(self, dt: float) -> np.ndarray:
         """One forward-Euler step of size ``dt`` from the current state, with
-        the face velocities of the last ``face_velocities()`` call (which
-        writes them, from the current v, into the arrays that
-        ``point_faces`` views); returns ``uv``, now the new state.
-
-        The step scales the differences of the current state into the
-        diffusive fluxes and, once the state is updated, writes the
-        differences of the new one."""
+        the differences and face velocities that the last
+        ``face_velocities()`` call wrote from it (the face velocities into
+        the arrays that ``point_faces`` views); returns ``uv``, now the new
+        state.  It scales the differences into the diffusive fluxes in
+        place, so every step calls ``face_velocities()`` first."""
         for kernel in self._fluxes:
             kernel()
         self._update(dt)
-        self._differences()
         return self.uv
-
-
-def _no_velocities():
-    """The face velocities of a batch with no taxis term: none."""
 
 
 def _shared_or_column(values):

@@ -49,17 +49,17 @@ given ``ModelParams`` steps a one-point plan, so there is one step path.
 Each batch gets a ``meshes.StepPlan``, which holds the stack, updated in
 place, with the rates and all scratch of a step, chi per cell of the flat
 stack (a 0-d array when all points share it) and k as a 0-d array or a
-(P, 1) column, and binds every operand of a step once.  One step does each piece of work once for
-the whole batch: the plan computes the chemotactic face velocities from the
-differences of v that it holds (see ``meshes``), and each point's
-contiguous slice of them is handed to its own ``_dt_rule``; ``step``,
-given the plan, scales those differences into the fluxes of lap u and lap
-v, writes the taxis fluxes, scatters them into the rates, adds dt times
-those to the state and writes the differences of the new state, all on one
-flat array; and one ``np.minimum.reduceat`` and one ``np.maximum.reduceat``
-over the plan's flat state, at the starts of its 2P rows (u rows, then v
-rows; bound once per plan), decide, point by point, finiteness, u >= 0,
-v > 0, the running extremes and the blow-up proxy.  Min and max are exact,
+(P, 1) column, and binds every operand of a step once.  One step does
+each piece of work once for the whole batch: the plan differences the
+state it starts from and computes the chemotactic face velocities from the
+differences of v (see ``meshes``), and each point's contiguous slice of
+them is handed to its own ``_dt_rule``; ``step``, given the plan, scales
+those differences into the fluxes of lap u and lap v, writes the taxis
+fluxes, scatters them into the rates and adds dt times those to the state,
+all on one flat array; and one ``np.minimum.reduceat`` and one
+``np.maximum.reduceat`` over the plan's flat state, at the starts of its 2P
+rows (u rows, then v rows; bound once per plan), decide, point by point,
+finiteness, u >= 0, v > 0, the running extremes and the blow-up proxy.  Min and max are exact,
 so these are the values of a reduction along each row, NaN included; on
 2 x 1024 cells one reduction cost about 1.4 us against 2.5 us along the
 rows of a (2P, N) view.  The scan also gives every output row its min v
@@ -226,27 +226,21 @@ def initial_state(
     return State(u, v, 0.0).validate(mesh)
 
 
-def stable_dt(
-    state: State | None, params: ModelParams, mesh: Mesh, cfg: SchemeConfig, w=None, v_range=None
-) -> float:
+def stable_dt(state: State, params: ModelParams, mesh: Mesh, cfg: SchemeConfig) -> float:
     """Safety-scaled minimum of the diffusive, advective, and reaction limits,
     capped for positivity above dt_safety 1/2: one call of a ``_dt_rule``.
 
-    ``w`` are the face velocities of ``state.v`` (computed when needed and
-    omitted); ``v_range`` is ``(min v, max v)`` (computed when omitted).
-    ``state`` is read only to compute those two, so a caller that passes
-    ``v_range``, and ``w`` when chi != 0, may pass None.  The advective limit
-    is skipped when the screen in the module docstring shows that it cannot
-    bind.  Above dt_safety 1/2 the screen is skipped, the exact advective
-    outflow maximum A_max is always taken, and dt is capped at
-    c / (D_max + A_max) and c / (k D_max + 1), c = ``_DRAIN_CAP``, which
-    keeps u >= 0 and v > 0 (module docstring).  The caller additionally
-    caps the result so output times are hit exactly.
+    The advective limit, from the face velocities of ``state.v``, is
+    computed only when the screen in the module docstring, from the range
+    of ``state.v``, shows that it can bind.  Above dt_safety 1/2 the screen
+    is skipped, the exact advective outflow maximum A_max is always taken,
+    and dt is capped at c / (D_max + A_max) and c / (k D_max + 1),
+    c = ``_DRAIN_CAP``, which keeps u >= 0 and v > 0 (module docstring).
+    The caller additionally caps the result so output times are hit
+    exactly.
     """
-    if params.chi != 0.0 and v_range is None:
-        v_range = float(state.v.min()), float(state.v.max())
-    w = w if w is not None else lambda: mesh.face_velocities(state.v, params.chi)
-    return _dt_rule(params, mesh, cfg)(w, v_range)
+    v, rule = state.v, _dt_rule(params, mesh, cfg)
+    return rule(lambda: mesh.face_velocities(v, params.chi), (float(v.min()), float(v.max())))
 
 
 def _dt_rule(params: ModelParams, mesh: Mesh, cfg: SchemeConfig):
@@ -293,15 +287,16 @@ def step(
     u = v = c is reproduced bit-exactly.  The new state is not checked:
     ``run_batch`` classifies non-finite values and positivity loss (see
     module docstring).  Given ``ModelParams``, the step is that of a
-    one-point ``StepPlan`` built on a copy of ``state``, whose face
-    velocities also give ``stable_dt``; the new u and v are the rows of the
-    plan's own array (``State.stacked``), which no other state shares.
+    one-point ``StepPlan`` built on a copy of ``state``; the new u and v are
+    the rows of the plan's own array (``State.stacked``), which no other
+    state shares.
 
     ``run_batch`` passes its batch's ``StepPlan`` as ``params``, the state
     whose ``uv`` is the plan's (``State.stacked(plan.uv, t)``), and the
     shared ``dt``; the step then overwrites the plan's state in place, with
-    the face velocities of the plan's last ``face_velocities()`` call, and
-    returns the state it was given, its t advanced by dt.
+    the differences and face velocities of the plan's last
+    ``face_velocities()`` call, and returns the state it was given, its t
+    advanced by dt.
     """
     if isinstance(params, StepPlan):
         if state.uv() is not params.uv:
@@ -309,10 +304,10 @@ def step(
         params.advance(dt)
         state.t += dt
         return state
+    if dt is None:
+        dt = stable_dt(state, params, mesh, cfg)
     plan = StepPlan(mesh, state.uv()[:, None], [params.chi], [params.k])
     plan.face_velocities()
-    if dt is None:
-        dt = stable_dt(state, params, mesh, cfg, plan.point_faces[0])
     plan.advance(dt)
     return State.stacked(plan.uv[:, 0], state.t + dt)
 

@@ -434,7 +434,6 @@ def test_post_step_test_edge_values_match_the_solo_run(monkeypatch, field, value
             taken.append(state.t)
             if len(taken) == 5:
                 state.uv()[field, row, 17] = value
-                plan._differences()  # the plan holds the differences of its state
             return state
 
         monkeypatch.setattr(solver, "step", step)
@@ -592,6 +591,18 @@ def test_without_fork_this_process_steps_every_share(tmp_path, monkeypatch):
     monkeypatch.setenv("CHEMOLAB_THREADS", "3")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert sweep_lines(tmp_path, "darwin", SWEEP_MIXED) == clean
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("0", "CHEMOLAB_THREADS must be >= 1, got 0"), ("two", "CHEMOLAB_THREADS must be an integer, got 'two'")],
+)
+def test_a_bad_thread_count_is_a_config_error(monkeypatch, value, message):
+    # the count is tested by SweepSpec.RULES["parallelism"]; the texts name the variable
+    monkeypatch.setenv("CHEMOLAB_THREADS", value)
+    with pytest.raises(cli.ConfigError) as refused:
+        cli._resolve_parallelism(None)
+    assert str(refused.value) == message
 
 
 def test_failing_gronwall_check_stays_in_its_row(tmp_path, monkeypatch):

@@ -69,6 +69,14 @@ class TestNorms:
         with pytest.raises(DomainError):
             lq_norm(np.ones(8), 0.5, mesh)
 
+    def test_the_order_is_tested_by_the_rule_of_q(self):
+        # MonitorConfig.RULES["q"].test, not its finite check: an infinite
+        # order passes, NaN does not
+        mesh = RadialShellMesh(3, 1.0, 8)
+        assert lq_norm(np.ones(8), math.inf, mesh) == 1.0
+        with pytest.raises(DomainError, match=r"^norm order must be >= 1, got nan$"):
+            lq_norm(np.ones(8), math.nan, mesh)
+
 
 class TestEnergyFunctionals:
     def test_unit_state_gives_domain_volume(self):

@@ -220,14 +220,9 @@ def ramp_state(mesh):
 
 
 def assert_dt_is_plain(state, params, mesh, cfg):
-    """stable_dt with and without the v range and face velocities equals plain_dt."""
+    """stable_dt equals plain_dt."""
     expected = plain_dt(state, params, mesh, cfg)
-    v_range = float(state.v.min()), float(state.v.max())
-    w = mesh.face_velocities(state.v, params.chi)
     assert stable_dt(state, params, mesh, cfg) == expected
-    assert stable_dt(state, params, mesh, cfg, w) == expected
-    assert stable_dt(state, params, mesh, cfg, v_range=v_range) == expected
-    assert stable_dt(state, params, mesh, cfg, w, v_range) == expected
     return expected
 
 
@@ -241,7 +236,7 @@ def test_screen_skips_advection_on_smooth_state(make_mesh):
     calls = count_advective_calls(mesh)
     dt = assert_dt_is_plain(smooth_state(mesh), params, mesh, CFG)
     assert dt == CFG.dt_safety * (1.0 / mesh.diffusion_outflow_max())  # the diffusive limit
-    assert len(calls) == 1  # plain_dt's own call; the four stable_dt calls skip it
+    assert len(calls) == 1  # plain_dt's own call; stable_dt skips it
 
 
 @mesh_params
@@ -251,7 +246,7 @@ def test_screen_fails_where_advection_binds(make_mesh):
     calls = count_advective_calls(mesh)
     dt = assert_dt_is_plain(steep_state(mesh), params, mesh, CFG)
     assert dt < CFG.dt_safety / (1.3 * mesh.diffusion_outflow_max())
-    assert len(calls) == 5  # plain_dt and all four stable_dt calls
+    assert len(calls) == 2  # plain_dt and stable_dt
 
 
 @pytest.mark.parametrize("k", [0.4, 2.5])
@@ -266,4 +261,4 @@ def test_screen_margin_either_side(make_mesh, k, side):
     params = ModelParams(chi=chi, k=k, n=n_dim(mesh))
     calls = count_advective_calls(mesh)
     assert_dt_is_plain(ramp_state(mesh), params, mesh, CFG)
-    assert len(calls) == (1 if side < 0 else 5)
+    assert len(calls) == (1 if side < 0 else 2)

@@ -115,8 +115,7 @@ def test_fused_step_is_bit_identical_to_plain_step(make_mesh, chi):
     fused = plain = steep_state(mesh)
     advective_steps = 0
     for _ in range(300):
-        w = mesh.face_velocities(fused.v, chi) if chi != 0.0 else None
-        dt = stable_dt(fused, params, mesh, cfg, w)
+        dt = stable_dt(fused, params, mesh, cfg)
         assert dt == plain_dt(plain, params, mesh, cfg)
         advective_steps += dt < dt_diffusive
         fused = step(fused, params, mesh, cfg, dt)

@@ -278,17 +278,37 @@ class TestStep:
     @pytest.mark.parametrize(
         "mesh", [CartesianMesh2D(1.0, 1.0, 5, 4), RadialShellMesh(3, 1.0, 7)], ids=["cart", "radial"]
     )
-    def test_a_plan_holds_the_differences_of_its_state(self, mesh):
-        # each advance writes the differences that the next one scales, so a
-        # plan with no taxis term steps on advance alone, with the bytes of
-        # the separate operators
+    def test_a_plan_without_taxis_differences_its_state_at_each_step(self, mesh):
+        # with no taxis term, face_velocities() writes only the differences
+        # of the current state, which advance scales: the steps have the
+        # bytes of the separate operators
         params = ModelParams(chi=0.0, k=1.3, n=3 if mesh.geometry == "radial" else 2)
         want = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
         plan = StepPlan(mesh, want.uv()[:, None], [params.chi], [params.k])
         for _ in range(3):
             want = plain_step(want, params, mesh, 1e-3)
+            plan.face_velocities()
             plan.advance(1e-3)
             assert plan.uv[:, 0].tobytes() == want.uv().tobytes()
+
+    @pytest.mark.parametrize("chi", [0.6, 0.0], ids=["taxis", "no_taxis"])
+    @pytest.mark.parametrize(
+        "mesh", [CartesianMesh2D(1.0, 1.0, 5, 4), RadialShellMesh(3, 1.0, 7)], ids=["cart", "radial"]
+    )
+    def test_a_write_between_steps_is_stepped_from(self, mesh, chi):
+        # a plan keeps nothing from one step to the next but its state, so a
+        # step after a write to that state is the step of a plan built on it
+        start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
+        plan = StepPlan(mesh, start.uv()[:, None], [chi], [1.3])
+        plan.face_velocities()
+        plan.advance(1e-3)
+        state = State.stacked(plan.uv, 1e-3)
+        state.u[0, 3], state.v[0, 5] = 2.5, 1.7
+        fresh = StepPlan(mesh, plan.uv.copy(), [chi], [1.3])
+        for stepped in (plan, fresh):
+            stepped.face_velocities()
+            stepped.advance(1e-3)
+        assert plan.uv.tobytes() == fresh.uv.tobytes()
 
     @pytest.mark.parametrize(
         "mesh, u, v, chi, k",
@@ -300,8 +320,8 @@ class TestStep:
         ids=["advective_limit", "no_taxis", "radial"],
     )
     def test_step_without_dt_takes_stable_dt(self, mesh, u, v, chi, k):
-        # the plan's face velocities, when there are any, give stable_dt's own;
-        # the first case is the advective limit of
+        # a step given no dt takes stable_dt of its state; the first case is
+        # the advective limit of
         # test_steep_chemical_gradient_forces_advective_limit
         state = initial_state(mesh, "gaussian", 2.0, v0_base=0.5) if u is None else State(u, v)
         params = ModelParams(chi=chi, k=k, n=3 if mesh.geometry == "radial" else 2)

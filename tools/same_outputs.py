@@ -22,13 +22,16 @@ On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
 * ``run`` or ``sweep`` on each document of ``VARIANTS``: chi = 0,
   dt_safety 0.8, a radial mesh with a repeated norm order and (p, r) pair,
   chi = 100 (its advective screen fails after the first steps, so dt comes
-  from the exact advective limit) and a sweep of chi = 0.4 and 100, which
-  share their first dt and advance as one batch until it splits on dt: loop
-  paths that the workload inputs do not take; and meshes whose rows do not
-  keep the step buffers' 64-byte alignment, or that the row-process gate
-  decides on by more than rows: a 9x7 rectangle (63 cells, not a multiple
-  of 8), 37 shells, a sweep of 3 points on 9x7 stepped as one batch, and
-  128 shells with 2,048 rows (forked at the base on two CPUs or more);
+  from the exact advective limit), a sweep of chi = 0.4 and 100, which
+  share their first dt and advance as one batch until it splits on dt, and
+  a sweep of chi = 0.4, 20 and 60 with blowup_factor 1.001, whose chi = 60
+  point stops inside the 3-point batch, so the other two carry on in a new
+  plan: loop paths that the workload inputs do not take; and meshes whose
+  rows do not keep the step buffers' 64-byte alignment, or that the
+  row-process gate decides on by more than rows: a 9x7 rectangle (63 cells,
+  not a multiple of 8), 37 shells, a sweep of 3 points on 9x7 stepped as
+  one batch, and 128 shells with 2,048 rows (forked at the base on two CPUs
+  or more);
 * ``run`` and ``sweep`` on each malformed document of ``MALFORMED``, so
   that error text and exit codes are compared too;
 * ``exponents`` for each argument set of ``EXPONENTS``: n = 2, 3, 6 and 8,
@@ -113,6 +116,13 @@ VARIANTS = (
         "a batch that splits on dt",
         "sweep",
         SWEEP_DOC.replace("chi_values = 0.4, 0.8", "chi_values = 0.4, 100")
+        .replace("k_values = 0.5, 1", "k_values = 1"),
+    ),
+    (
+        "a point that leaves its batch",
+        "sweep",
+        SWEEP_DOC.replace("[scheme]", "[scheme]\nblowup_factor = 1.001")
+        .replace("chi_values = 0.4, 0.8", "chi_values = 0.4, 20, 60")
         .replace("k_values = 0.5, 1", "k_values = 1"),
     ),
     ("a 9x7 rectangle", "run", RUN_DOC.replace("nx = 16\nny = 16", "nx = 9\nny = 7")),
