@@ -49,7 +49,6 @@ from .diagnostics import (
 )
 from .errors import ConfigError, DomainError, InsufficientRows, NotApplicable
 from .exponents import (
-    BOUNDARY_RTOL,
     ModelParams,
     bootstrap,
     center_ratio_bounds,
@@ -98,14 +97,15 @@ def cmd_exponents(args) -> int:
     threshold = chi_star(params.k, params.n)
     print(f"chi_star(k={_label(params.k)}, n={params.n}) = {_fmt(threshold)}")
     print(f"p_max = {_fmt(p_max(params.chi, params.k))}")
-    if params.n >= 3 and is_below_threshold(params.chi, params.k, params.n):
+    below = is_below_threshold(params.chi, params.k, params.n)
+    if params.n >= 3 and below:
         bounds = center_ratio_bounds(params.chi, params.k, params.n)
         print(f"c0 = {_fmt(bounds.c0)}")
         print(f"c_sup = {_fmt(bounds.c_sup)}")
     else:
         print("c0 = n/a")
         print("c_sup = n/a")
-    if not is_below_threshold(params.chi, params.k, params.n):
+    if not below:
         print(f"chi = {_label(params.chi)} is not below the threshold: not applicable")
         return 2
     print(f"chi = {_label(params.chi)} is below the threshold: applicable")
@@ -255,14 +255,13 @@ def cmd_run(args) -> int:
 
 class _SweepPoint:
     """One grid point of a sweep, built once in the parent process; ``index``
-    is its position in the chi-major grid and ``dt`` its first time step."""
+    is its position in the chi-major grid, ``params`` holds its chi and k,
+    and ``dt`` is its first time step."""
 
-    __slots__ = ("index", "chi", "k", "params", "monitors", "dt")
+    __slots__ = ("index", "params", "monitors", "dt")
 
-    def __init__(
-        self, index: int, chi: float, k: float, params: ModelParams, monitors: MonitorConfig, dt: float
-    ):
-        self.index, self.chi, self.k, self.params, self.monitors, self.dt = index, chi, k, params, monitors, dt
+    def __init__(self, index: int, params: ModelParams, monitors: MonitorConfig, dt: float):
+        self.index, self.params, self.monitors, self.dt = index, params, monitors, dt
 
 
 def _work(points: list[_SweepPoint]) -> float:
@@ -270,10 +269,8 @@ def _work(points: list[_SweepPoint]) -> float:
 
 
 def _sweep_row(chi: float, k: float, n: int, status: str, max_u: float, worst: float) -> str:
-    threshold = chi_star(k, n)
-    # is_below_threshold's band; it rejects chi = 0, which a sweep may hold
-    below = "true" if chi < threshold * (1.0 - BOUNDARY_RTOL) else "false"
-    return f"{_fmt(chi)},{_fmt(k)},{_fmt(threshold)},{below},{status},{_fmt(max_u)},{_fmt(worst)}"
+    below = "true" if is_below_threshold(chi, k, n) else "false"
+    return f"{_fmt(chi)},{_fmt(k)},{_fmt(chi_star(k, n))},{below},{status},{_fmt(max_u)},{_fmt(worst)}"
 
 
 def _error_row(chi: float, k: float, n: int, exc: Exception) -> str:
@@ -294,18 +291,18 @@ def _sweep_point(task) -> list[str]:
         reports = run_solver(initial, [p.params for p in points], mesh, scheme, [p.monitors for p in points])
     except Exception as exc:  # per-point failures stay in-row
         if len(points) == 1:
-            point = points[0]
-            return [_error_row(point.chi, point.k, point.params.n, exc)]
+            params = points[0].params
+            return [_error_row(params.chi, params.k, params.n, exc)]
         return [row for point in points for row in _sweep_point((mesh, scheme, initial, [point]))]
     rows = []
     for point, report in zip(points, reports):
+        chi, k, n = point.params.chi, point.params.k, point.params.n
         try:
             _, worst = _gronwall_over_pairs(report, point.monitors)
         except Exception as exc:  # per-point failures stay in-row
-            rows.append(_error_row(point.chi, point.k, point.params.n, exc))
+            rows.append(_error_row(chi, k, n, exc))
         else:
-            n = point.params.n
-            rows.append(_sweep_row(point.chi, point.k, n, report.status, report.max_u_over_run, worst))
+            rows.append(_sweep_row(chi, k, n, report.status, report.max_u_over_run, worst))
     return rows
 
 
@@ -354,7 +351,7 @@ def _plan_sweep(spec: SweepSpec, workers: int):
         except Exception as exc:  # per-point failures stay in-row
             rows[index] = _error_row(chi, k, base.n, exc)
             continue
-        groups.setdefault(dt, []).append(_SweepPoint(index, chi, k, params, monitors, dt))
+        groups.setdefault(dt, []).append(_SweepPoint(index, params, monitors, dt))
     if not groups:
         return rows, []
 
@@ -410,7 +407,7 @@ def _run_shares(tasks: list, processes: int) -> dict[int, str]:
             with open(read, "rb") as pipe:
                 texts = pipe.read().decode().split("\n")
             if os.waitpid(pid, 0)[1] != 0 or len(texts) != len(points):
-                texts = [_error_row(p.chi, p.k, p.params.n, ChildProcessError(pid)) for p in points]
+                texts = [_error_row(p.params.chi, p.params.k, p.params.n, ChildProcessError(pid)) for p in points]
             rows.update(zip((point.index for point in points), texts))
     return rows
 

@@ -21,7 +21,9 @@ All functions are deterministic and side-effect-free; values are plain floats
 (with ``math.inf`` as the explicit infinity marker) and small frozen
 dataclasses.  Strict inequalities at admissibility boundaries are enforced
 with a relative tolerance of ``BOUNDARY_RTOL``: anything within rounding
-distance of a boundary counts as the boundary and is rejected.
+distance of a boundary counts as the boundary and is rejected.  This module
+alone reads ``BOUNDARY_RTOL``; callers outside it ask for a verdict
+(``is_below_threshold``) rather than apply the band themselves.
 """
 
 from __future__ import annotations
@@ -92,9 +94,19 @@ def chi_star(k: float, n: int) -> float:
 
 
 def is_below_threshold(chi: float, k: float, n: int) -> bool:
-    """True iff chi < chi_star(k, n) strictly, boundary band excluded."""
-    _check_chi_k(chi, k)
+    """True iff chi < chi_star(k, n) strictly, boundary band excluded.
+
+    chi has the domain of ``ModelParams`` (finite, chi >= 0): chi = 0 is
+    below every threshold.  ``chi_star`` checks k and n.
+    """
+    ModelParams.RULES["chi"].check(chi)
     return chi < chi_star(k, n) * (1.0 - BOUNDARY_RTOL)
+
+
+def _require_below_threshold(chi: float, k: float, n: int) -> None:
+    """Raise NotApplicable unless ``is_below_threshold(chi, k, n)``."""
+    if not is_below_threshold(chi, k, n):
+        raise NotApplicable(f"chi={chi} is not below chi_star(k={k}, n={n})={chi_star(k, n):.12g}")
 
 
 def p_max(chi: float, k: float) -> float:
@@ -157,10 +169,7 @@ def center_ratio_bounds(chi: float, k: float, n: int) -> RatioBounds:
     they coincide at 1/2 whenever k = 1.
     """
     _N3.check(n)
-    if not is_below_threshold(chi, k, n):
-        raise NotApplicable(
-            f"chi={chi} is not below chi_star({k}, {n})={chi_star(k, n):.12g}"
-        )
+    _require_below_threshold(chi, k, n)
     at_one = center_ratio(1.0, chi, k)
     at_half_n = center_ratio(n / 2.0, chi, k)
     return RatioBounds(min(at_one, at_half_n), max(at_one, at_half_n))
@@ -271,12 +280,7 @@ def bootstrap_gain(x: float, c0: float, c_sup: float, n: int) -> float:
     Returns ``math.inf`` at x = n/2 (within the boundary band), where the
     upper bound diverges.
     """
-    _RATIO_PAIR.check((c0, c_sup))
-    _N3.check(n)
-    _X.check(x)
-    half_n = n / 2.0
-    if x > half_n * (1.0 + BOUNDARY_RTOL):
-        raise DomainError(f"x must be <= n/2 = {half_n}, got {x}")
+    _check_upper_args("x", x, _X, c0, c_sup, n)
     return _upper(x, c0, c_sup, n) - x
 
 
@@ -287,13 +291,20 @@ def next_p_upper(p_prev: float, c0: float, c_sup: float, n: int) -> float:
     defined for 1 < p < n/2 and guaranteed > p there (for n <= 8).  Returns
     ``math.inf`` at p = n/2 (boundary band); rejects p <= 1 and p > n/2.
     """
+    _check_upper_args("p_prev", p_prev, _P, c0, c_sup, n)
+    return _upper(p_prev, c0, c_sup, n)
+
+
+def _check_upper_args(name: str, x: float, rule: Rule, c0: float, c_sup: float, n: int) -> None:
+    """The checks of ``bootstrap_gain`` and ``next_p_upper``: the ratio pair,
+    n >= 3, ``rule`` on the exponent ``x`` (called ``name``), and x <= n/2
+    up to the boundary band."""
     _RATIO_PAIR.check((c0, c_sup))
     _N3.check(n)
-    _P.check(p_prev)
+    rule.check(x)
     half_n = n / 2.0
-    if p_prev > half_n * (1.0 + BOUNDARY_RTOL):
-        raise DomainError(f"p_prev must be <= n/2 = {half_n}, got {p_prev}")
-    return _upper(p_prev, c0, c_sup, n)
+    if x > half_n * (1.0 + BOUNDARY_RTOL):
+        raise DomainError(f"{name} must be <= n/2 = {half_n}, got {x}")
 
 
 def _upper(x: float, c0: float, c_sup: float, n: int) -> float:
@@ -354,10 +365,7 @@ def bootstrap(params: ModelParams, theta: float = 0.5, max_steps: int = 50) -> B
     THETA.check(theta)
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
-    if not is_below_threshold(chi, k, n):
-        raise NotApplicable(
-            f"chi={chi} is not below chi_star(k={k}, n={n})={chi_star(k, n):.12g}"
-        )
+    _require_below_threshold(chi, k, n)
 
     pm = p_max(chi, k)
     half_n = n / 2.0

@@ -287,9 +287,11 @@ def step(
     u = v = c is reproduced bit-exactly.  The new state is not checked:
     ``run_batch`` classifies non-finite values and positivity loss (see
     module docstring).  Given ``ModelParams``, the step is that of a
-    one-point ``StepPlan`` built on a copy of ``state``; the new u and v are
-    the rows of the plan's own array (``State.stacked``), which no other
-    state shares.
+    one-point ``StepPlan`` built on a copy of ``state``, which differences
+    the state once: a missing dt is ``stable_dt`` of the state, taken by a
+    ``_dt_rule`` from the plan's face velocities.  The new u and v are the
+    rows of the plan's own array (``State.stacked``), which no other state
+    shares.
 
     ``run_batch`` passes its batch's ``StepPlan`` as ``params``, the state
     whose ``uv`` is the plan's (``State.stacked(plan.uv, t)``), and the
@@ -304,10 +306,11 @@ def step(
         params.advance(dt)
         state.t += dt
         return state
-    if dt is None:
-        dt = stable_dt(state, params, mesh, cfg)
     plan = StepPlan(mesh, state.uv()[:, None], [params.chi], [params.k])
     plan.face_velocities()
+    if dt is None:  # stable_dt, from the plan's face velocities
+        v = state.v
+        dt = _dt_rule(params, mesh, cfg)(plan.point_faces[0], (float(v.min()), float(v.max())))
     plan.advance(dt)
     return State.stacked(plan.uv[:, 0], state.t + dt)
 

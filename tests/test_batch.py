@@ -475,7 +475,7 @@ def planned(text, workers):
 def test_points_are_grouped_by_first_time_step():
     spec, rows, tasks = planned(SWEEP_MIXED, workers=1)
     assert rows == {}
-    batches = [[(p.chi, p.k) for p in task[3]] for task in tasks]
+    batches = [[(p.params.chi, p.params.k) for p in task[3]] for task in tasks]
     # k <= 1 share the diffusive limit; each k > 1 has its own; k = 3 is
     # the most work (smallest dt), then k = 2 and k <= 1 (equal work) in grid order
     assert batches == [
@@ -651,7 +651,7 @@ def test_points_that_fail_to_build_keep_their_rows(tmp_path, monkeypatch):
     rows, tasks = cli._plan_sweep(spec, workers=1)
     assert list(rows) == [1] and "error:ConfigError" in rows[1]
     assert [p.index for task in tasks for p in task[3]] == [0, 2]
-    assert all(math.isfinite(p.chi) for task in tasks for p in task[3])
+    assert all(math.isfinite(p.params.chi) for task in tasks for p in task[3])
 
 
 def test_shared_inputs_that_fail_to_build_fail_every_row(tmp_path, monkeypatch, capsys):

@@ -509,3 +509,31 @@ def test_below_threshold_boundary_band():
     assert is_below_threshold(0.999999, 1.0, 2)
     assert not is_below_threshold(cs, 1.0, 2)
     assert not is_below_threshold(cs * (1.0 - 1e-14), 1.0, 2)
+
+
+@pytest.mark.parametrize("k", [0.05, 1.0, 20.0])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_chi_zero_is_below_every_threshold(k, n):
+    # the predicate takes ModelParams' domain for chi, so a sweep's chi = 0 asks it too
+    assert is_below_threshold(0.0, k, n)
+
+
+def test_below_threshold_still_refuses_a_negative_chi():
+    with pytest.raises(DomainError):
+        is_below_threshold(-0.1, 1.0, 3)
+
+
+def test_both_threshold_refusals_say_the_same():
+    chi = 1.01 * chi_star(1.0, 3)
+    with pytest.raises(NotApplicable) as bounds:
+        center_ratio_bounds(chi, 1.0, 3)
+    with pytest.raises(NotApplicable) as chain:
+        bootstrap(ModelParams(chi=chi, k=1.0, n=3))
+    assert str(bounds.value) == str(chain.value)
+
+
+def test_half_n_refusals_name_their_argument():
+    with pytest.raises(DomainError, match="x must be <= n/2 = 1.5"):
+        bootstrap_gain(1.6, 0.4, 0.5, 3)
+    with pytest.raises(DomainError, match="p_prev must be <= n/2 = 1.5"):
+        next_p_upper(1.6, 0.4, 0.5, 3)

@@ -327,6 +327,30 @@ class TestStep:
         params = ModelParams(chi=chi, k=k, n=3 if mesh.geometry == "radial" else 2)
         assert step(state, params, mesh, small_cfg()).t == stable_dt(state, params, mesh, small_cfg())
 
+    @pytest.mark.parametrize("dt_safety", [0.4, 0.8])
+    @pytest.mark.parametrize(
+        "mesh", [CartesianMesh2D(1.0, 1.0, 16, 16), RadialShellMesh(3, 1.0, 32)], ids=["cart", "radial"]
+    )
+    def test_step_without_dt_differences_its_state_once(self, monkeypatch, mesh, dt_safety):
+        # v spans 0.2 to 2.2, so the screen fails at dt_safety 0.4 too: both
+        # cases read face velocities, which a step takes from its own plan
+        start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
+        state = State(start.u, 0.2 + start.u)
+        params = ModelParams(chi=0.6, k=1.0, n=3 if mesh.geometry == "radial" else 2)
+        cfg = small_cfg(dt_safety=dt_safety)
+        given = step(state, params, mesh, cfg, dt=stable_dt(state, params, mesh, cfg))
+        bindings, differences = [], meshes._PaddedFluxMesh._differences
+
+        def counted(self, f, faces):
+            bindings.append(f.size)
+            return differences(self, f, faces)
+
+        monkeypatch.setattr(meshes._PaddedFluxMesh, "_differences", counted)
+        got = step(state, params, mesh, cfg)
+        assert bindings == [2 * mesh.cell_count]
+        assert got.t == given.t
+        assert got.uv().tobytes() == given.uv().tobytes()
+
     def test_run_and_step_share_one_update_binder(self, monkeypatch):
         # a v-update of k lap v - 2 v + u bound in meshes reaches both paths
         mesh = RadialShellMesh(3, 1.0, 12)

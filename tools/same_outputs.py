@@ -26,12 +26,16 @@ On both trees the script then runs, with ``PYTHONPATH`` set to the tree's
   share their first dt and advance as one batch until it splits on dt, and
   a sweep of chi = 0.4, 20 and 60 with blowup_factor 1.001, whose chi = 60
   point stops inside the 3-point batch, so the other two carry on in a new
-  plan: loop paths that the workload inputs do not take; and meshes whose
-  rows do not keep the step buffers' 64-byte alignment, or that the
-  row-process gate decides on by more than rows: a 9x7 rectangle (63 cells,
-  not a multiple of 8), 37 shells, a sweep of 3 points on 9x7 stepped as
-  one batch, and 128 shells with 2,048 rows (forked at the base on two CPUs
-  or more);
+  plan: loop paths that the workload inputs do not take; a sweep of
+  chi = 0, 0.5 and 1 at k = 1 (chi = 0 is below every threshold, and
+  chi = 1 = chi_star(1, 2) sits in the boundary band) and a sweep at
+  dt_safety 0.8 (the one path on which the sweep planner's ``stable_dt``
+  computes face velocities): summary rows that no workload input writes;
+  and meshes whose rows do not keep the step buffers' 64-byte alignment, or
+  that the row-process gate decides on by more than rows: a 9x7 rectangle
+  (63 cells, not a multiple of 8), 37 shells, a sweep of 3 points on 9x7
+  stepped as one batch, and 128 shells with 2,048 rows (forked at the base
+  on two CPUs or more);
 * ``run`` and ``sweep`` on each malformed document of ``MALFORMED``, so
   that error text and exit codes are compared too;
 * ``exponents`` for each argument set of ``EXPONENTS``: n = 2, 3, 6 and 8,
@@ -125,6 +129,13 @@ VARIANTS = (
         .replace("chi_values = 0.4, 0.8", "chi_values = 0.4, 20, 60")
         .replace("k_values = 0.5, 1", "k_values = 1"),
     ),
+    (
+        "a sweep of chi = 0, 0.5 and 1 = chi_star(1, 2)",
+        "sweep",
+        SWEEP_DOC.replace("chi_values = 0.4, 0.8", "chi_values = 0, 0.5, 1")
+        .replace("k_values = 0.5, 1", "k_values = 1"),
+    ),
+    ("a sweep at dt_safety = 0.8", "sweep", SWEEP_DOC.replace("[scheme]", "[scheme]\ndt_safety = 0.8")),
     ("a 9x7 rectangle", "run", RUN_DOC.replace("nx = 16\nny = 16", "nx = 9\nny = 7")),
     ("37 shells", "run", RUN_DOC.replace("n = 2", "n = 3").replace(RECTANGLE, "radial\nR = 2\nm = 37")),
     (
