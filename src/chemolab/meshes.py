@@ -71,37 +71,46 @@ except, at most, the sign of an exact zero.
 
 The step plan.  Each kernel (pair differences, diffusive scaling, face
 velocities, taxis fluxes, scatter) is written once, as a mesh method
-``_<kernel>`` that cuts its views out of the flat arrays and returns a
-function doing the ``out=`` arithmetic on them.  The face-velocity kernel
-calls the difference kernel and reads the differences of v that it wrote,
-and the diffusive kernel scales the differences into fluxes in place, so v
-is differenced once per step for both.  The operators above bind per call
-and call once.
+``_<kernel>`` that cuts its views out of the flat arrays and returns its
+calls: a list of ``(function, operands)`` pairs, one numpy call each, the
+loop over face directions run once, when the kernel is bound.  The
+face-velocity kernel starts with the calls of the difference kernel and
+reads the differences of v that they write, and the diffusive kernel
+scales the differences into fluxes in place, so v is differenced once per
+step for both.  The operators above bind per call and make the calls once
+(``_run``).  The one function among the calls is each taxis kernel's
+donor-cell product ``multiply(w, where(mask, u0, u1), t)``: ``np.where``
+allocates its result, so that call cannot be bound beforehand.
 ``StepPlan`` is the one explicit step: the stepping loop builds one per
-batch, and the public ``solver.step`` one per call, on a single point.  It
-owns the batch state, the rates and all scratch, binds every kernel to them
-when it is built, and then steps by calling the bound kernels, on the same
-flat layout, so its states have the operators' bits.  The plan keeps
-nothing between steps but its state: a step is ``face_velocities()``,
-which differences the state as it is now (and, with a taxis term, writes
-the face velocities), then ``advance(dt)``, which scales those differences
-into fluxes and updates the state, so a write to the state between steps
-is stepped from.  With a taxis term and k = 1, a step is 19 numpy calls on
-radial shells and 28 on a rectangle, one more each for k != 1
-(``tests/test_call_counts.py`` counts them).  On 128 radial shells
-these act on a few hundred doubles, so the fixed cost of a call, not the
-arithmetic, sets the cost of a step.  So every operand that a binder hands
-to a ufunc is an array: a shared chi, h/2, 1/h or h, 1/h^2 or h^2, k and
-the upwind test's 0 are bound as 0-d float64 arrays, and ``euler_update``
-writes each dt into a 0-d array it holds.  numpy 2 converts a Python
-number operand on every call (NEP 50 weak scalars), and a 0-d float64
-array gives the same bits without that.  Each binder also holds its ufuncs
-as closure locals (``multiply = np.multiply``), so no call looks up a
-module attribute.  On 384 doubles (2-core x86_64, Python 3.11, numpy 2.4)
-one multiply took about 950 ns with a Python-float dt and 730 ns with the
-dt written into a 0-d array; by a constant, 1,060 ns as a float and 715 ns
-as a 0-d array; and ``np.multiply`` looked up at the call added about
-80 ns.
+batch, and the public ``solver.step`` and ``solver.stable_dt`` one per
+call, on a single point.  It owns the batch state, the rates and all
+scratch, binds every kernel to them when it is built, and then steps by
+making the bound calls, on the same flat layout, so its states have the
+operators' bits.  The plan keeps nothing between steps but its state: a
+step is ``face_velocities()``, which differences the state as it is now
+(and, with a taxis term, writes the face velocities), then
+``advance(dt)``, which makes one tuple of flux calls, scaling those
+differences into fluxes, and then updates the state, so a write to the
+state between steps is stepped from.  With a taxis term and k = 1, a step
+is 19 numpy calls on radial shells and 28 on a rectangle, one more each
+for k != 1; without one, 10 and 11 (``tests/test_call_counts.py`` counts
+them).  On 128 radial shells these act on a few hundred doubles, so the
+fixed cost of a call, not the arithmetic, sets the cost of a step.  So
+every operand that a binder hands to a ufunc is an array: a shared chi,
+h/2, 1/h or h, 1/h^2 or h^2, k and the upwind test's 0 are bound as 0-d
+float64 arrays, and ``euler_update`` writes each dt into a 0-d array it
+holds.  numpy 2 converts a Python number operand on every call (NEP 50
+weak scalars), and a 0-d float64 array gives the same bits without that.
+Each call holds its ufunc itself, looked up once when the kernel is bound,
+so no step looks up a module attribute.  On 384 doubles (2-core x86_64,
+Python 3.11, numpy 2.4) one multiply took about 950 ns with a Python-float
+dt and 730 ns with the dt written into a 0-d array; by a constant, 1,060 ns
+as a float and 715 ns as a 0-d array; and ``np.multiply`` looked up at the
+call added about 80 ns.  A bound step made of call lists took 9.9-11.1
+us on 128 shells and 61.1-62.3 us on 64x64 cells, against 10.3-10.5 and
+61.8-64.6 us with a function per kernel looping over its directions (best
+of 15 rounds of 3,000 and 1,000 steps, CPU time, 4 alternating processes,
+2-core x86_64, Python 3.11, numpy 2.4): no slower, for less code.
 
 Aligned step buffers.  Every array that a plan writes comes from
 ``_aligned``, which puts its first written element at the start of a
@@ -187,6 +196,12 @@ def _scale(h):
     return np.divide, _operand(h)
 
 
+def _run(calls):
+    """Make the bound calls ``calls``, (function, operands) pairs, in order."""
+    for function, operands in calls:
+        function(*operands)
+
+
 def euler_update(rates, uv, k):
     """Bind the forward-Euler update of the state ``uv = (u, v)`` from its
     rates ``rates`` (rows lap u, lap v and, if there is a third, the taxis
@@ -219,26 +234,26 @@ def euler_update(rates, uv, k):
 class _PaddedFluxMesh:
     """The operators shared by both meshes, on the flat stack.
 
-    Each kernel is written once, as a method that binds it: ``_<kernel>``
-    cuts the views that its arithmetic reads and writes out of flat arrays
-    and returns a function that does the ``out=`` ufunc calls on them each
-    time it is called.  The operators below bind per call and call once; a
-    ``StepPlan`` binds once and calls every step.  A subclass supplies one
-    coordinate layout: ``cell_centers()`` (one flat array per axis),
-    ``extents`` and ``center`` (per axis); its face layout (module
-    docstring): ``_strides`` and ``_spacings``, one stride s and cell
-    spacing per face direction, and ``_outflow``, per direction the (area,
-    vol_in, vol_out) by which a face's outflow leaves cell j and cell j + s
-    (numbers on a rectangle, the area None for 1; per-face arrays on
+    Each kernel is written once, as a method that binds it: ``_<kernel>`` cuts
+    the views that its arithmetic reads and writes out of flat arrays and
+    returns the ``out=`` calls on them, a list of ``(function, operands)``
+    pairs.  The operators below bind per call and make the calls once
+    (``_run``); a ``StepPlan`` binds once and makes them every step.  A
+    subclass supplies one coordinate layout: ``cell_centers()`` (one flat
+    array per axis), ``extents`` and ``center`` (per axis); its face layout
+    (module docstring): ``_strides`` and ``_spacings``, one stride s and
+    cell spacing per face direction, and ``_outflow``, per direction the
+    (area, vol_in, vol_out) by which a face's outflow leaves cell j and cell
+    j + s (numbers on a rectangle, the area None for 1; per-face arrays on
     shells); ``face_arrays(shape)`` (the zeroed padded face scratch of a
     stack of ``shape`` rows, one array per direction first, then whatever
     else its scatter needs); and the kernels whose expressions run in a
     different order: ``_diffusive`` (scale the differences f[j+s] - f[j]
-    that ``_differences`` wrote into diffusive fluxes, in place), ``_taxis``
-    (the donor-cell fluxes of u, from flat cell ``start`` of the face
-    scratch on) and ``_scatter`` (zero the pairs that are not faces, write
-    the flat cell rates).  No write touches the pads, so face scratch
-    reused across calls keeps its zero pads.
+    that the calls of ``_differences`` write into diffusive fluxes, in
+    place), ``_taxis`` (the donor-cell fluxes of u, from flat cell ``start``
+    of the face scratch on) and ``_scatter`` (zero the pairs that are not
+    faces, write the flat cell rates).  No write touches the pads, so face
+    scratch reused across calls keeps its zero pads.
     """
 
     def integrate(self, f: np.ndarray) -> float:
@@ -251,14 +266,13 @@ class _PaddedFluxMesh:
         """Laplacian of a field, or row by row of a stack of fields."""
         faces = self.face_arrays(f.shape[:-1])
         flat = f.reshape(-1)
-        self._differences(flat, faces)()
-        self._diffusive(flat, faces)()
+        _run(self._differences(flat, faces) + self._diffusive(flat, faces))
         return self._scatter_faces(faces).reshape(f.shape)
 
     def chemotactic_divergence(self, u: np.ndarray, w) -> np.ndarray:
         """Donor-cell divergence of the taxis flux for face velocities ``w``."""
         faces = self.face_arrays(u.shape[:-1])
-        self._taxis(u.reshape(-1), w, faces, 0, self._velocity_arrays(u.size, bool))()
+        _run(self._taxis(u.reshape(-1), w, faces, 0, self._velocity_arrays(u.size, bool)))
         return self._scatter_faces(faces).reshape(u.shape)
 
     def face_velocities(self, v: np.ndarray, chi):
@@ -274,7 +288,7 @@ class _PaddedFluxMesh:
         """
         v = v.reshape(-1)
         differences, w = np.empty((len(self._strides), v.size)), self._velocity_arrays(v.size)
-        self._velocities(v, differences, 0, chi, w, self._velocity_arrays(v.size))()
+        _run(self._velocities(v, differences, 0, chi, w, self._velocity_arrays(v.size)))
         return w
 
     def point_faces(self, w, j):
@@ -302,26 +316,17 @@ class _PaddedFluxMesh:
         then the face velocities chi * dv / (h/2 * (v1 + v0)) of its cells
         from ``start`` on (v, with dv = v1 - v0) into ``w``."""
         multiply, add, divide = np.multiply, np.add, np.divide
-        differences, v, end = self._differences(f, faces), f[start:], f.size
+        calls, v, end = self._differences(f, faces), f[start:], f.size
         chi = chi.reshape(-1) if isinstance(chi, np.ndarray) else _operand(chi)
-        directions = [
-            (t[start + s : end], v[s:], v[:-s], chi[:-s] if chi.ndim else chi, wd, sd, _operand(h * 0.5))
-            for s, t, wd, sd, h in zip(self._strides, faces, w, scratch, self._spacings)
-        ]
+        for s, t, wd, sd, h in zip(self._strides, faces, w, scratch, self._spacings):
+            calls += [
+                (multiply, (chi[:-s] if chi.ndim else chi, t[start + s : end], wd)),
+                (add, (v[s:], v[:-s], sd)),
+                (multiply, (_operand(h * 0.5), sd, sd)),
+                (divide, (wd, sd, wd)),
+            ]
         # the x pairs that join the end of a mesh row to the start of the next: none on shells
-        wraps = [w[0][nx - 1 :: nx] for nx in self._strides[1:]]
-
-        def velocities():
-            differences()
-            for dv, v1, v0, chi, w, scratch, half_h in directions:
-                multiply(chi, dv, w)
-                add(v1, v0, scratch)
-                multiply(half_h, scratch, scratch)
-                divide(w, scratch, w)
-            for wrap in wraps:
-                wrap.fill(0.0)
-
-        return velocities
+        return calls + [(w[0][nx - 1 :: nx].fill, (0.0,)) for nx in self._strides[1:]]
 
     def _velocity_arrays(self, size, dtype=float):
         """Uninitialized arrays shaped like the face velocities of ``size``
@@ -330,17 +335,11 @@ class _PaddedFluxMesh:
 
     def _differences(self, f, faces):
         subtract, size = np.subtract, f.size
-        directions = tuple((f[s:], f[:-s], t[s:size]) for s, t in zip(self._strides, faces))
-
-        def differences():
-            for f1, f0, t in directions:
-                subtract(f1, f0, t)
-
-        return differences
+        return [(subtract, (f[s:], f[:-s], t[s:size])) for s, t in zip(self._strides, faces)]
 
     def _scatter_faces(self, faces):
         out = np.empty(faces[0].size - 1)
-        self._scatter(faces, out)()
+        _run(self._scatter(faces, out))
         return out
 
 
@@ -391,46 +390,32 @@ class CartesianMesh2D(_PaddedFluxMesh):
 
     def _diffusive(self, f, faces):
         nx, size = self.nx, f.size
-        directions = (
-            (faces[0][1:size], *_scale(self.hx * self.hx)),
-            (faces[1][nx:size], *_scale(self.hy * self.hy)),
-        )
-
-        def diffusive():
-            for t, scale, h2 in directions:
-                scale(t, h2, t)
-
-        return diffusive
+        (sx, hx2), (sy, hy2) = _scale(self.hx * self.hx), _scale(self.hy * self.hy)
+        tx, ty = faces[0][1:size], faces[1][nx:size]
+        return [(sx, (tx, hx2, tx)), (sy, (ty, hy2, ty))]
 
     def _taxis(self, u, w, faces, start, masks):
         multiply, where, greater = np.multiply, np.where, np.greater
-        nx, end, zero = self.nx, start + u.size, _operand(0.0)
-        (wx, wy), (mx, my) = w, masks
-        directions = (
-            (wx, mx, u[:-1], u[1:], faces[0][start + 1 : end], *_scale(self.hx)),
-            (wy, my, u[:-nx], u[nx:], faces[1][start + nx : end], *_scale(self.hy)),
-        )
+        end, zero, calls = start + u.size, _operand(0.0), []
 
-        def taxis():
-            for w, mask, u0, u1, t, scale, h in directions:
-                multiply(w, where(greater(w, zero, mask), u0, u1), t)
-                scale(t, h, t)
+        def donor_cell(w, mask, u0, u1, t):  # np.where allocates its result
+            multiply(w, where(mask, u0, u1), t)
 
-        return taxis
+        for s, wd, mask, t, h in zip(self._strides, w, masks, faces, self._spacings):
+            t, (scale, h) = t[start + s : end], _scale(h)
+            calls += [(greater, (wd, zero, mask)), (donor_cell, (wd, mask, u[:-s], u[s:], t))]
+            calls.append((scale, (t, h, t)))
+        return calls
 
     def _scatter(self, faces, out):
-        subtract, add, nx = np.subtract, np.add, self.nx
-        tx, ty, ty_cross = faces
-        tx_wraps, tx1, tx0, ty1, ty0 = tx[nx::nx], tx[1:], tx[:-1], ty[nx:], ty[:-nx]
-
-        def scatter():
-            tx_wraps.fill(0.0)  # the row-wrap pairs, joins of two stack rows included
-            ty_cross.fill(0.0)
-            subtract(tx1, tx0, out)
-            add(out, ty1, out)
-            subtract(out, ty0, out)
-
-        return scatter
+        nx, (tx, ty, ty_cross) = self.nx, faces
+        return [
+            (tx[nx::nx].fill, (0.0,)),  # the row-wrap pairs, joins of two stack rows included
+            (ty_cross.fill, (0.0,)),
+            (np.subtract, (tx[1:], tx[:-1], out)),
+            (np.add, (out, ty[nx:], out)),
+            (np.subtract, (out, ty[:-nx], out)),
+        ]
 
 
 class RadialShellMesh(_PaddedFluxMesh):
@@ -477,63 +462,58 @@ class RadialShellMesh(_PaddedFluxMesh):
         return _aligned(size + 1, start=1, zeros=True), area, np.tile(self.volumes, rows), _aligned(size)
 
     def _diffusive(self, f, faces):
-        multiply, size = np.multiply, f.size
-        scale, h = _scale(self.h)
-        area, t = faces[1][: size - 1], faces[0][1:size]
-
-        def diffusive():
-            multiply(t, area, t)
-            scale(t, h, t)
-
-        return diffusive
+        size, (scale, h) = f.size, _scale(self.h)
+        t = faces[0][1:size]
+        return [(np.multiply, (t, faces[1][: size - 1], t)), (scale, (t, h, t))]
 
     def _taxis(self, u, w, faces, start, masks):
-        multiply, where, greater = np.multiply, np.where, np.greater
-        size, zero, (w,), (mask,) = u.size, _operand(0.0), w, masks
-        area, u0, u1, t = faces[1][: size - 1], u[:-1], u[1:], faces[0][start + 1 : start + size]
+        multiply, where = np.multiply, np.where
+        size, (w,), (mask,) = u.size, w, masks
+        t = faces[0][start + 1 : start + size]
 
-        def taxis():
-            multiply(area, w, t)
-            multiply(t, where(greater(w, zero, mask), u0, u1), t)
+        def donor_cell(mask, u0, u1, t):  # np.where allocates its result
+            multiply(t, where(mask, u0, u1), t)
 
-        return taxis
+        return [
+            (multiply, (faces[1][: size - 1], w, t)),
+            (np.greater, (w, _operand(0.0), mask)),
+            (donor_cell, (mask, u[:-1], u[1:], t)),
+        ]
 
     def _scatter(self, faces, out):
-        divide, subtract, m = np.divide, np.subtract, self.m
-        t, _, vol, scratch = faces
-        wraps, t1, t0 = t[m::m], t[1:], t[:-1]
-
-        def scatter():
-            wraps.fill(0.0)  # the pairs that join two rows
-            divide(t1, vol, out)
-            subtract(out, divide(t0, vol, scratch), out)
-
-        return scatter
+        m, (t, _, vol, scratch) = self.m, faces
+        return [
+            (t[m::m].fill, (0.0,)),  # the pairs that join two rows
+            (np.divide, (t[1:], vol, out)),
+            (np.divide, (t[:-1], vol, scratch)),
+            (np.subtract, (out, scratch, out)),
+        ]
 
 
 class StepPlan:
     """The explicit step of one batch, every operand bound once.
 
     The plan holds the batch state ``uv``, a (2, P, N) array that every step
-    overwrites in place (copy rows that must outlive the next step), and
-    the (R, P, N) rates of a step (R = 3 rows with a taxis term, else 2: lap u, lap v, taxis
-    divergence of u), with the padded face scratch
+    overwrites in place (copy rows that must outlive the next step), and the
+    (R, P, N) rates of a step (R = 3 rows with a taxis term, else 2: lap u,
+    lap v, taxis divergence of u), with the padded face scratch
     (``face_arrays((R, P))``), the face-velocity, sum and upwind-mask
     scratch, chi per cell of the flat stack (a 0-d array when every point
-    shares it) and k (a 0-d array, or a (P, 1) column).  It binds each of
-    the mesh's kernels to these arrays when it is built, so a step is a
-    fixed sequence of ``out=`` ufunc calls whose operands are all arrays
-    (see the module docstring): no reshape, no slicing, no scalar
-    conversion, no allocation but ``np.where``'s.  Array operands and local
-    ufuncs made a step (``face_velocities()`` plus ``advance``) on 128
-    radial shells 16.7 us against 19.3 us with Python-float operands and
+    shares it) and k (a 0-d array, or a (P, 1) column).  It binds each of the
+    mesh's kernels to these arrays when it is built and keeps their calls in
+    two tuples, the difference and face-velocity calls and the flux calls,
+    so a step is a fixed sequence of ``out=`` ufunc calls whose operands are
+    all arrays (see the module docstring): no reshape, no slicing, no scalar
+    conversion, no allocation but ``np.where``'s.  Array operands and ufuncs
+    looked up once made a step (``face_velocities()`` plus ``advance``) on
+    128 radial shells 16.7 us against 19.3 us with Python-float operands and
     ``np.<ufunc>`` calls, and on 32x32 cells 48.6 us against 54.3 us
     (medians of 20 interleaved rounds, 2-core x86_64, Python 3.11, numpy
-    2.4).  A step is ``face_velocities()``, which writes the differences of
-    u and v over the flat pairs of the current state and, when some chi is
-    not 0, the face velocities from those of v, and then ``advance(dt)``.
-    The plan keeps no value derived from ``uv`` from one step to the next,
-    so ``uv`` may be written between steps.
+    2.4).  A step is ``face_velocities()``, which writes the differences of u
+    and v over the flat pairs of the current state and, when some chi is not
+    0, the face velocities from those of v, and then ``advance(dt)``.  The
+    plan keeps no value derived from ``uv`` from one step to the next, so
+    ``uv`` may be written between steps.
 
     Reusing the arrays matters beyond the saved slicing: fresh face arrays
     per call made a 64x64 step loop about 15 % slower (2-core x86_64,
@@ -549,7 +529,7 @@ class StepPlan:
     "Aligned step buffers").
     """
 
-    __slots__ = ("uv", "point_faces", "face_velocities", "_fluxes", "_update")
+    __slots__ = ("uv", "point_faces", "_velocities", "_fluxes", "_update")
 
     def __init__(self, mesh: "Mesh", uv: np.ndarray, chis, ks):
         """Plan the steps of the (2, P, N) batch state ``uv`` (copied in)
@@ -565,18 +545,24 @@ class StepPlan:
         rates = _aligned((3 if taxis else 2) * cells).reshape(-1, points, n)
         faces = mesh.face_arrays(rates.shape[:2])
         flat = self.uv.reshape(-1)
-        fluxes = [mesh._diffusive(flat, faces)]
+        fluxes = mesh._diffusive(flat, faces)
         if taxis:  # the face velocities, the scratch of their sums, the upwind masks
             w, scratch, masks = (mesh._velocity_arrays(cells, dtype) for dtype in (float, float, bool))
-            self.face_velocities = mesh._velocities(flat, faces, cells, chi, w, scratch)
+            self._velocities = tuple(mesh._velocities(flat, faces, cells, chi, w, scratch))
             self.point_faces = [mesh.point_faces(w, j) for j in range(points)]
-            fluxes.append(mesh._taxis(flat[:cells], w, faces, 2 * cells, masks))
+            fluxes += mesh._taxis(flat[:cells], w, faces, 2 * cells, masks)
         else:
-            self.face_velocities = mesh._differences(flat, faces)
+            self._velocities = tuple(mesh._differences(flat, faces))
             self.point_faces = [None] * points
-        fluxes.append(mesh._scatter(faces, rates.reshape(-1)))
-        self._fluxes = tuple(fluxes)
+        self._fluxes = tuple(fluxes + mesh._scatter(faces, rates.reshape(-1)))
         self._update = euler_update(rates, self.uv, k)
+
+    def face_velocities(self):
+        """Write the differences of u and v over the flat pairs of the
+        current state and, when some chi is not 0, the face velocities from
+        those of v, into the arrays that ``point_faces`` views."""
+        for function, operands in self._velocities:
+            function(*operands)
 
     def advance(self, dt: float) -> np.ndarray:
         """One forward-Euler step of size ``dt`` from the current state, with
@@ -585,8 +571,8 @@ class StepPlan:
         the arrays that ``point_faces`` views); returns ``uv``, now the new
         state.  It scales the differences into the diffusive fluxes in
         place, so every step calls ``face_velocities()`` first."""
-        for kernel in self._fluxes:
-            kernel()
+        for function, operands in self._fluxes:
+            function(*operands)
         self._update(dt)
         return self.uv
 

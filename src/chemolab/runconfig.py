@@ -422,6 +422,8 @@ class SweepSpec:
         if not self.chi_values or not self.k_values:
             raise ConfigError("empty sweep")
         check_rules(self.RULES, vars(self), ConfigError)
+        ModelParams.RULES["chi"].check(*self.chi_values, error=ConfigError)
+        ModelParams.RULES["k"].check(*self.k_values, error=ConfigError)
         if len(self.chi_values) * len(self.k_values) > self.max_points:
             raise ConfigError(
                 f"sweep has {len(self.chi_values) * len(self.k_values)} points, "

@@ -230,17 +230,24 @@ def stable_dt(state: State, params: ModelParams, mesh: Mesh, cfg: SchemeConfig) 
     """Safety-scaled minimum of the diffusive, advective, and reaction limits,
     capped for positivity above dt_safety 1/2: one call of a ``_dt_rule``.
 
-    The advective limit, from the face velocities of ``state.v``, is
-    computed only when the screen in the module docstring, from the range
-    of ``state.v``, shows that it can bind.  Above dt_safety 1/2 the screen
-    is skipped, the exact advective outflow maximum A_max is always taken,
-    and dt is capped at c / (D_max + A_max) and c / (k D_max + 1),
+    The advective limit, from the face velocities of ``state.v`` that a
+    one-point ``StepPlan`` writes, is computed only when the screen in the
+    module docstring, from the range of ``state.v``, shows that it can
+    bind.  Above dt_safety 1/2 the screen is skipped, the exact advective
+    outflow maximum A_max is always taken, and dt is capped at
+    c / (D_max + A_max) and c / (k D_max + 1),
     c = ``_DRAIN_CAP``, which keeps u >= 0 and v > 0 (module docstring).
     The caller additionally caps the result so output times are hit
     exactly.
     """
     v, rule = state.v, _dt_rule(params, mesh, cfg)
-    return rule(lambda: mesh.face_velocities(v, params.chi), (float(v.min()), float(v.max())))
+
+    def faces():  # read only on the exact path, so the screen builds no plan
+        plan = StepPlan(mesh, state.uv()[:, None], [params.chi], [params.k])
+        plan.face_velocities()
+        return plan.point_faces[0]
+
+    return rule(faces, (float(v.min()), float(v.max())))
 
 
 def _dt_rule(params: ModelParams, mesh: Mesh, cfg: SchemeConfig):

@@ -46,12 +46,12 @@ CASES = pytest.mark.parametrize(
 )
 
 
-def _one_bound_step(monkeypatch, mesh, k):
+def _one_bound_step(monkeypatch, mesh, k, chi=0.6):
     """The counting stand-in after one bound step of a one-point plan."""
     counting = CountingNumpy()
     monkeypatch.setattr(meshes, "np", counting)
     start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
-    plan = StepPlan(mesh, start.uv()[:, None], [0.6], [k])
+    plan = StepPlan(mesh, start.uv()[:, None], [chi], [k])
     counting.operands = []
     plan.face_velocities()
     plan.advance(1e-3)
@@ -68,6 +68,25 @@ def test_every_operand_of_a_bound_step_is_an_array(monkeypatch, mesh, k, calls):
     """A Python number handed to a ufunc is converted on every call (NEP 50
     weak scalars); the plan binds every scalar as a 0-d array instead."""
     for name, args in _one_bound_step(monkeypatch, mesh, k).operands:
+        assert all(isinstance(a, np.ndarray) for a in args), (name, [type(a).__name__ for a in args])
+
+
+@pytest.mark.parametrize(
+    "mesh, k, calls",
+    [
+        (RadialShellMesh(3, 1.0, 7), 1.0, 10),
+        (RadialShellMesh(3, 1.0, 7), 1.3, 11),
+        (CartesianMesh2D(1.0, 1.0, 5, 4), 1.0, 11),
+        (CartesianMesh2D(1.0, 1.0, 5, 4), 1.3, 12),
+    ],
+    ids=["radial-unit_k", "radial", "cart-unit_k", "cart"],
+)
+def test_numpy_calls_of_a_bound_step_without_taxis(monkeypatch, mesh, k, calls):
+    """At chi = 0 a step is the differences, the diffusive fluxes, the
+    scatter and the update without its taxis subtract."""
+    operands = _one_bound_step(monkeypatch, mesh, k, chi=0.0).operands
+    assert len(operands) == calls
+    for name, args in operands:
         assert all(isinstance(a, np.ndarray) for a in args), (name, [type(a).__name__ for a in args])
 
 

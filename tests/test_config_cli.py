@@ -488,6 +488,16 @@ class TestDirectRunConfig:
             dataclasses.replace(spec, **{key: 0})
         dataclasses.replace(spec, **{key: int(IN_RANGE[key])})
 
+    @pytest.mark.parametrize("axis", ["chi", "k"])
+    def test_grid_value_outside_the_model_domain_fails_in_sweep_spec(self, axis):
+        # a grid built in code is refused where it is built, not by the
+        # sweep planner, whose error rows ask chi_star of every point
+        spec = parse_sweep_spec(FULL_CART + FULL_SWEEP_TAIL)
+        rule = ModelParams.RULES[axis]
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'need a finite {rule.text}, got -1.0')}$"):
+            dataclasses.replace(spec, **{f"{axis}_values": (0.5, -1.0)})
+        dataclasses.replace(spec, **{f"{axis}_values": (0.5, 1.0)})
+
 
 class TestExponentsCli:
     def test_worked_chain(self, capsys, tmp_path):

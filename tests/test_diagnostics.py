@@ -16,6 +16,7 @@ from chemolab.diagnostics import (
     dissipation,
     dissipation_check,
     energy,
+    floor_gap,
     gronwall_check,
     lq_norm,
     min_v_floor_check,
@@ -407,6 +408,26 @@ class TestMinVFloor:
     def test_one_floor_factor_per_row(self):
         with pytest.raises(DomainError, match="one floor factor per row"):
             min_v_floor_check(floor_series([0.0, 0.1], [1.0, 1.0]), floor_factors=[1.0], steps=1)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "mesh", [RadialShellMesh(3, 1.0, 16), CartesianMesh2D(1.0, 1.0, 8, 8)], ids=["radial", "cart"]
+    )
+    def test_floor_gap_of_a_mild_run_is_order_t_dt(self, mesh, k):
+        # exp(-t) - prod(1 - dt) is about t dt / 2, and no dt of a mild run
+        # at dt_safety 0.4 exceeds the first: the report prints the gap
+        from chemolab.cli import _fmt, evaluate_checks, report_text
+        from chemolab.exponents import ModelParams
+        from chemolab.solver import SchemeConfig, initial_state, run, stable_dt
+
+        start = initial_state(mesh, "gaussian", 1.5, v0_base=1.0)
+        params = ModelParams(chi=0.4, k=k, n=3 if mesh.geometry == "radial" else 2)
+        cfg, monitors = SchemeConfig(t_end=0.1, output_interval=0.05), MonitorConfig()
+        report = run(start, params, mesh, cfg, monitors)
+        gap = floor_gap(report.series, report.floor_factors)
+        assert report.status == "completed" and report.t_final == 0.1
+        assert 0.0 < gap <= report.t_final * stable_dt(start, params, mesh, cfg)
+        assert f"\nmin_v_floor_gap: {_fmt(gap)}\n" in report_text(report, evaluate_checks(report, monitors))
 
 
 class TestSmoothingRatio:

@@ -10,7 +10,7 @@ from chemolab.diagnostics import MonitorConfig, TimeSeries, compute_row, min_v_f
 from chemolab.errors import DomainError
 from chemolab.exponents import ModelParams
 from chemolab.meshes import CartesianMesh2D, RadialShellMesh, State, StepPlan
-from chemolab.solver import SchemeConfig, initial_state, run, stable_dt, step
+from chemolab.solver import SchemeConfig, _dt_rule, initial_state, run, stable_dt, step
 
 from test_config_cli import doubled_decay
 from test_fused_step import plain_step
@@ -169,6 +169,23 @@ class TestStableDt:
         assert dt_adv < dt_flat
         w = mesh.face_velocities(v, 3.0)
         assert dt_adv == pytest.approx(0.4 / mesh.advective_outflow_max(w), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "mesh", [CartesianMesh2D(1.0, 1.0, 16, 16), RadialShellMesh(3, 1.0, 32)], ids=["cart", "radial"]
+    )
+    def test_exact_path_reads_the_face_velocities_of_a_plan(self, monkeypatch, mesh):
+        # above dt_safety 1/2 every dt takes the exact advective limit, from
+        # the faces of a one-point StepPlan, not the per-call operator
+        start = initial_state(mesh, "gaussian", 2.0, v0_base=0.5)
+        state = State(start.u, 0.2 + start.u)
+        params = ModelParams(chi=0.6, k=1.0, n=3 if mesh.geometry == "radial" else 2)
+        cfg = small_cfg(dt_safety=0.8)
+        v_range = (float(state.v.min()), float(state.v.max()))
+        want = _dt_rule(params, mesh, cfg)(mesh.face_velocities(state.v, params.chi), v_range)
+        calls, real = [], meshes._PaddedFluxMesh.face_velocities
+        monkeypatch.setattr(meshes._PaddedFluxMesh, "face_velocities", lambda *a: calls.append(a) or real(*a))
+        assert stable_dt(state, params, mesh, cfg) == want
+        assert calls == []
 
 
 class TestStep:
